@@ -49,6 +49,7 @@
 #include "core/ssme.hpp"
 #include "extensions/coloring.hpp"
 #include "graph/generators.hpp"
+#include "graph/properties.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
 #include "sim/incremental_engine.hpp"
@@ -229,9 +230,8 @@ std::vector<MicroRow> run_micros(bool smoke, int repeats) {
     // non-ring topology, dominated by dense distributed actions — the
     // column-swap dense path at n = 2304.
     const Graph g = smoke ? make_torus(4, 4) : make_torus(48, 48);
-    const VertexId diam = smoke ? 4 : 48;
     const UnisonProtocol proto(
-        SsmeParams::from_dimensions(g.n(), diam).make_clock());
+        SsmeParams::from_dimensions(g.n(), diameter(g)).make_clock());
     std::vector<Config<ClockValue>> inits;
     for (std::size_t i = 0; i < 2; ++i) {
       inits.push_back(random_config(g, proto.clock(), i));

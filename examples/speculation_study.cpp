@@ -37,7 +37,7 @@ int main() {
       };
 
   RunOptions opt;
-  opt.max_steps = 2 * ssme_ud_bound(proto.params().n, proto.params().diam);
+  opt.max_steps = ssme_ud_step_cap(proto.params().n, proto.params().diam);
   opt.steps_after_convergence = 0;
 
   // conv_time under the weak (speculated) daemon, spec_ME safety.

@@ -20,10 +20,10 @@ namespace specstab::campaign {
 namespace {
 
 /// One instantiated topology, shared read-only by every scenario of the
-/// same cell column.  Graph construction and the all-pairs-BFS diameter
-/// are the dominant per-scenario setup costs, so run_scenarios()
-/// instantiates each distinct topology exactly once instead of once per
-/// scenario.
+/// same cell column.  run_scenarios() instantiates each distinct topology
+/// exactly once instead of once per scenario, so graph construction is
+/// paid per column.  The diameter is a closed form for generated
+/// families and a few BFS sweeps (iFUB) for random graphs.
 struct TopologyInstance {
   Graph graph;
   VertexId diam = 0;

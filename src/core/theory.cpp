@@ -1,6 +1,27 @@
 #include "core/theory.hpp"
 
+#include <limits>
+
 namespace specstab {
+
+namespace {
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// `value` clamped to INT64_MAX.  The widened operands keep every
+/// intermediate exact: for n, diam < 2^31, 4 diam n^3 < 2^127.
+std::int64_t saturate(__int128 value) {
+  return value > kInt64Max ? kInt64Max : static_cast<std::int64_t>(value);
+}
+
+__int128 exact_ssme_ud_bound(VertexId n, VertexId diam) {
+  const __int128 nn = n;
+  const __int128 d = diam;
+  const __int128 alpha = nn;  // SSME chooses alpha = n
+  return 2 * d * nn * nn * nn + (alpha + 1) * nn * nn + (alpha - 2 * d) * nn;
+}
+
+}  // namespace
 
 std::int64_t ssme_sync_bound(VertexId diam) { return (diam + 1) / 2; }
 
@@ -9,10 +30,11 @@ std::int64_t mutex_sync_lower_bound(VertexId diam) {
 }
 
 std::int64_t ssme_ud_bound(VertexId n, VertexId diam) {
-  const std::int64_t nn = n;
-  const std::int64_t d = diam;
-  const std::int64_t alpha = nn;  // SSME chooses alpha = n
-  return 2 * d * nn * nn * nn + (alpha + 1) * nn * nn + (alpha - 2 * d) * nn;
+  return saturate(exact_ssme_ud_bound(n, diam));
+}
+
+std::int64_t ssme_ud_step_cap(VertexId n, VertexId diam) {
+  return saturate(2 * exact_ssme_ud_bound(n, diam));
 }
 
 std::int64_t unison_sync_bound(std::int64_t alpha, VertexId lcp,

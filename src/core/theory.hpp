@@ -19,7 +19,12 @@ namespace specstab {
 
 /// Theorem 3 via Devismes & Petit [7]: SSME stabilizes under ud within
 /// 2 diam n^3 + (alpha+1) n^2 + (alpha - 2 diam) n steps, with alpha = n.
+/// Saturates at INT64_MAX (reached from about a 10^6-vertex torus on).
 [[nodiscard]] std::int64_t ssme_ud_bound(VertexId n, VertexId diam);
+
+/// The default step cap of ssme and unison sessions: twice the Theorem-3
+/// bound, saturating at INT64_MAX like the bound itself.
+[[nodiscard]] std::int64_t ssme_ud_step_cap(VertexId n, VertexId diam);
 
 /// Boulinier et al. [3]: the unison reaches Gamma_1 within
 /// alpha + lcp(g) + diam(g) synchronous steps.

@@ -19,6 +19,13 @@ void require(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
 }
 
+/// Records the family's closed-form diameter on a freshly built graph, so
+/// diameter() answers in O(1) (the diameter oracle test checks each one).
+Graph with_diameter(Graph g, VertexId diam) {
+  g.set_known_diameter(diam);
+  return g;
+}
+
 /// Uniform random labelled tree on n >= 1 vertices as an edge list
 /// (Pruefer decode, canonical smallest-leaf order via a min-heap —
 /// O(n log n), so million-vertex random topologies stay tractable).
@@ -63,7 +70,7 @@ Graph make_ring(VertexId n) {
   EdgeList edges;
   edges.reserve(static_cast<std::size_t>(n));
   for (VertexId i = 0; i < n; ++i) edges.emplace_back(i, (i + 1) % n);
-  return Graph(n, edges);
+  return with_diameter(Graph(n, edges), n / 2);
 }
 
 Graph make_path(VertexId n) {
@@ -71,7 +78,7 @@ Graph make_path(VertexId n) {
   EdgeList edges;
   if (n > 1) edges.reserve(static_cast<std::size_t>(n) - 1);
   for (VertexId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  return Graph(n, edges);
+  return with_diameter(Graph(n, edges), n - 1);
 }
 
 Graph make_star(VertexId n) {
@@ -79,7 +86,7 @@ Graph make_star(VertexId n) {
   EdgeList edges;
   edges.reserve(static_cast<std::size_t>(n) - 1);
   for (VertexId i = 1; i < n; ++i) edges.emplace_back(0, i);
-  return Graph(n, edges);
+  return with_diameter(Graph(n, edges), n == 2 ? 1 : 2);
 }
 
 Graph make_complete(VertexId n) {
@@ -89,7 +96,7 @@ Graph make_complete(VertexId n) {
                 2);
   for (VertexId i = 0; i < n; ++i)
     for (VertexId j = i + 1; j < n; ++j) edges.emplace_back(i, j);
-  return Graph(n, edges);
+  return with_diameter(Graph(n, edges), n == 1 ? 0 : 1);
 }
 
 Graph make_grid(VertexId rows, VertexId cols) {
@@ -103,7 +110,7 @@ Graph make_grid(VertexId rows, VertexId cols) {
       if (r + 1 < rows) edges.emplace_back(id(r, c), id(r + 1, c));
     }
   }
-  return Graph(rows * cols, edges);
+  return with_diameter(Graph(rows * cols, edges), (rows - 1) + (cols - 1));
 }
 
 Graph make_torus(VertexId rows, VertexId cols) {
@@ -117,7 +124,7 @@ Graph make_torus(VertexId rows, VertexId cols) {
       edges.emplace_back(id(r, c), id((r + 1) % rows, c));
     }
   }
-  return Graph(rows * cols, edges);
+  return with_diameter(Graph(rows * cols, edges), rows / 2 + cols / 2);
 }
 
 Graph make_hypercube(int dim) {
@@ -132,7 +139,7 @@ Graph make_hypercube(int dim) {
       if (v < u) edges.emplace_back(v, u);
     }
   }
-  return Graph(n, edges);
+  return with_diameter(Graph(n, edges), dim);
 }
 
 Graph make_binary_tree(VertexId n) {
@@ -178,7 +185,6 @@ Graph make_random_connected(VertexId n, double p, std::uint64_t seed) {
   const std::int64_t total_pairs = n64 * (n64 - 1) / 2;
   if (p > 0.0 && total_pairs > 0) {
     std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    std::geometric_distribution<std::int64_t> skip(p);
     // Decode linear index -> (u, v) by a monotonic row walk: positions
     // are visited in increasing order, so amortized O(n + samples).
     VertexId u = 0;
@@ -198,6 +204,8 @@ Graph make_random_connected(VertexId n, double p, std::uint64_t seed) {
         if (!is_tree_edge(a, b)) edges.emplace_back(a, b);
       }
     } else {
+      // Geometric(p) requires 0 < p < 1, hence only on this branch.
+      std::geometric_distribution<std::int64_t> skip(p);
       for (std::int64_t pos = skip(rng); pos < total_pairs;
            pos += 1 + skip(rng)) {
         const auto [a, b] = decode(pos);
@@ -215,18 +223,20 @@ Graph make_wheel(VertexId n) {
     g.add_edge(0, i);
     g.add_edge(i, i + 1 < n ? i + 1 : 1);
   }
-  return g;
+  // W_4 is K_4; from n = 5 on, two rim vertices can be non-adjacent.
+  return with_diameter(std::move(g), n == 4 ? 1 : 2);
 }
 
 Graph make_lollipop(VertexId clique, VertexId path) {
   require(clique >= 2, "make_lollipop: need clique >= 2");
-  require(path >= 1, "make_lollipop: need path >= 1");
+  require(path >= 0, "make_lollipop: need path >= 0");
   Graph g(clique + path);
   for (VertexId i = 0; i < clique; ++i)
     for (VertexId j = i + 1; j < clique; ++j) g.add_edge(i, j);
   for (VertexId i = 0; i < path; ++i)
     g.add_edge(clique - 1 + i, clique + i);
-  return g;
+  // From clique vertex 0 across to the end of the stick.
+  return with_diameter(std::move(g), path + 1);
 }
 
 Graph make_barbell(VertexId clique, VertexId path) {
@@ -247,7 +257,8 @@ Graph make_barbell(VertexId clique, VertexId path) {
     prev = clique + i;
   }
   g.add_edge(prev, second);
-  return g;
+  // A non-joint vertex of one clique to a non-joint vertex of the other.
+  return with_diameter(std::move(g), path + 3);
 }
 
 Graph make_petersen() {
@@ -257,7 +268,7 @@ Graph make_petersen() {
     g.add_edge(5 + i, 5 + (i + 2) % 5); // inner pentagram
     g.add_edge(i, 5 + i);              // spokes
   }
-  return g;
+  return with_diameter(std::move(g), 2);
 }
 
 Graph make_caterpillar(VertexId spine, VertexId legs) {
@@ -276,7 +287,7 @@ Graph make_complete_bipartite(VertexId a, VertexId b) {
   Graph g(a + b);
   for (VertexId i = 0; i < a; ++i)
     for (VertexId j = 0; j < b; ++j) g.add_edge(i, a + j);
-  return g;
+  return with_diameter(std::move(g), a == 1 && b == 1 ? 1 : 2);
 }
 
 }  // namespace specstab

@@ -78,6 +78,7 @@ void Graph::add_edge(VertexId u, VertexId v) {
   pending_.emplace_back(u, v);
   pending_keys_.insert(edge_key(u, v));
   ++m_;
+  known_diameter_ = -1;
 }
 
 bool Graph::has_edge(VertexId u, VertexId v) const {

@@ -98,7 +98,20 @@ class Graph {
 
   /// Adds the undirected edge {u, v}.  Throws std::invalid_argument on
   /// self-loops or duplicate edges, std::out_of_range on bad endpoints.
+  /// Clears the known diameter: a new edge can shorten distances.
   void add_edge(VertexId u, VertexId v);
+
+  /// diam(g) as recorded by the generator that built this graph from its
+  /// family's closed form, or -1 when none is recorded.  diameter()
+  /// (properties.hpp) returns it in O(1) instead of sweeping the graph.
+  [[nodiscard]] VertexId known_diameter() const noexcept {
+    return known_diameter_;
+  }
+
+  /// Records a closed-form diameter for this exact edge set.  For the
+  /// generators only: the diameter oracle test holds every recorded value
+  /// equal to the all-pairs BFS value.
+  void set_known_diameter(VertexId diam) noexcept { known_diameter_ = diam; }
 
   /// True iff {u, v} is an edge.  O(log deg); sees staged edges.
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
@@ -152,6 +165,7 @@ class Graph {
 
   VertexId n_ = 0;
   std::int64_t m_ = 0;
+  VertexId known_diameter_ = -1;
   // CSR arrays over the flushed edges; mutable for the lazy flush.
   mutable std::vector<std::int64_t> offsets_ = {0};
   mutable std::vector<VertexId> targets_;

@@ -26,6 +26,10 @@ namespace specstab {
 [[nodiscard]] VertexId eccentricity(const Graph& g, VertexId v);
 
 /// diam(g): maximal distance between two vertices.  0 for n <= 1.
+/// O(1) when the generator recorded its family's closed form
+/// (Graph::known_diameter()); otherwise exact by iFUB, a 4-sweep plus
+/// BFS from the centre's fringe levels: a few O(n + m) sweeps on trees
+/// and sparse real-world graphs, up to n on expander-like ones.
 /// Throws std::invalid_argument on disconnected graphs.
 [[nodiscard]] VertexId diameter(const Graph& g);
 
@@ -33,6 +37,8 @@ namespace specstab {
 [[nodiscard]] VertexId radius(const Graph& g);
 
 /// A pair (u, v) realising the diameter (lexicographically smallest).
+/// One BFS per source up to the first peripheral vertex: a single BFS
+/// when vertex 0 is peripheral (ring, path, grid, torus, hypercube).
 [[nodiscard]] std::pair<VertexId, VertexId> diameter_pair(const Graph& g);
 
 /// Girth: length of a shortest cycle; -1 if the graph is acyclic.

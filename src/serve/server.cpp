@@ -388,9 +388,12 @@ void SessionServer::execute_run(const ConnectionPtr& conn, const JsonValue& id,
     spec.pool = tl_engine_pool;
     const SessionResult result = entry.run_on(topo->graph, diam, spec);
     std::string payload = session_result_to_json(sreq, result, false).dump();
-    sessions_completed_.fetch_add(1);
-    conn->write_line(render_result_line_raw(id, payload));
+    const std::string line = render_result_line_raw(id, payload);
+    // Insert before the reply: a client that repeats the request as soon
+    // as it holds this reply must hit the cache.
     cache_.insert(key, std::move(payload));
+    sessions_completed_.fetch_add(1);
+    conn->write_line(line);
   } catch (const std::invalid_argument& e) {
     reply_error(conn, id, kErrInvalid, e.what());
   } catch (const std::exception& e) {

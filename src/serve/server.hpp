@@ -21,9 +21,9 @@
 // sequencing end to end.
 //
 // Results are served from a byte-LRU cache (serve/cache.hpp) keyed on
-// the canonical session tuple; topology instances (graph + diameter,
-// the costly per-topology artifacts) are cached across sessions the
-// same way the campaign runner caches them across scenarios.
+// the canonical session tuple; topology instances (the graph plus its
+// lazily computed diameter) are cached across sessions the same way the
+// campaign runner caches them across scenarios.
 #ifndef SPECSTAB_SERVE_SERVER_HPP
 #define SPECSTAB_SERVE_SERVER_HPP
 
@@ -110,11 +110,12 @@ class SessionServer {
 
  private:
   struct Connection;
-  /// The costly per-topology artifacts, shared across sessions (the
-  /// campaign runner's caching pattern).  The diameter is computed
-  /// lazily, first time a protocol that reads it runs on the topology —
-  /// diameter() throws on disconnected graphs, and protocols that never
-  /// look at it should still run there (as ProtocolEntry::run does).
+  /// The per-topology artifacts, built once and shared across sessions
+  /// (the campaign runner's caching pattern).  The diameter is computed
+  /// lazily, the first time a protocol that reads it runs on the
+  /// topology: diameter() throws on disconnected graphs (only file-loaded
+  /// ones can be), and protocols that never look at it should still run
+  /// there (as ProtocolEntry::run does).
   struct TopologyInstance {
     Graph graph;
     mutable std::once_flag diameter_once;

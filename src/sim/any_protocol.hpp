@@ -309,7 +309,7 @@ struct SsmeGamma1Traits {
     return make_gamma1_checker(p);
   }
   static StepIndex step_cap(const Graph& g, VertexId diam) {
-    return 2 * ssme_ud_bound(g.n(), diam);
+    return ssme_ud_step_cap(g.n(), diam);
   }
   static constexpr bool kStopAtConvergence = true;
   static constexpr bool kNeedsDiameter = true;
@@ -435,7 +435,7 @@ struct UnisonTraits {
     return make_gamma1_checker(p);
   }
   static StepIndex step_cap(const Graph& g, VertexId diam) {
-    return 2 * ssme_ud_bound(g.n(), diam);
+    return ssme_ud_step_cap(g.n(), diam);
   }
   static constexpr bool kStopAtConvergence = true;
   static constexpr bool kNeedsDiameter = true;

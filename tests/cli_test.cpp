@@ -134,6 +134,13 @@ TEST(CliTest, RunUnknownProtocolFails) {
   EXPECT_NE(res.output.find("unknown protocol"), std::string::npos);
 }
 
+TEST(CliTest, RunRejectsClocksBeyondThe32BitRegister) {
+  const auto res =
+      run_cli({"run", "ring", "100000", "--protocol", "ssme", "--steps", "1"});
+  EXPECT_EQ(res.exit_code, 1);
+  EXPECT_NE(res.output.find("32-bit"), std::string::npos) << res.output;
+}
+
 TEST(CliTest, RunRingOnlyProtocolRejectsOtherTopologies) {
   const auto res =
       run_cli({"run", "path", "6", "--protocol", "dijkstra-ring"});

@@ -324,5 +324,28 @@ TEST(ServeProtocolTest, StatsMethodReportsLiveCounters) {
   EXPECT_GE(cache->find("misses")->as_int(), 1);
 }
 
+TEST(ServeProtocolTest, ImmediateRepeatOfEveryRunHitsTheCache) {
+  // A run reply is written only after its result is cached, so a client
+  // repeating a request as soon as it holds the reply always hits.
+  ServerHarness harness;
+  LineClient client = harness.connect();
+  constexpr int kUnique = 24;
+  for (int i = 0; i < kUnique; ++i) {
+    const std::string seed = ",\"seed\":" + std::to_string(100 + i);
+    const std::string line = run_request(i, "ssme", "ring 8", seed);
+    const std::string cold = client.roundtrip(line);
+    ASSERT_TRUE(is_result(cold)) << cold;
+    EXPECT_EQ(client.roundtrip(line), cold);
+  }
+  const JsonValue reply =
+      JsonValue::parse(client.roundtrip("{\"id\":3,\"method\":\"stats\"}"));
+  const JsonValue* result = reply.find("result");
+  ASSERT_NE(result, nullptr);
+  const JsonValue* cache = result->find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->find("hits")->as_int(), kUnique);
+  EXPECT_EQ(cache->find("misses")->as_int(), kUnique);
+}
+
 }  // namespace
 }  // namespace specstab::serve

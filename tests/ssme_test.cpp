@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/chordless.hpp"
 #include "graph/cycle_space.hpp"
 #include "graph/generators.hpp"
@@ -65,6 +67,28 @@ TEST(SsmeParamsTest, PrivilegedValuesPairwiseFarApart) {
         }
       }
     }
+  }
+}
+
+TEST(SsmeParamsTest, ClockMustFitThe32BitRegister) {
+  // Rings: K = (2n-1)(floor(n/2)+1)+2 is 2,147,465,111 at n = 46,340 and
+  // passes INT32_MAX = 2,147,483,647 at n = 46,341.
+  const SsmeParams ring = SsmeParams::for_graph(make_ring(46340));
+  EXPECT_EQ(ring.k, 2147465111);
+  EXPECT_EQ(ring.privileged_value(46339), 2147441940);
+  const Graph too_large = make_ring(46341);
+  EXPECT_THROW((void)SsmeParams::for_graph(too_large), std::invalid_argument);
+  // Torus 1000 x 1000: 10^6 vertices, diam 1000.
+  const SsmeParams torus = SsmeParams::for_graph(make_torus(1000, 1000));
+  EXPECT_EQ(torus.k, 2001999001);
+  EXPECT_EQ(torus.privileged_value(999999), 2001998000);
+  // Ring 100,000: K = 10,000,150,001 would wrap to 1,410,215,409.
+  try {
+    (void)SsmeParams::from_dimensions(100000, 50000);
+    ADD_FAILURE() << "K = 10,000,150,001 accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("32-bit"), std::string::npos) << what;
   }
 }
 

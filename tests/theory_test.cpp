@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "graph/chordless.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
@@ -30,6 +33,37 @@ TEST(TheoryTest, SsmeUdBoundFormula) {
   // 2 diam n^3 + (n+1) n^2 + (n - 2 diam) n with alpha = n.
   EXPECT_EQ(ssme_ud_bound(4, 2), 2 * 2 * 64 + 5 * 16 + (4 - 4) * 4);
   EXPECT_EQ(ssme_ud_bound(10, 5), 2 * 5 * 1000 + 11 * 100 + 0);
+}
+
+TEST(TheoryTest, SsmeUdBoundUnchangedWhereInt64Holds) {
+  const auto check = [](VertexId vn, VertexId vd) {
+    const std::int64_t n = vn;
+    const std::int64_t d = vd;
+    // The bound regrouped: n^3 (2 diam + 1) + 2n (n - diam).
+    const std::int64_t ref = (2 * d + 1) * n * n * n + 2 * n * (n - d);
+    EXPECT_EQ(ssme_ud_bound(vn, vd), ref) << n << " " << d;
+    EXPECT_EQ(ssme_ud_step_cap(vn, vd), 2 * ref) << n << " " << d;
+  };
+  check(4, 2);
+  check(100, 99);
+  check(128, 64);
+  check(10000, 5000);
+  check(40000, 20000);
+}
+
+TEST(TheoryTest, SsmeUdBoundSaturatesInsteadOfWrapping) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // Torus 1000 x 1000: 2 diam n^3 alone is 2 * 10^21, past INT64_MAX.
+  EXPECT_EQ(ssme_ud_bound(1000000, 1000), kMax);
+  EXPECT_EQ(ssme_ud_step_cap(1000000, 1000), kMax);
+  // n = 10^6, diam = 1 and 2: the bound is n^3 (2 diam + 1) + 2n(n - diam).
+  EXPECT_EQ(ssme_ud_bound(1000000, 1), 3000001999998000000);
+  EXPECT_EQ(ssme_ud_step_cap(1000000, 1), 6000003999996000000);
+  EXPECT_EQ(ssme_ud_bound(1000000, 2), 5000001999996000000);
+  EXPECT_EQ(ssme_ud_step_cap(1000000, 2), kMax);  // only the double wraps
+  constexpr VertexId kMaxVertex = std::numeric_limits<VertexId>::max();
+  EXPECT_EQ(ssme_ud_bound(kMaxVertex, kMaxVertex - 1), kMax);
+  EXPECT_EQ(ssme_ud_step_cap(kMaxVertex, kMaxVertex - 1), kMax);
 }
 
 TEST(TheoryTest, SsmeUdBoundDominatesSyncBound) {
