@@ -1,17 +1,15 @@
-// ENGINE — incremental dirty-set engine vs reference full-rescan engine
-// vs vectorized column-scan engine.
+// ENGINE — the production engine vs the reference full-rescan engine.
 //
 // The headline number is the wall-clock ratio on the Theorem-3 campaign
 // preset (the hottest path in the repo: every portfolio daemon crossed
 // with random + two-gradient inits over the thm3 topology slate), run on
-// a thread pool with all engines and cross-checked row-for-row.  Micro
-// rows isolate per-protocol step throughput on larger single instances;
-// every row reports the incremental speedup (the historical "speedup"
-// key the regression gate tracks) plus vector_ms / vector_speedup for
-// the SIMD engine.  The vector engine is expected to win on the dense
-// distributed-daemon rows (unison/torus, leader/random) and to lose
-// honestly on central-daemon rows, where one action dirties O(1)
-// vertices and a full rescan is pure overhead.
+// a thread pool with both engines and cross-checked row-for-row.  Micro
+// rows isolate per-protocol step throughput on larger single instances.
+// Every row times the reference engine (`reference_ms`) and the
+// production engine (`incremental_ms`, its canonical name); "speedup" is
+// their ratio, the key the regression gate tracks.  Micro and campaign
+// rows run the production engine at one shard; the parallel/* and
+// perturb/* rows at the thread count their name ends in.
 //
 // Unlike the google-benchmark experiment benches this tool links only
 // the core library (plain chrono timing), so it builds everywhere and CI
@@ -22,8 +20,8 @@
 //   bench_engine [--smoke] [--json PATH] [--threads T] [--repeats R]
 //                [--scaling-check]
 //
-// --scaling-check skips the snapshot entirely: it times the fused
-// parallel engine at t1 and t8 on the dense sync ring-1M workload and
+// --scaling-check skips the snapshot entirely: it times the production
+// engine at t1 and t8 on the dense sync ring-1M workload and
 // exits non-zero when t8 throughput drops below 90% of t1 — the CI
 // multi-core smoke (gated on nproc >= 4; meaningless on fewer cores).
 #include <algorithm>
@@ -52,7 +50,7 @@
 #include "graph/properties.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace {
 
@@ -88,18 +86,9 @@ struct MicroRow {
   std::int64_t steps = 0;
   double reference_ms = 0.0;
   double incremental_ms = 0.0;
-  double vector_ms = 0.0;
-  /// Whether this row timed the vector engine at all.  Rows that never
-  /// ran it (parallel scaling, perturbed recovery) omit the vector keys
-  /// from the JSON instead of writing a 0.00 that looks like a
-  /// measurement — check_bench_regression rejects such zeros.
-  bool vector_measured = false;
 
   [[nodiscard]] double speedup() const {
     return incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
-  }
-  [[nodiscard]] double vector_speedup() const {
-    return vector_ms > 0.0 ? reference_ms / vector_ms : 0.0;
   }
 };
 
@@ -115,12 +104,10 @@ MicroRow micro(const std::string& name, const Graph& g, const P& proto,
                MakeChecker make_checker, StepIndex max_steps, int repeats) {
   MicroRow row;
   row.name = name;
-  row.vector_measured = true;
   RunOptions opt;
   opt.max_steps = max_steps;
-  for (const EngineKind kind : {EngineKind::kReference,
-                                EngineKind::kIncremental,
-                                EngineKind::kVector}) {
+  for (const EngineKind kind :
+       {EngineKind::kReference, EngineKind::kIncremental}) {
     opt.engine = kind;
     std::int64_t steps = 0;
     const double ms = best_of(repeats, [&] {
@@ -138,12 +125,10 @@ MicroRow micro(const std::string& name, const Graph& g, const P& proto,
       row.reference_ms = ms;
       row.steps = steps;
     } else {
-      (kind == EngineKind::kIncremental ? row.incremental_ms
-                                        : row.vector_ms) = ms;
+      row.incremental_ms = ms;
       if (steps != row.steps) {
-        std::cerr << "!! ENGINE MISMATCH in micro '" << name << "' ("
-                  << engine_name(kind) << "): " << row.steps << " vs "
-                  << steps << " steps\n";
+        std::cerr << "!! ENGINE MISMATCH in micro '" << name << "': "
+                  << row.steps << " vs " << steps << " steps\n";
         std::exit(2);
       }
     }
@@ -257,22 +242,18 @@ std::vector<MicroRow> run_micros(bool smoke, int repeats) {
   return rows;
 }
 
-/// Parallel-engine strong-scaling rows: per-step latency on
-/// million-vertex topologies at 1/2/4/8 worker threads, against the
-/// incremental engine as the baseline.  The MicroRow keys keep their
-/// regression-gate meaning — reference_ms is the baseline (incremental)
-/// time, incremental_ms the parallel time at the row's thread count, so
-/// "speedup" is the parallel-over-incremental ratio the ±30% band
-/// tracks.  Each measurement lands in the JSON twice: under the
-/// historical `parallel/...` names (t1/t2/t8, band continuity) and the
-/// `parallel-fused/...` names (t1/t8) that pin the fused SIMD×shard
-/// path specifically.  A strong-scaling report (per-step latency,
-/// speedup over t1, parallel efficiency speedup/t) goes to stdout —
-/// efficiency is a host property, so it is reported, not gated.  Step
-/// counts are cross-checked between the engines (byte-identical results
-/// are the differential suite's job; the bench still refuses to time
-/// diverging runs).  One repeat: each full-mode run is seconds long, so
-/// best-of adds minutes for noise the 500+-step rows do not have.
+/// Strong-scaling rows: per-step latency of the production engine's
+/// fused dense path on million-vertex topologies at 1/2/4/8 worker
+/// threads, against the reference engine as the baseline
+/// (`reference_ms`), so "speedup" is the engine-over-oracle ratio the
+/// ±30% band tracks; the t1/t2/t8 rows land in the JSON.  A
+/// strong-scaling report (per-step latency, speedup over t1, parallel
+/// efficiency speedup/t) goes to stdout — efficiency is a host property,
+/// so it is reported, not gated.  Step counts are cross-checked between
+/// the engines (byte-identical results are the differential suite's
+/// job; the bench still refuses to time diverging runs).  One repeat:
+/// each full-mode run is seconds long, so best-of adds minutes for noise
+/// the 500+-step rows do not have.
 std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
   std::vector<MicroRow> rows;
   struct Topo {
@@ -302,7 +283,7 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
 
     RunOptions opt;
     opt.max_steps = max_steps;
-    opt.engine = EngineKind::kIncremental;
+    opt.engine = EngineKind::kReference;
     AlwaysLegitimate checker;
     double base_ms = 0.0;
     std::int64_t base_steps = 0;
@@ -314,7 +295,7 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
         base_steps = res.steps;
       });
     }
-    opt.engine = EngineKind::kParallel;
+    opt.engine = EngineKind::kIncremental;
     std::vector<double> ms_at(thread_counts.size(), 0.0);
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
       opt.threads = thread_counts[i];
@@ -333,11 +314,11 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
       }
     }
 
-    std::cout << topo.label << " (" << base_steps << " steps, incremental "
+    std::cout << topo.label << " (" << base_steps << " steps, reference "
               << fmt(base_ms / static_cast<double>(base_steps), 4)
               << " ms/step):\n"
               << std::right << std::setw(10) << "threads" << std::setw(14)
-              << "ms/step" << std::setw(12) << "vs-inc" << std::setw(12)
+              << "ms/step" << std::setw(12) << "vs-ref" << std::setw(12)
               << "vs-t1" << std::setw(14) << "efficiency" << "\n";
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
       const double per_step = ms_at[i] / static_cast<double>(base_steps);
@@ -349,9 +330,9 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
                 << fmt(vs_t1) << "x" << std::setw(14) << fmt(eff) << "\n";
     }
 
-    const auto row_at = [&](const std::string& prefix, unsigned threads) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
       MicroRow row;
-      row.name = prefix + "/unison/" + topo.label + "/sync/t" +
+      row.name = "parallel/unison/" + topo.label + "/sync/t" +
                  std::to_string(threads);
       row.steps = base_steps;
       row.reference_ms = base_ms;
@@ -359,20 +340,14 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
                                 threads);
       row.incremental_ms = ms_at[static_cast<std::size_t>(
           it - thread_counts.begin())];
-      return row;
-    };
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      rows.push_back(row_at("parallel", threads));
-    }
-    for (const unsigned threads : {1u, 8u}) {
-      rows.push_back(row_at("parallel-fused", threads));
+      rows.push_back(row);
     }
   }
   return rows;
 }
 
 /// `--scaling-check`: the CI multi-core smoke.  Runs the dense sync 1M
-/// ring workload on the fused parallel engine at t1 and t8 and requires
+/// ring workload on the production engine at t1 and t8 and requires
 /// t8 throughput to be at least 90% of t1 (one-sided: t8 may be faster
 /// by any margin, and the 10% slack absorbs shared-runner noise).  Only
 /// meaningful on a multi-core host — the CI job gates it on nproc >= 4.
@@ -387,7 +362,6 @@ int run_scaling_check() {
 
   RunOptions opt;
   opt.max_steps = 120;
-  opt.engine = EngineKind::kParallel;
   AlwaysLegitimate checker;
   double ms_at[2] = {0.0, 0.0};
   std::int64_t steps_at[2] = {0, 0};
@@ -424,40 +398,35 @@ int run_scaling_check() {
   return 0;
 }
 
-/// One perturbed-recovery measurement: the same fault-injected run on
-/// the incremental engine (baseline, `reference_ms`) and the parallel
-/// engine at `threads` workers (`incremental_ms`), so "speedup" is the
-/// parallel-over-incremental ratio under ongoing corruption.  The fault
-/// schedule is seed-derived and engine-independent; besides the step
-/// count the perturbation stats (fire steps, recovery distribution) are
-/// cross-checked, and the bench refuses to time diverging runs.
+/// One perturbed-recovery workload: the same fault-injected run on the
+/// reference engine (baseline, `reference_ms`, timed once) and on the
+/// production engine at each of `thread_counts` (`incremental_ms`), one
+/// row `<prefix>/tT` per count, so "speedup" is the engine-over-oracle
+/// ratio under ongoing corruption.  The fault schedule is seed-derived
+/// and engine-independent; besides the step count the perturbation stats
+/// (fire steps, recovery distribution) are cross-checked, and the bench
+/// refuses to time diverging runs.
 template <ProtocolConcept P, class MakeChecker>
-MicroRow perturbed_row(const std::string& name, const Graph& g,
-                       const P& proto, const std::string& fault_text,
-                       std::uint64_t seed,
-                       const Config<typename P::State>& init,
-                       MakeChecker make_checker,
-                       typename FaultPlan<typename P::State>::ValuePool pool,
-                       StepIndex max_steps, unsigned threads) {
+std::vector<MicroRow> perturbed_rows(
+    const std::string& prefix, const Graph& g, const P& proto,
+    const std::string& fault_text, std::uint64_t seed,
+    const Config<typename P::State>& init, MakeChecker make_checker,
+    typename FaultPlan<typename P::State>::ValuePool pool,
+    StepIndex max_steps, const std::vector<unsigned>& thread_counts) {
   using State = typename P::State;
   const FaultSpec fault = FaultSpec::parse(fault_text);
   const auto guard = [&proto](const Graph& gg, const ConfigView<State>& cv,
                               VertexId v) { return proto.enabled(gg, cv, v); };
-  MicroRow row;
-  row.name = name;
-  RunOptions opt;
-  opt.max_steps = max_steps;
-  opt.steps_after_convergence = 0;
-  PerturbationStats base_stats;
-  for (const EngineKind kind :
-       {EngineKind::kIncremental, EngineKind::kParallel}) {
+  const auto timed = [&](EngineKind kind, unsigned threads,
+                         std::int64_t& steps, PerturbationStats& stats) {
+    RunOptions opt;
+    opt.max_steps = max_steps;
+    opt.steps_after_convergence = 0;
     opt.engine = kind;
-    opt.threads = kind == EngineKind::kParallel ? threads : 1;
-    std::int64_t steps = 0;
-    PerturbationStats stats;
+    opt.threads = threads;
     auto daemon = make_daemon("synchronous", seed);
     auto checker = make_checker();
-    const double ms = best_of(1, [&] {
+    return best_of(1, [&] {
       daemon->reset();
       FaultPlan<State> plan(fault, seed, 2, pool, guard);
       const auto res = run_with_engine(g, proto, *daemon, init, opt, checker,
@@ -465,24 +434,33 @@ MicroRow perturbed_row(const std::string& name, const Graph& g,
       steps = res.steps;
       stats = res.perturb;
     });
-    if (kind == EngineKind::kIncremental) {
-      row.reference_ms = ms;
-      row.steps = steps;
-      base_stats = stats;
-    } else {
-      row.incremental_ms = ms;
-      if (steps != row.steps || !(stats == base_stats)) {
-        std::cerr << "!! ENGINE MISMATCH in perturbed '" << name << "': "
-                  << row.steps << " vs " << steps << " steps\n";
-        std::exit(2);
-      }
+  };
+  std::int64_t base_steps = 0;
+  PerturbationStats base_stats;
+  const double base_ms =
+      timed(EngineKind::kReference, 1, base_steps, base_stats);
+  std::vector<MicroRow> rows;
+  for (const unsigned threads : thread_counts) {
+    MicroRow row;
+    row.name = prefix + "/t" + std::to_string(threads);
+    row.steps = base_steps;
+    row.reference_ms = base_ms;
+    std::int64_t steps = 0;
+    PerturbationStats stats;
+    row.incremental_ms =
+        timed(EngineKind::kIncremental, threads, steps, stats);
+    if (steps != base_steps || !(stats == base_stats)) {
+      std::cerr << "!! ENGINE MISMATCH in perturbed '" << row.name
+                << "': " << base_steps << " vs " << steps << " steps\n";
+      std::exit(2);
     }
+    rows.push_back(row);
   }
-  return row;
+  return rows;
 }
 
 /// Perturbed-recovery rows: dense unison on a torus and SSME on a ring
-/// under periodic corruption — the fault hook, guard re-tests in the
+/// under periodic corruption — the fault epochs, guard re-tests in the
 /// perturbed balls, and checker refreshes are all inside the timed
 /// region.  Step counts stay above the regression gate's 500-step noise
 /// floor in full mode (the last epoch fires at step 512).
@@ -502,12 +480,12 @@ std::vector<MicroRow> perturbed_recovery_rows(bool smoke) {
     };
     const std::string fault = smoke ? "periodic:period=8;k=16;epochs=4"
                                     : "periodic:period=64;k=400;epochs=8";
-    for (const unsigned threads : {1u, 8u}) {
-      rows.push_back(perturbed_row(
-          "perturb/unison/" + label + "/periodic/t" + std::to_string(threads),
-          g, proto, fault, 5, arbitrary(99),
-          [&] { return make_unbounded_unison_checker(proto); }, arbitrary,
-          smoke ? 120 : 1600, threads));
+    for (auto& row : perturbed_rows(
+             "perturb/unison/" + label + "/periodic", g, proto, fault, 5,
+             arbitrary(99),
+             [&] { return make_unbounded_unison_checker(proto); }, arbitrary,
+             smoke ? 120 : 1600, {1u, 8u})) {
+      rows.push_back(std::move(row));
     }
   }
   {
@@ -519,12 +497,12 @@ std::vector<MicroRow> perturbed_recovery_rows(bool smoke) {
     };
     const std::string fault = smoke ? "periodic:period=8;k=4;epochs=4"
                                     : "periodic:period=64;k=32;epochs=8";
-    for (const unsigned threads : {1u, 8u}) {
-      rows.push_back(perturbed_row(
-          "perturb/ssme/" + label + "/periodic/t" + std::to_string(threads),
-          g, proto, fault, 9, random_config(g, proto.clock(), 9),
-          [&] { return make_gamma1_checker(proto); }, pool,
-          smoke ? 160 : 6000, threads));
+    for (auto& row : perturbed_rows(
+             "perturb/ssme/" + label + "/periodic", g, proto, fault, 9,
+             random_config(g, proto.clock(), 9),
+             [&] { return make_gamma1_checker(proto); }, pool,
+             smoke ? 160 : 6000, {1u, 8u})) {
+      rows.push_back(std::move(row));
     }
   }
   return rows;
@@ -540,11 +518,9 @@ MicroRow sweep_cross_protocol_row(bool smoke, unsigned threads,
   const auto items = campaign::expand_grid(campaign::sweep_grid(smoke));
   MicroRow row;
   row.name = "campaign/sweep-cross-protocol";
-  row.vector_measured = true;
   campaign::CampaignResult reference_rows;
-  for (const EngineKind kind : {EngineKind::kReference,
-                                EngineKind::kIncremental,
-                                EngineKind::kVector}) {
+  for (const EngineKind kind :
+       {EngineKind::kReference, EngineKind::kIncremental}) {
     campaign::RunnerOptions opt;
     opt.threads = threads;
     opt.engine = kind;
@@ -558,12 +534,10 @@ MicroRow sweep_cross_protocol_row(bool smoke, unsigned threads,
       row.steps = steps;
       reference_rows = std::move(last);
     } else {
-      (kind == EngineKind::kIncremental ? row.incremental_ms
-                                        : row.vector_ms) = ms;
+      row.incremental_ms = ms;
       for (std::size_t i = 0; i < reference_rows.rows.size(); ++i) {
         if (!(reference_rows.rows[i] == last.rows[i])) {
-          std::cerr << "!! ENGINE MISMATCH (" << engine_name(kind)
-                    << ") at sweep row " << i << "\n";
+          std::cerr << "!! ENGINE MISMATCH at sweep row " << i << "\n";
           std::exit(2);
         }
       }
@@ -576,13 +550,9 @@ struct CampaignTiming {
   std::size_t scenarios = 0;
   double reference_ms = 0.0;
   double incremental_ms = 0.0;
-  double vector_ms = 0.0;
 
   [[nodiscard]] double speedup() const {
     return incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
-  }
-  [[nodiscard]] double vector_speedup() const {
-    return vector_ms > 0.0 ? reference_ms / vector_ms : 0.0;
   }
 };
 
@@ -595,9 +565,8 @@ CampaignTiming run_campaign_comparison(bool smoke, unsigned threads,
   timing.scenarios = items.size();
 
   campaign::CampaignResult reference_rows;
-  for (const EngineKind kind : {EngineKind::kReference,
-                                EngineKind::kIncremental,
-                                EngineKind::kVector}) {
+  for (const EngineKind kind :
+       {EngineKind::kReference, EngineKind::kIncremental}) {
     campaign::RunnerOptions opt;
     opt.threads = threads;
     opt.engine = kind;
@@ -609,8 +578,7 @@ CampaignTiming run_campaign_comparison(bool smoke, unsigned threads,
       reference_rows = std::move(last);
       continue;
     }
-    (kind == EngineKind::kIncremental ? timing.incremental_ms
-                                      : timing.vector_ms) = ms;
+    timing.incremental_ms = ms;
     // The speedup only counts if the engines agree — assert it here too,
     // on the full preset the differential tests only smoke.
     if (reference_rows.rows.size() != last.rows.size()) {
@@ -619,8 +587,7 @@ CampaignTiming run_campaign_comparison(bool smoke, unsigned threads,
     }
     for (std::size_t i = 0; i < reference_rows.rows.size(); ++i) {
       if (!(reference_rows.rows[i] == last.rows[i])) {
-        std::cerr << "!! ENGINE MISMATCH (" << engine_name(kind)
-                  << ") at campaign row " << i << "\n";
+        std::cerr << "!! ENGINE MISMATCH at campaign row " << i << "\n";
         std::exit(2);
       }
     }
@@ -641,25 +608,15 @@ std::string to_json(bool smoke, unsigned threads, int repeats,
      << campaign_timing.scenarios
      << ", \"reference_ms\": " << fmt(campaign_timing.reference_ms)
      << ", \"incremental_ms\": " << fmt(campaign_timing.incremental_ms)
-     << ", \"speedup\": " << fmt(campaign_timing.speedup())
-     << ", \"vector_ms\": " << fmt(campaign_timing.vector_ms)
-     << ", \"vector_speedup\": " << fmt(campaign_timing.vector_speedup())
-     << "},\n"
+     << ", \"speedup\": " << fmt(campaign_timing.speedup()) << "},\n"
      << "  \"micro\": [\n";
   for (std::size_t i = 0; i < micros.size(); ++i) {
     const auto& m = micros[i];
     os << "    {\"name\": \"" << m.name << "\", \"steps\": " << m.steps
        << ", \"reference_ms\": " << fmt(m.reference_ms)
        << ", \"incremental_ms\": " << fmt(m.incremental_ms)
-       << ", \"speedup\": " << fmt(m.speedup());
-    // Vector keys appear only on rows that timed the vector engine: an
-    // unmeasured metric is omitted, never written as a 0.00 pretending
-    // to be data (check_bench_regression rejects such zeros).
-    if (m.vector_measured) {
-      os << ", \"vector_ms\": " << fmt(m.vector_ms)
-         << ", \"vector_speedup\": " << fmt(m.vector_speedup());
-    }
-    os << "}" << (i + 1 < micros.size() ? "," : "") << "\n";
+       << ", \"speedup\": " << fmt(m.speedup()) << "}"
+       << (i + 1 < micros.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   return os.str();
@@ -698,23 +655,20 @@ int main(int argc, char** argv) {
   // bench-regression gate measures in full mode (default best-of-3).
   if (smoke && !repeats_set) repeats = 1;
 
-  std::cout << "\n== ENGINE: incremental dirty-set vs reference full-rescan "
-               "vs vector [" << (smoke ? "smoke" : "full") << ", " << threads
+  std::cout << "\n== ENGINE: production engine vs reference full-rescan ["
+            << (smoke ? "smoke" : "full") << ", " << threads
             << " threads, best of " << repeats << "] ==\n\n";
 
   const CampaignTiming campaign_timing =
       run_campaign_comparison(smoke, threads, repeats);
   std::cout << std::left << std::setw(42) << "workload" << std::right
             << std::setw(12) << "ref-ms" << std::setw(12) << "inc-ms"
-            << std::setw(12) << "vec-ms" << std::setw(10) << "speedup"
-            << std::setw(10) << "vec-spd" << "\n"
-            << std::string(96, '-') << "\n"
+            << std::setw(10) << "speedup" << "\n"
+            << std::string(76, '-') << "\n"
             << std::left << std::setw(42) << "campaign/thm3-preset"
             << std::right << std::setw(12) << fmt(campaign_timing.reference_ms)
             << std::setw(12) << fmt(campaign_timing.incremental_ms)
-            << std::setw(12) << fmt(campaign_timing.vector_ms)
-            << std::setw(9) << fmt(campaign_timing.speedup()) << "x"
-            << std::setw(9) << fmt(campaign_timing.vector_speedup()) << "x\n";
+            << std::setw(9) << fmt(campaign_timing.speedup()) << "x\n";
 
   auto micros = run_micros(smoke, repeats);
   micros.push_back(sweep_cross_protocol_row(smoke, threads, repeats));
@@ -727,12 +681,8 @@ int main(int argc, char** argv) {
   for (const auto& m : micros) {
     std::cout << std::left << std::setw(42) << m.name << std::right
               << std::setw(12) << fmt(m.reference_ms) << std::setw(12)
-              << fmt(m.incremental_ms) << std::setw(12)
-              << (m.vector_measured ? fmt(m.vector_ms) : std::string("-"))
-              << std::setw(9) << fmt(m.speedup()) << "x" << std::setw(10)
-              << (m.vector_measured ? fmt(m.vector_speedup()) + "x"
-                                    : std::string("-"))
-              << "\n";
+              << fmt(m.incremental_ms) << std::setw(9) << fmt(m.speedup())
+              << "x\n";
   }
 
   const std::string json =

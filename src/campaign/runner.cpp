@@ -5,7 +5,6 @@
 #include <exception>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -172,13 +171,11 @@ CampaignResult run_scenarios(const std::vector<Scenario>& items,
   const unsigned engine_threads = std::max(1u, opt.engine_threads);
   const auto worker = [&] {
     // One persistent engine pool per campaign worker, reused across all
-    // of its parallel-engine scenarios — per-scenario runs never pay
-    // thread spawning.  Pools are worker-local, so two scenarios never
-    // share one concurrently.
-    std::optional<ShardPool> engine_pool;
-    if (opt.engine == EngineKind::kParallel && engine_threads > 1) {
-      engine_pool.emplace(engine_threads - 1);
-    }
+    // of its scenarios — per-scenario runs never pay thread spawning.
+    // Pools are worker-local, so two scenarios never share one
+    // concurrently.  The reference engine ignores the pool.
+    ShardPool engine_pool(
+        opt.engine == EngineKind::kReference ? 0 : engine_threads - 1);
     for (;;) {
       const std::size_t next = cursor.fetch_add(1, std::memory_order_relaxed);
       if (next >= items.size() || failed.load(std::memory_order_relaxed)) {
@@ -190,8 +187,7 @@ CampaignResult run_scenarios(const std::vector<Scenario>& items,
         if (item.max_steps == 0) item.max_steps = opt.max_steps_override;
         result.rows[i] = run_scenario_on(
             item, topologies.at(item.topology.label()), opt.engine,
-            opt.layout, engine_threads,
-            engine_pool ? &*engine_pool : nullptr);
+            opt.layout, engine_threads, &engine_pool);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();

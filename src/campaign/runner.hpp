@@ -52,8 +52,8 @@ struct RunnerOptions {
   /// whose Scenario::max_steps is 0.
   StepIndex max_steps_override = 0;
 
-  /// Execution engine for every run: the incremental dirty-set engine by
-  /// default, the full-rescan reference engine as the escape hatch (CLI
+  /// Execution engine for every run: the production engine by default,
+  /// the full-rescan reference engine as the escape hatch (CLI
   /// `--engine reference`).  Results are bit-identical either way; only
   /// wall-clock differs.
   EngineKind engine = EngineKind::kIncremental;
@@ -67,14 +67,14 @@ struct RunnerOptions {
   /// are bit-identical either way; only wall-clock differs.
   WorkOrder order = WorkOrder::kHeavyFirst;
 
-  /// Engine threads per scenario when `engine` is the parallel engine
-  /// (CLI `--engine-threads`; other engines ignore it).  Each campaign
-  /// worker keeps one persistent ShardPool sized for this and reuses it
-  /// across all its scenarios, so per-scenario thread spawning never
-  /// appears in campaign wall clock.  Results are byte-identical at any
-  /// value.  Default 1: campaign parallelism already saturates the host
-  /// at rep granularity — raising this oversubscribes unless `threads`
-  /// is lowered to compensate.
+  /// Engine threads per scenario for the production engine's dense
+  /// steps (CLI `--engine-threads`; the reference engine ignores it).
+  /// Each campaign worker keeps one persistent ShardPool sized for this
+  /// and reuses it across all its scenarios, so per-scenario thread
+  /// spawning never appears in campaign wall clock.  Results are
+  /// byte-identical at any value.  Default 1: campaign parallelism
+  /// already saturates the host at rep granularity — raising this
+  /// oversubscribes unless `threads` is lowered to compensate.
   unsigned engine_threads = 1;
 };
 

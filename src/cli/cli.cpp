@@ -29,7 +29,7 @@
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
 #include "sim/engine.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 #include "sim/visualize.hpp"
 #include "unison/parameters.hpp"
@@ -103,7 +103,7 @@ struct Options {
   bool dot = false;
   EngineKind engine = EngineKind::kIncremental;
   ConfigLayout layout = ConfigLayout::kAuto;
-  unsigned threads = 1;  ///< parallel-engine worker threads
+  unsigned threads = 1;  ///< engine threads for dense steps
   std::string perturb;   ///< fault-injection spec (FaultSpec::parse text)
 };
 
@@ -186,14 +186,14 @@ std::string usage() {
      << "                                     service with result caching;\n"
      << "                                     see `specstab serve --help`\n\n"
      << "run/witness/speculate/elect/color/campaign accept\n"
-     << "  --engine incremental|reference|vector|parallel\n"
-     << "                                     dirty-set engine (default),\n"
-     << "                                     the full-rescan oracle, the\n"
-     << "                                     vectorized column-scan engine,\n"
-     << "                                     or the sharded parallel engine\n"
+     << "  --engine incremental|reference\n"
+     << "                                     the production engine (default)\n"
+     << "                                     or the full-rescan oracle;\n"
+     << "                                     vector and parallel are\n"
+     << "                                     synonyms of incremental\n"
      << "  --layout auto|soa|aos              configuration storage layout\n"
      << "                                     (auto: SoA where declared)\n"
-     << "  --threads T                        parallel-engine worker threads\n"
+     << "  --threads T                        engine threads for dense steps\n"
      << "                                     (results identical at any T)\n"
      << "run additionally accepts\n"
      << "  --perturb SPEC                     mid-run fault injection:\n"
@@ -304,10 +304,10 @@ std::string campaign_usage() {
      << "run options:\n"
      << "  --threads T                    worker threads (0 = hardware)\n"
      << "  --steps N                      max-steps override for every run\n"
-     << "  --engine incremental|reference|vector|parallel\n"
-     << "                                 execution engine (default:\n"
-     << "                                 incremental)\n"
-     << "  --engine-threads T             shards per parallel-engine run\n"
+     << "  --engine incremental|reference execution engine (default:\n"
+     << "                                 incremental; vector and parallel\n"
+     << "                                 are synonyms of incremental)\n"
+     << "  --engine-threads T             shards per run's dense steps\n"
      << "                                 (default 1: the campaign pool\n"
      << "                                 already parallelizes scenarios;\n"
      << "                                 raise it only with --threads\n"

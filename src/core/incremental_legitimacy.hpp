@@ -44,7 +44,8 @@
 #include "extensions/coloring.hpp"
 #include "extensions/leader_election.hpp"
 #include "graph/graph.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/enabled_set.hpp"
+#include "sim/engine.hpp"
 #include "sim/simd_eval.hpp"
 #include "sim/types.hpp"
 #include "unison/unison.hpp"
@@ -64,15 +65,15 @@ struct NoBulkTotal {};
 /// std::int64_t computing the SAME total as summing `Score` over all
 /// vertices, but as one pass over the configuration — typically a
 /// contiguous column scan the compiler can vectorize.  full() (the
-/// rescanning engines' per-step path) uses it; the incremental path never
-/// does, so the cached per-vertex scores stay the source of truth for
-/// on_update().  tests/legitimacy_closure_test.cpp asserts bulk and
-/// per-vertex totals agree move-by-move.
+/// reference engine's per-step oracle) and bulk_update() (the production
+/// engine's dense steps) use it; the incremental path never does, so the
+/// cached per-vertex scores stay the source of truth for on_update().
+/// tests/legitimacy_closure_test.cpp asserts bulk and per-vertex totals
+/// agree move-by-move.
 ///
 /// `Kind`, when not void, is a score-kind tag (sim/simd_eval.hpp) naming
-/// the score definition; a vector-engine kernel advertising the same tag
-/// may hand a precomputed total to accept_total() instead of having
-/// full() rescan.
+/// the score definition; a guard kernel advertising the same tag may hand
+/// a precomputed total to accept_total() instead.
 template <class State, class Score, class Verdict, class Bulk = NoBulkTotal,
           class Kind = void>
 class LocalScoreChecker {
@@ -121,15 +122,22 @@ class LocalScoreChecker {
     return verdict_(total_);
   }
 
-  /// Verdict from a total computed elsewhere (a fused vector-engine
-  /// kernel with the matching ScoreKind).  The per-vertex caches go
-  /// stale; the next incremental update rebuilds them, so accept_total()
-  /// and on_update() may interleave freely (the vector engine never
-  /// mixes them within a run).
+  /// Verdict from a total computed elsewhere (a fused guard kernel with
+  /// the matching ScoreKind).  The per-vertex caches go stale; the next
+  /// incremental update rebuilds them, so accept_total() and on_update()
+  /// may interleave freely.
   bool accept_total(std::int64_t total) {
     total_ = total;
     cached_stale_ = true;
     return verdict_(total);
+  }
+
+  /// Verdict from one bulk pass over the configuration.  Like
+  /// accept_total(), it leaves the per-vertex caches stale.
+  bool bulk_update(const Graph& g, const ConfigView<State>& cfg)
+    requires(!std::is_same_v<Bulk, NoBulkTotal>)
+  {
+    return accept_total(bulk_(g, cfg));
   }
 
   bool full(const Graph& g, const ConfigView<State>& cfg) {
@@ -142,10 +150,9 @@ class LocalScoreChecker {
     }
   }
 
-  // --- Shared-ball fast path (see HasBallUpdate in
-  //     incremental_engine.hpp): when the engine's dirty ball was
-  //     expanded with the same radius, rescore exactly it instead of
-  //     re-expanding.
+  // --- Shared-ball fast path (see HasBallUpdate in sim/enabled_set.hpp):
+  //     when the engine's dirty ball was expanded with the same radius,
+  //     rescore exactly it instead of re-expanding.
 
   [[nodiscard]] VertexId update_radius() const noexcept { return radius_; }
 
@@ -163,9 +170,7 @@ class LocalScoreChecker {
   /// From-scratch rebuild of every cached score and the total, returning
   /// the fresh verdict.  The delta arithmetic of rescore() is only sound
   /// against fresh caches, so this is the recovery path after
-  /// accept_total() marked them stale — and the repair path the engines'
-  /// fault-injection hook calls after a dense perturbation, so
-  /// legitimacy counters can never go stale across a corruption.
+  /// accept_total() or bulk_update() marked them stale.
   bool refresh_all(const Graph& g, const ConfigView<State>& cfg) {
     total_ = 0;
     for (VertexId v = 0; v < g.n(); ++v) {
@@ -257,15 +262,14 @@ class ClosureCounting {
     return note(inner_.accept_total(total));
   }
 
-  // Forward the from-scratch rebuild (the fault-injection repair path)
-  // when the wrapped checker has one.
+  // Forward the bulk-total path when the wrapped checker has one.
   template <class Cfg>
-  bool refresh_all(const Graph& g, const Cfg& cfg)
+  bool bulk_update(const Graph& g, const Cfg& cfg)
     requires requires(C& c) {
-      { c.refresh_all(g, cfg) } -> std::same_as<bool>;
+      { c.bulk_update(g, cfg) } -> std::same_as<bool>;
     }
   {
-    return note(inner_.refresh_all(g, cfg));
+    return note(inner_.bulk_update(g, cfg));
   }
 
   // Forward the shared-ball fast path when the wrapped checker has one.

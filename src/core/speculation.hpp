@@ -27,7 +27,7 @@
 #include "graph/graph.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/protocol.hpp"
 #include "sim/types.hpp"
 

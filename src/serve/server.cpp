@@ -18,7 +18,7 @@ namespace specstab::serve {
 
 namespace {
 
-/// The executing worker's persistent parallel-engine pool (set by
+/// The executing worker's persistent engine pool (set by
 /// worker_loop for its lifetime); sessions attach it to their spec.
 thread_local ShardPool* tl_engine_pool = nullptr;
 
@@ -272,15 +272,16 @@ void SessionServer::reader_loop(ConnectionPtr conn) {
 
 void SessionServer::worker_loop() {
   // One persistent engine pool per session worker, alive for the
-  // server's lifetime: parallel-engine sessions attach to it through
-  // the thread-local below (execute_run/execute_trace), so back-to-back
-  // requests reuse warm threads instead of spawning per session.  The
-  // pool is worker-local — a session never shares it with a concurrent
-  // session, and a request's own `threads` field is clamped to it by
-  // the engine (effective shards = min(threads, participants)).
-  std::optional<ShardPool> engine_pool;
-  if (engine_threads_ > 1) engine_pool.emplace(engine_threads_ - 1);
-  tl_engine_pool = engine_pool ? &*engine_pool : nullptr;
+  // server's lifetime: sessions attach to it through the thread-local
+  // below (execute_run/execute_trace), so back-to-back requests reuse
+  // warm threads instead of spawning per session.  The pool is
+  // worker-local — a session never shares it with a concurrent session —
+  // and always present, even with no extra thread (ShardPool(0)), so a
+  // request's own `threads` field is always clamped to it by the engine
+  // (effective shards = min(threads, participants)) and a session never
+  // spawns threads of its own.
+  ShardPool engine_pool(engine_threads_ - 1);
+  tl_engine_pool = &engine_pool;
   for (;;) {
     std::optional<BoundedWorkQueue::Job> job = queue_.pop();
     if (!job.has_value()) break;  // closed and drained

@@ -52,15 +52,15 @@ struct ServeOptions {
   /// sizes the *worker pool only* — how many sessions run concurrently —
   /// not how many threads one session uses; see engine_threads.
   unsigned threads = 0;
-  /// Parallel-engine threads available to each session worker: every
-  /// worker keeps one persistent ShardPool of this size and hands it to
-  /// its sessions, so parallel-engine requests reuse warm threads
-  /// instead of spawning per session.  A request's own `threads` field
-  /// still picks its shard count per session, clamped to this pool —
-  /// the effective engine parallelism is min(request threads,
-  /// engine_threads).  0 (default) auto-sizes to hardware_concurrency /
-  /// worker count (at least 1), so workers × engine threads never
-  /// oversubscribes the host; results are byte-identical regardless.
+  /// Engine threads available to each session worker: every worker
+  /// keeps one persistent ShardPool of this size and hands it to its
+  /// sessions, so requests reuse warm threads and never spawn their own.
+  /// A request's own `threads` field still picks its shard count per
+  /// session, clamped to this pool — the effective engine parallelism is
+  /// min(request threads, engine_threads).  0 (default) auto-sizes to
+  /// hardware_concurrency / worker count (at least 1), so workers ×
+  /// engine threads never oversubscribes the host; results are
+  /// byte-identical regardless.
   unsigned engine_threads = 0;
   std::size_t cache_bytes = 64u << 20;
   std::size_t queue_capacity = 256;

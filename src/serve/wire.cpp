@@ -7,6 +7,7 @@
 #include "sim/config_store.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_plan.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace specstab::serve {
 

@@ -21,10 +21,10 @@
 // drift apart.
 //
 // Registration is engine-complete: the compiled session runs under the
-// incremental, reference and vector engines alike.  The vector engine
-// falls back to a scalar rescan unless the protocol specializes
-// SimdEval<P> (sim/simd_eval.hpp) — see docs/adding-a-protocol.md for
-// the opt-in steps.
+// production and reference engines alike.  The production engine's
+// dense steps fall back to a scalar rescan unless the protocol
+// specializes SimdEval<P> (sim/simd_eval.hpp) — see
+// docs/adding-a-protocol.md for the opt-in steps.
 #ifndef SPECSTAB_SIM_ANY_PROTOCOL_HPP
 #define SPECSTAB_SIM_ANY_PROTOCOL_HPP
 
@@ -48,7 +48,7 @@
 #include "extensions/leader_election.hpp"
 #include "graph/graph.hpp"
 #include "sim/daemon.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 #include "sim/types.hpp"
 #include "unison/unison.hpp"

@@ -1,8 +1,8 @@
 // Layout-polymorphic configuration storage.
 //
 // A configuration assigns a state to every vertex.  How those states are
-// *stored* is a performance decision, not a semantic one: the incremental
-// engine's dirty-set guard re-tests stream the states of whole
+// *stored* is a performance decision, not a semantic one: the engine's
+// dirty-set guard re-tests stream the states of whole
 // neighborhoods, and for multi-field states an array-of-structs layout
 // (one std::vector<State>) drags every cold byte of the struct through
 // the cache on each guard read.  ConfigStore<State> makes the layout
@@ -19,10 +19,10 @@
 // ConfigView<State>, a two-pointer proxy offering get()/operator[]
 // (whole-state reads), field<I>() (column reads for hot guard scans) and
 // materialize(); engines mutate through ConfigStore::set() and the
-// dense_apply() column-swap path.  States round-trip bit-identically
-// through every layout, so results (digests, delta traces) are
-// byte-identical across layouts — the layout-agreement differential
-// suite asserts exactly that.
+// dense_begin()/dense_fill_range()/dense_commit() column-swap path.
+// States round-trip bit-identically through every layout, so results
+// (digests, delta traces) are byte-identical across layouts — the
+// layout-agreement differential suite asserts exactly that.
 //
 // Declaring a split for a new multi-field state:
 //
@@ -265,14 +265,6 @@ class ConfigView {
   }
 
  private:
-  friend class ConfigStore<State>;
-
-  /// Raw-buffer view (the store's dense_apply prev buffers).  Private:
-  /// from public call sites a braced config literal must convert through
-  /// the vector constructor, never be misread as pointer arguments.
-  ConfigView(const Config<State>* vec, const Columns* cols, std::size_t n)
-      : vec_(vec), cols_(cols), n_(n) {}
-
   [[nodiscard]] State gather(std::size_t i) const
     requires kStructSplit
   {
@@ -295,8 +287,8 @@ class ConfigView {
 };
 
 /// Owning configuration storage with a per-instance layout.  Engines hold
-/// one ConfigStore for the whole run, mutate it through set() or
-/// dense_apply(), and hand ConfigView to every consumer.
+/// one ConfigStore for the whole run, mutate it through set() or the
+/// dense install below, and hand ConfigView to every consumer.
 template <class State>
 class ConfigStore {
   using Columns = detail::Columns<State>;
@@ -327,7 +319,6 @@ class ConfigStore {
   void reset(Config<State> init, ConfigLayout layout = ConfigLayout::kAuto) {
     layout_ = resolve(layout);
     n_ = init.size();
-    has_prev_ = false;
     if constexpr (kStructSplit) {
       if (layout_ == ConfigLayout::kSoA) {
         scatter_all(init);
@@ -356,7 +347,6 @@ class ConfigStore {
   /// Installs one state, keeping every backing array consistent (columns
   /// and, when present, the residual struct array).
   void set(std::size_t i, const State& s) {
-    has_prev_ = false;  // the dense double buffers no longer track cfg
     if constexpr (kStructSplit) {
       if (layout_ == ConfigLayout::kSoA) {
         scatter_one(cols_, i, s);
@@ -367,55 +357,13 @@ class ConfigStore {
     data_[i] = s;
   }
 
-  /// Composite atomicity over a dense action in one contiguous pass:
-  /// every activated vertex gets applier(prev, v) evaluated against the
-  /// pre-action configuration, every other vertex carries its state over,
-  /// and the double-buffered backing arrays are column-swapped — no full
-  /// configuration copy, no per-vertex staging.  `activated` is sorted
-  /// ascending.  Until the next mutation, prev_view() still reads the
-  /// pre-action configuration (trace recording wants the before states).
-  template <class F>
-  void dense_apply(const std::vector<VertexId>& activated, F&& applier) {
-    const ConfigView<State> prev = view();
-    if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        // Stage the applied states once, then refresh column-wise: per
-        // column, segment copies of the gaps between activated vertices
-        // plus one write per staged state — n writes per column total.
-        staged_.clear();
-        staged_.reserve(activated.size());
-        for (VertexId v : activated) staged_.push_back(applier(prev, v));
-        resize_columns(next_cols_);
-        swap_in_columns(activated);
-        if constexpr (kResidual) {
-          next_data_.resize(n_);
-          segment_merge(data_, next_data_, activated,
-                        [this](std::size_t a, std::size_t i) {
-                          next_data_[i] = staged_[a];
-                        });
-          data_.swap(next_data_);
-        }
-        std::swap(cols_, next_cols_);
-        has_prev_ = true;
-        return;
-      }
-    }
-    // Vector-backed layouts: one forward pass against the pre-action
-    // buffer — n writes total.
-    next_data_.resize(n_);
-    segment_merge(data_, next_data_, activated,
-                  [&](std::size_t a, std::size_t i) {
-                    next_data_[i] = applier(prev, activated[a]);
-                  });
-    data_.swap(next_data_);
-    has_prev_ = true;
-  }
-
-  // --- Sharded dense install (parallel engine) ---------------------------
+  // --- Sharded dense install ----------------------------------------------
   //
-  // Three-phase variant of dense_apply() whose merge pass fans out over
-  // contiguous index ranges: dense_begin() sizes the inactive double
-  // buffers (a no-op after the first dense step), each shard calls
+  // Composite atomicity over a dense step without a full configuration
+  // copy or scattered in-place writes, in three phases whose merge pass
+  // fans out over contiguous index ranges: dense_begin() sizes the
+  // inactive double buffers (a no-op after the first dense step), each
+  // shard calls
   // dense_fill_range() over its own range — segment copies of the gaps
   // plus the pre-computed successor states of the activated vertices
   // inside the range — and dense_commit() swaps the buffers in.  Ranges
@@ -423,9 +371,9 @@ class ConfigStore {
   // data-race-free (disjoint writes into the inactive buffers, reads from
   // the still-live ones).  `staged` is indexed like `activated`
   // (staged[a] is the successor of activated[a]); [a_lo, a_hi) is the
-  // activated subrange lying inside [begin, end).  After dense_commit(),
-  // prev_view() reads the pre-action configuration exactly as after
-  // dense_apply().
+  // activated subrange lying inside [begin, end).  Every other vertex
+  // carries its state over, so a range costs end - begin writes per
+  // backing array.
 
   void dense_begin() {
     if constexpr (kStructSplit) {
@@ -466,25 +414,10 @@ class ConfigStore {
       if (layout_ == ConfigLayout::kSoA) {
         std::swap(cols_, next_cols_);
         if constexpr (kResidual) data_.swap(next_data_);
-        has_prev_ = true;
         return;
       }
     }
     data_.swap(next_data_);
-    has_prev_ = true;
-  }
-
-  /// The pre-action configuration of the latest dense_apply() (the
-  /// swapped-out buffers).  Valid until the next mutation.
-  [[nodiscard]] ConfigView<State> prev_view() const {
-    assert(has_prev_);
-    if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        return ConfigView<State>(kResidual ? &next_data_ : nullptr,
-                                 &next_cols_, n_);
-      }
-    }
-    return ConfigView<State>(&next_data_, nullptr, n_);
   }
 
   /// Full AoS copy-out.
@@ -577,15 +510,6 @@ class ConfigStore {
               dst.begin() + static_cast<std::ptrdiff_t>(done));
   }
 
-  /// Whole-array carry-over: segment_merge_range over everything.
-  template <class Vec, class Write>
-  static void segment_merge(const Vec& src, Vec& dst,
-                            const std::vector<VertexId>& activated,
-                            Write&& write) {
-    segment_merge_range(src, dst, activated, 0, activated.size(), 0,
-                        src.size(), std::forward<Write>(write));
-  }
-
   /// Ranged dense column refresh for the sharded install path:
   /// segment_merge_range per column, writing each staged state's member.
   template <std::size_t... I>
@@ -601,28 +525,6 @@ class ConfigStore {
                             std::get<I>(next_cols_)[i] =
                                 staged[a].*std::get<I>(SoaFields<State>::members);
                           })),
-     ...);
-  }
-
-  /// Dense column refresh: segment_merge per column, writing each staged
-  /// state's member.
-  void swap_in_columns(const std::vector<VertexId>& activated)
-    requires kStructSplit
-  {
-    swap_in_columns_impl(
-        activated, std::make_index_sequence<std::tuple_size_v<Columns>>{});
-  }
-
-  template <std::size_t... I>
-  void swap_in_columns_impl(const std::vector<VertexId>& activated,
-                            std::index_sequence<I...>)
-    requires kStructSplit
-  {
-    ((segment_merge(std::get<I>(cols_), std::get<I>(next_cols_), activated,
-                    [this](std::size_t a, std::size_t i) {
-                      std::get<I>(next_cols_)[i] =
-                          staged_[a].*std::get<I>(SoaFields<State>::members);
-                    })),
      ...);
   }
 
@@ -642,10 +544,8 @@ class ConfigStore {
   std::size_t n_ = 0;
   Config<State> data_;       // AoS data, or the SoA residual struct array
   Columns cols_{};           // SoA hot-field columns (struct splits only)
-  Config<State> next_data_;  // dense_apply double buffers
+  Config<State> next_data_;  // dense install double buffers
   Columns next_cols_{};
-  std::vector<State> staged_;  // dense_apply staging (struct-SoA path)
-  bool has_prev_ = false;
 };
 
 }  // namespace specstab

@@ -60,7 +60,7 @@ class EnabledView {
   }
 
   /// Membership test: O(1) via the bitmap when the caller provided one
-  /// (the incremental engine's EnabledSet), O(log n) binary search
+  /// (the production engine's EnabledSet), O(log n) binary search
   /// otherwise.
   [[nodiscard]] bool contains(VertexId v) const {
     if (bits_) {

@@ -1,5 +1,8 @@
 #include "sim/enabled_set.hpp"
 
+#include <bit>
+#include <cassert>
+
 #include "sim/simd_eval.hpp"
 
 namespace specstab {
@@ -43,7 +46,7 @@ void EnabledSet::reset(VertexId n) {
   added_.clear();
   removed_.clear();
   // No staged set exceeds n vertices; reserving up front keeps the
-  // rebuild, staging and merge paths allocation-free for the whole run
+  // staging, merge and scatter paths allocation-free for the whole run
   // (the bitmap above is O(n) memory already).
   vertices_.reserve(static_cast<std::size_t>(n));
   scratch_.reserve(static_cast<std::size_t>(n));
@@ -54,7 +57,8 @@ void EnabledSet::reset(VertexId n) {
 
 std::size_t EnabledSet::fill_words(VertexId begin, VertexId end,
                                    const std::uint8_t* verdicts) {
-  assert(begin % 64 == 0 && begin <= end);
+  // Empty trailing shards start at n, which need not be word-aligned.
+  assert(begin <= end && (begin % 64 == 0 || begin == end));
   std::size_t count = 0;
   for (VertexId base = begin; base < end; base += 64) {
     // The verdict buffer is padded to a 64-byte multiple and zeroed past
@@ -83,7 +87,8 @@ void EnabledSet::prepare_scatter(const std::vector<std::size_t>& counts,
 
 void EnabledSet::scatter_words(VertexId begin, VertexId end,
                                std::size_t offset) {
-  assert(begin % 64 == 0 && begin <= end);
+  // Empty trailing shards start at n, which need not be word-aligned.
+  assert(begin <= end && (begin % 64 == 0 || begin == end));
   VertexId* dst = vertices_.data() + offset;
   for (VertexId base = begin; base < end; base += 64) {
     std::uint64_t mask = words_[static_cast<std::size_t>(base) / 64];
@@ -101,23 +106,6 @@ void EnabledSet::assign(const std::vector<VertexId>& sorted_enabled) {
   // Copy into the reserved buffer — moving the argument in would replace
   // it with a smaller allocation and re-introduce mid-run growth.
   vertices_.assign(sorted_enabled.begin(), sorted_enabled.end());
-}
-
-void EnabledSet::begin_update() {
-  added_.clear();
-  removed_.clear();
-}
-
-void EnabledSet::begin_rebuild() {
-  std::fill(bits_.begin(), bits_.end(), 0);
-  scratch_.clear();
-}
-
-void EnabledSet::note(VertexId v, bool enabled_now) {
-  char& bit = bits_[static_cast<std::size_t>(v)];
-  if ((bit != 0) == enabled_now) return;
-  bit = enabled_now ? 1 : 0;
-  (enabled_now ? added_ : removed_).push_back(v);
 }
 
 bool EnabledSet::commit() {
@@ -164,25 +152,6 @@ bool EnabledSet::commit() {
   while (add != added_.end()) scratch_.push_back(*add++);
   vertices_.swap(scratch_);
   return true;
-}
-
-bool EnabledSet::apply_delta(const std::vector<VertexId>& added,
-                             const std::vector<VertexId>& removed) {
-  // The parallel engine's merged shard deltas arrive pre-sorted and
-  // pre-deduplicated (each vertex's fresh verdict was computed against
-  // the pre-step bitmap exactly once), so staging them through the
-  // note() path reuses the small-flip/linear-merge machinery — and the
-  // commit() asserts — unchanged.
-  begin_update();
-  for (const VertexId v : added) {
-    bits_[static_cast<std::size_t>(v)] = 1;
-    added_.push_back(v);
-  }
-  for (const VertexId v : removed) {
-    bits_[static_cast<std::size_t>(v)] = 0;
-    removed_.push_back(v);
-  }
-  return commit();
 }
 
 }  // namespace specstab

@@ -1,20 +1,18 @@
-// Shared engine support: the enabled-set container, the dirty-ball
-// expander and the incremental-checker concepts.
+// Engine support: the enabled-set container, the dirty-ball expander and
+// the incremental-checker concepts.
 //
-// Both non-reference engines maintain the enabled set behind EnabledSet
-// (a flat membership bitmap plus a sorted vector).  The incremental
-// engine edits it by staged per-vertex flips (note()/commit()) or a
-// scalar rebuild (append()); the vector engine rebuilds it from packed
-// guard-verdict words (append_mask(), 64 verdicts per word).  The
-// IncrementalLegitimacy / HasBallUpdate concepts describe the checker
-// objects both engines drive (see core/incremental_legitimacy.hpp for
-// the concrete checkers).
+// The production engine (parallel_engine.hpp) maintains the enabled set
+// behind EnabledSet (a flat membership bitmap plus a sorted vector).
+// Sparse steps edit it by staged per-vertex flips (note()/commit());
+// dense steps rebuild it from packed guard-verdict words, one shard at a
+// time (fill_words()/scatter_words()).  The IncrementalLegitimacy,
+// HasBallUpdate and HasBulkUpdate concepts describe the checker objects
+// the engine drives (see core/incremental_legitimacy.hpp for the
+// concrete checkers).
 #ifndef SPECSTAB_SIM_ENABLED_SET_HPP
 #define SPECSTAB_SIM_ENABLED_SET_HPP
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -32,7 +30,7 @@ namespace specstab {
 /// subsequent configuration with the sorted list of vertices whose state
 /// changed and must return the same verdict a from-scratch evaluation
 /// would; full() is the stateless from-scratch oracle used by the
-/// reference and vector engines.  All three return the predicate's
+/// reference engine.  All three return the predicate's
 /// verdict so a wrapper (e.g. ClosureCounting) can observe the legitimacy
 /// sequence in configuration order regardless of the engine.
 template <class C, class State>
@@ -56,6 +54,16 @@ concept HasBallUpdate =
              const std::vector<VertexId>& ball) {
       { std::as_const(c).update_radius() } -> std::convertible_to<VertexId>;
       { c.on_update_ball(g, cfg, ball) } -> std::same_as<bool>;
+    };
+
+/// Optional checker extension: a checker with a bulk total can re-derive
+/// its verdict in one pass over the configuration (typically a column
+/// scan), leaving any per-vertex caches stale.  The engine uses it on
+/// dense steps whose guard kernel cannot hand it a fused total.
+template <class C, class State>
+concept HasBulkUpdate =
+    requires(C& c, const Graph& g, ConfigView<State> cfg) {
+      { c.bulk_update(g, cfg) } -> std::same_as<bool>;
     };
 
 /// Trivial checker for runs without a legitimacy predicate (mirrors the
@@ -139,53 +147,27 @@ class EnabledSet {
   /// which gives cursor daemons O(1) contains() (see EnabledView).
   [[nodiscard]] EnabledView view() const { return {vertices_, bits_}; }
 
-  void begin_update();
+  void begin_update() {
+    added_.clear();
+    removed_.clear();
+  }
   /// Records the fresh guard verdict of a dirty vertex.  Must be called
   /// in ascending vertex order between begin_update() and commit().
-  void note(VertexId v, bool enabled_now);
+  /// Inline: a sparse step calls it once per vertex of its dirty ball.
+  void note(VertexId v, bool enabled_now) {
+    char& bit = bits_[static_cast<std::size_t>(v)];
+    if ((bit != 0) == enabled_now) return;
+    bit = enabled_now ? 1 : 0;
+    (enabled_now ? added_ : removed_).push_back(v);
+  }
   /// Applies the staged flips; returns whether the vector changed.
   bool commit();
 
-  /// One-shot delta application for callers that computed the flips
-  /// themselves (the parallel engine's merged per-shard deltas): `added`
-  /// and `removed` must be sorted ascending, disjoint from each other,
-  /// with `removed` a subset of the current set and `added` disjoint
-  /// from it.  Equivalent to begin_update() + note() per vertex +
-  /// commit(); returns whether the vector changed.
-  bool apply_delta(const std::vector<VertexId>& added,
-                   const std::vector<VertexId>& removed);
-
-  /// Dense-path rebuild: when an action dirties most of the graph the
-  /// flip staging above degenerates (per-vertex compare-and-stage plus a
-  /// full merge); rebuilding from scratch is one bitmap clear plus one
-  /// append per enabled vertex.  Call append() in ascending vertex order
-  /// between begin_rebuild() and end_rebuild().
-  void begin_rebuild();
-  void append(VertexId v) {
-    bits_[static_cast<std::size_t>(v)] = 1;
-    scratch_.push_back(v);
-  }
-  /// Word-level bulk append for the vector engine's bitmask path: 64
-  /// guard verdicts at once, bit b of `mask` standing for vertex
-  /// base + b.  `base` must be a multiple of 64, calls must proceed in
-  /// ascending base order between begin_rebuild() and end_rebuild(), and
-  /// bits past the last vertex must be zero in the trailing (partial)
-  /// word.  Each set bit costs one count-trailing-zeros, so sparse words
-  /// are near-free and the membership bitmap and sorted vector stay in
-  /// lockstep with the scalar append() path.
-  void append_mask(VertexId base, std::uint64_t mask) {
-    assert(base % 64 == 0);
-    while (mask != 0) {
-      const int b = std::countr_zero(mask);
-      mask &= mask - 1;
-      append(base + b);
-    }
-  }
-  void end_rebuild() { vertices_.swap(scratch_); }
-
-  // --- Sharded dense rebuild (parallel engine) ---------------------------
+  // --- Sharded dense rebuild ---------------------------------------------
   //
-  // The fused dense path rebuilds the whole set from per-shard guard
+  // When a step dirties most of the graph the flip staging above
+  // degenerates (per-vertex compare-and-stage plus a full merge), so the
+  // engine's dense path rebuilds the whole set from per-shard guard
   // verdicts with no sequential concatenation.  Shard ranges must
   // partition [0, n) with every interior boundary a multiple of 64, so
   // shards touch disjoint mask words and disjoint bitmap bytes:
@@ -202,13 +184,13 @@ class EnabledSet {
   //
   // Concurrent fill/scatter calls on distinct ranges are data-race-free
   // by construction (disjoint writes, no size changes); the resulting
-  // bitmap and sorted vector are identical to an ordered append() sweep
-  // of the same verdicts.
+  // bitmap and sorted vector are identical to assign() of the enabled
+  // vertices in ascending order.
 
   /// Packs verdicts[begin..end) into mask words and the membership
   /// bitmap; returns the number of enabled vertices in the range.
-  /// `begin` must be a multiple of 64; `end` must be the next shard's
-  /// begin or n.
+  /// `begin` must be a multiple of 64 unless the range is empty; `end`
+  /// must be the next shard's begin or n.
   std::size_t fill_words(VertexId begin, VertexId end,
                          const std::uint8_t* verdicts);
 

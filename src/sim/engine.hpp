@@ -19,8 +19,6 @@
 
 #include <functional>
 #include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -35,38 +33,28 @@ namespace specstab {
 
 class ShardPool;  // parallel_engine.hpp
 
-/// Which execution engine drives a run.  The *incremental* engine
-/// (incremental_engine.hpp) maintains the enabled set by dirty-set
-/// propagation and supports incremental legitimacy checkers; the
-/// *vector* engine (vector_engine.hpp) rescans all n guards per action
-/// as contiguous column scans (SimdEval kernels where a protocol opts
-/// in, scalar rescan otherwise) and rebuilds the enabled set through
-/// 64-verdict word masks; the *parallel* engine (parallel_engine.hpp)
-/// shards the vertex range over worker threads — activations whose
-/// locality balls stay inside one shard are processed concurrently,
-/// boundary-crossers in a sequential fix-up pass, deltas merged in
-/// shard order; the *reference* engine below rescans all n vertices
-/// after every action with deliberately naive code and serves as the
-/// differential-testing oracle.  All four produce bit-identical
-/// RunResults for the same inputs.
+/// Which execution engine drives a run: the production engine
+/// (parallel_engine.hpp), which maintains the enabled set by dirty-set
+/// propagation on sparse steps and by sharded, fused guard rescans on
+/// dense ones, or the *reference* engine below, which rescans all n
+/// vertices after every action with deliberately naive code and serves as
+/// the differential-testing oracle.  Both produce bit-identical
+/// RunResults for the same inputs.  kParallel and kVector are synonyms of
+/// kIncremental, kept for callers written against the engines the
+/// production engine absorbed.
 enum class EngineKind {
   kIncremental,
   kReference,
-  kVector,
-  kParallel,
+  kParallel = kIncremental,
+  kVector = kIncremental,
 };
-
-/// "incremental" | "reference" | "vector" | "parallel".
-[[nodiscard]] std::string_view engine_name(EngineKind kind);
-/// Inverse of engine_name; throws std::invalid_argument on unknown names.
-[[nodiscard]] EngineKind engine_by_name(const std::string& name);
 
 struct RunOptions {
   /// Hard cap on the number of actions.
   StepIndex max_steps = 100000;
 
   /// Engine selection, honored by the run_with_engine() dispatcher in
-  /// incremental_engine.hpp (run_execution below always executes the
+  /// parallel_engine.hpp (run_execution below always executes the
   /// reference algorithm regardless of this field).
   EngineKind engine = EngineKind::kIncremental;
 
@@ -75,15 +63,16 @@ struct RunOptions {
   /// are byte-identical across layouts; only memory traffic differs.
   ConfigLayout layout = ConfigLayout::kAuto;
 
-  /// Worker threads for the parallel engine (ignored by the others).
-  /// Results are byte-identical at every thread count by construction;
-  /// only wall clock differs.  1 runs every phase inline.
+  /// Worker threads for the production engine's dense steps (ignored by
+  /// the reference engine).  Results are byte-identical at every thread
+  /// count by construction; only wall clock differs.  1 runs every phase
+  /// inline.
   unsigned threads = 1;
 
-  /// Optional externally owned worker pool for the parallel engine
-  /// (ignored by the others).  When set, the engine reuses it instead of
-  /// spawning threads per run — long-lived hosts (campaign workers,
-  /// `specstab serve` sessions) keep one pool per host thread so
+  /// Optional externally owned worker pool for the production engine
+  /// (ignored by the reference engine).  When set, the engine reuses it
+  /// instead of spawning threads per run — long-lived hosts (campaign
+  /// workers, `specstab serve` sessions) keep one pool per host thread so
   /// back-to-back runs pay zero spawn cost.  The effective shard count
   /// is min(threads, pool->participants()); since results are
   /// thread-count invariant, the clamp never changes an outcome.  This

@@ -11,8 +11,8 @@
 // Determinism contract: every choice a plan makes (victims, corrupted
 // values, adversarial candidates) is drawn from a splitmix64 stream
 // seeded by mix(plan_seed, epoch_index) — never from engine-side state —
-// so the same spec + seed produces byte-identical perturbations in all
-// four engines, both layouts, and any thread count.  Scheduling is by
+// so the same spec + seed produces byte-identical perturbations in both
+// engines, both layouts, and any thread count.  Scheduling is by
 // step index with one exception: a plan also fires when the run stalls
 // (enabled set empty) before the next fire point, so silent protocols
 // cannot terminate with epochs still pending.  Stall steps are identical
@@ -447,24 +447,6 @@ class FaultPlan {
   Config<State> scratch_;
   std::optional<NeighborhoodExpander> expander_;
 };
-
-/// Refreshes an incremental checker after a perturbation: the
-/// from-scratch rebuild when the checker exposes one (so cached local
-/// scores can never go stale), the touched-vertex incremental path
-/// otherwise.  Both return the exact verdict of the perturbed
-/// configuration.
-template <class C, class State>
-bool fault_refresh_checker(C& checker, const Graph& g,
-                           const ConfigView<State>& cfg,
-                           const std::vector<VertexId>& victims) {
-  if constexpr (requires {
-                  { checker.refresh_all(g, cfg) } -> std::same_as<bool>;
-                }) {
-    return checker.refresh_all(g, cfg);
-  } else {
-    return checker.on_update(g, cfg, victims);
-  }
-}
 
 /// Per-epoch service-time degradation: for each fire step, the number of
 /// steps until the first service event (e.g. an SSME privileged action)

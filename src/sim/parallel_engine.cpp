@@ -1,5 +1,7 @@
 #include "sim/parallel_engine.hpp"
 
+#include <stdexcept>
+
 namespace specstab {
 namespace {
 
@@ -22,7 +24,48 @@ constexpr int kSpinLimit = 4096;
 
 }  // namespace
 
+std::string_view engine_name(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kIncremental:
+      return "incremental";
+    case EngineKind::kReference:
+      return "reference";
+  }
+  throw std::invalid_argument("unknown EngineKind");
+}
+
+EngineKind engine_by_name(const std::string& name) {
+  if (name == "incremental" || name == "parallel" || name == "vector") {
+    return EngineKind::kIncremental;
+  }
+  if (name == "reference") return EngineKind::kReference;
+  throw std::invalid_argument(
+      "unknown engine '" + name +
+      "' (incremental | reference; parallel and vector are synonyms of "
+      "incremental)");
+}
+
+FlatAdjacency flatten_adjacency(const Graph& g) {
+  FlatAdjacency adj;
+  const auto n = static_cast<std::size_t>(g.n());
+  adj.offsets.resize(n + 1);
+  adj.offsets[0] = 0;
+  std::size_t total = 0;
+  for (VertexId v = 0; v < g.n(); ++v) {
+    total += g.neighbors(v).size();
+    adj.offsets[static_cast<std::size_t>(v) + 1] =
+        static_cast<std::int32_t>(total);
+  }
+  adj.targets.reserve(total);
+  for (VertexId v = 0; v < g.n(); ++v) {
+    const auto& nbrs = g.neighbors(v);
+    adj.targets.insert(adj.targets.end(), nbrs.begin(), nbrs.end());
+  }
+  return adj;
+}
+
 ShardPool::ShardPool(unsigned extra_workers) {
+  if (extra_workers == 0) return;  // inline-only: nothing to spawn or tune
   // Spinning assumes the peer making progress owns another core.  When
   // the pool oversubscribes the host (more threads than hardware — CI
   // smoke runs at 16 threads on small runners, the differential suites

@@ -1,57 +1,62 @@
-// Sharded parallel execution engine.
+// The production execution engine.
 //
-// The state-model structure the other engines exploit sequentially is
-// also what makes one daemon action parallelizable: composite atomicity
-// means every activated vertex reads the *pre-action* configuration (the
-// apply phase is embarrassingly parallel), and guards are local —
-// `protocol_locality_radius()` bounds the footprint of an activation to
-// its radius-r ball, so activations whose balls don't overlap commute.
+// The reference engine (engine.hpp) rescans all n vertices after every
+// action with deliberately naive code and serves as the oracle.  This
+// engine produces the same RunResults, bit for bit, by exploiting two
+// properties of the state model:
 //
-// This engine partitions the vertex range into contiguous shards whose
-// interior boundaries are multiples of 64 — aligned to the EnabledSet
-// mask words — and pins shard k to worker k of a ShardPool for the whole
-// run (no per-step task claiming).  Each step runs in barrier-separated
-// phases:
+//   - guards are local: `protocol_locality_radius()` bounds the footprint
+//     of an activation to its radius-r ball, so only guards inside the
+//     ball around the activated set can flip;
+//   - composite atomicity: every activated vertex reads the *pre-action*
+//     configuration, so computing successor states is embarrassingly
+//     parallel.
 //
-//   *dense steps* (is_dense_update), the synchronous/dense-daemon hot
-//   path, are fully fused:
+// Every step — a daemon action or a fault epoch — runs one
+// install-and-repair routine over its sorted target set.  Which path it
+// takes depends only on the step's size (is_dense_update), never on the
+// thread count:
+//
+//   *dense steps* (synchronous and dense distributed daemons) are sharded
+//   over a ShardPool.  The vertex range is cut into contiguous shards
+//   whose interior boundaries are multiples of 64, aligned to the
+//   EnabledSet mask words, and shard k stays pinned to worker k for the
+//   whole run.  Three barrier-separated phases:
 //
 //   1. *apply + install* — shard k computes the successor states of the
-//      activated vertices in its range against the pre-action
-//      configuration and merges them straight into the ConfigStore's
-//      inactive double buffers over its own column segment
-//      (dense_fill_range); one barrier, then a sequential O(1) buffer
-//      swap (dense_commit) publishes the post-action configuration;
-//   2. *fused guard rescan* — shard k evaluates its vertex range through
-//      the protocol's SimdEval kernel (simd_eval.hpp; scalar sweep for
-//      protocols without one), packs the verdict bytes into the
-//      EnabledSet's mask words and bitmap (fill_words — disjoint words
-//      by the 64-alignment), and, when the kernel and checker share a
-//      ScoreKind, accumulates its partial violation total; the totals
-//      merge at the barrier into one checker.accept_total() call, so
-//      neither the enabled set nor the legitimacy verdict needs a
-//      sequential pass;
-//   3. *scatter* — after a sequential prefix sum over the per-shard
-//      enabled counts (prepare_scatter), shard k decodes its mask words
-//      into its slice of the sorted enabled vector (scatter_words) —
-//      the old sequential delta-concatenation/merge pass is gone.
+//      targets in its range and merges them straight into the
+//      ConfigStore's inactive double buffers over its own segment
+//      (dense_fill_range); a sequential O(1) buffer swap (dense_commit)
+//      then publishes the new configuration;
+//   2. *fused guard rescan* — shard k evaluates its range through the
+//      protocol's SimdEval kernel (simd_eval.hpp; a scalar sweep for
+//      protocols without one) and packs the verdict bytes into its own
+//      mask words (fill_words).  When the kernel and the checker share a
+//      ScoreKind, the same pass accumulates a partial violation total and
+//      the totals merge into one checker.accept_total() call; otherwise a
+//      checker with a bulk total makes one bulk_update() pass;
+//   3. *scatter* — after a prefix sum over the per-shard enabled counts
+//      (prepare_scatter), shard k decodes its words into its slice of
+//      the sorted enabled vector (scatter_words).
 //
-//   *sparse steps* keep the delta path: successor states computed in
-//   parallel and installed sequentially via set(); each shard re-tests
-//   the activations whose radius-r balls stay inside its range (per-shard
-//   sorted deltas, a shared per-step stamp array with shard-disjoint
-//   writes), boundary-crossing activations defer to a sequential fix-up
-//   pass, and the deltas concatenate in shard order into one
-//   EnabledSet::apply_delta().
+//   *sparse steps* (central and sparse distributed daemons) run on the
+//   calling thread as one batched dirty-set update: successors are
+//   computed against the pre-step configuration and installed with
+//   set(), one expand() yields the radius-r ball around all targets, the
+//   ball's guards are re-tested into EnabledSet::note()/commit(), and the
+//   same ball goes to a same-radius checker's on_update_ball().
 //
-// Fresh guard verdicts are pure functions of the post-action
-// configuration, so the resulting enabled set — and with it daemon
-// selection, meters, traces, and every subsequent step — is
-// byte-identical to the incremental engine at every thread count *by
-// construction*.  The differential suites
-// (tests/parallel_differential_test.cpp and the engine/layout harnesses)
-// hold the engine to that at 1, 2, 8 and 16 threads, including shard
-// counts that split words unevenly and graphs smaller than one word.
+// A fault epoch differs from an action only in its bookkeeping: its
+// successors come from the FaultPlan, its trace record is sealed as a
+// perturbation, and it counts no step, move or round and calls no
+// observer.
+//
+// Fresh guard verdicts are pure functions of the post-step configuration,
+// so the enabled set — and with it daemon selection, meters, traces and
+// every later step — is identical at every thread count by construction.
+// The differential suites hold the engine to the reference oracle at 1, 2
+// and 8 threads, including shard counts that split words unevenly and
+// graphs smaller than one word.
 #ifndef SPECSTAB_SIM_PARALLEL_ENGINE_HPP
 #define SPECSTAB_SIM_PARALLEL_ENGINE_HPP
 
@@ -61,6 +66,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -77,7 +84,16 @@
 
 namespace specstab {
 
-/// Persistent worker pool for the parallel engine: `extra_workers`
+/// "incremental" | "reference".  The production engine's canonical name
+/// is "incremental", so session strings and serve cache keys keep their
+/// historical spelling.
+[[nodiscard]] std::string_view engine_name(EngineKind kind);
+/// Inverse of engine_name.  Also accepts "vector" and "parallel", the
+/// names of engines folded into the production engine; throws
+/// std::invalid_argument on unknown names.
+[[nodiscard]] EngineKind engine_by_name(const std::string& name);
+
+/// Persistent worker pool for the engine's dense steps: `extra_workers`
 /// threads plus the calling thread execute one function per phase, each
 /// pinned to a fixed index (worker i always runs fn(i + 1), the caller
 /// fn(0)) — no task claiming, no mutex.  Phase hand-off is a
@@ -91,8 +107,9 @@ namespace specstab {
 /// A pool outlives individual runs: campaign workers and `specstab
 /// serve` sessions keep one pool per host thread and hand it to the
 /// engine through RunOptions::pool, so back-to-back runs pay zero
-/// thread-spawn cost.  A pool must not be driven by two runs
-/// concurrently (one caller at a time).
+/// thread-spawn cost.  ShardPool(0) spawns no thread and runs every
+/// phase inline.  A pool must not be driven by two runs concurrently
+/// (one caller at a time).
 class ShardPool {
  public:
   explicit ShardPool(unsigned extra_workers);
@@ -159,22 +176,11 @@ inline std::vector<VertexId> shard_bounds(VertexId n, std::size_t shards) {
   return bounds;
 }
 
-/// Per-shard scratch for the sparse delta path, owned by the shard (not
-/// the thread): whichever worker drains shard k writes only into
-/// scratch k.
-struct ShardScratch {
-  explicit ShardScratch(VertexId n) : expander(n) {}
-
-  NeighborhoodExpander expander;
-  std::vector<VertexId> seed;            ///< one-activation seed buffer
-  std::vector<VertexId> added, removed;  ///< sparse-path deltas (sorted)
-  std::vector<VertexId> boundary;        ///< deferred boundary activations
-};
-
 }  // namespace parallel_detail
 
-/// Sharded parallel counterpart of run_execution_incremental(): same
-/// inputs, byte-identical RunResult at every opt.threads value.
+/// The production counterpart of run_execution(): same inputs, same
+/// RunResult at every opt.threads value, O(|B(A, r)|) guard evaluations
+/// per sparse step.
 template <ProtocolConcept P, class C>
   requires IncrementalLegitimacy<C, typename P::State>
 RunResult<typename P::State> run_execution_parallel(
@@ -185,6 +191,8 @@ RunResult<typename P::State> run_execution_parallel(
   using State = typename P::State;
   RunResult<State> res;
   ConfigStore<State> cfg(std::move(init), opt.layout);
+  // One view for the whole run: it reads through the store's member
+  // buffers, so in-place set() and dense buffer swaps stay visible.
   const ConfigView<State> live = cfg.view();
   RoundCounter rc(g.n());
   const VertexId radius = protocol_locality_radius(proto);
@@ -197,6 +205,8 @@ RunResult<typename P::State> run_execution_parallel(
     if (legit) {
       if (res.first_legitimate < 0) res.first_legitimate = cfg_index;
       if (pending_convergence_marker) {
+        // First legitimate configuration after the latest violation: the
+        // costs so far are the costs to (re-)convergence.
         res.moves_to_convergence = res.moves;
         res.rounds_to_convergence = rc.completed_rounds();
         pending_convergence_marker = false;
@@ -229,10 +239,6 @@ RunResult<typename P::State> run_execution_parallel(
   }
   const std::size_t shards = std::min(want, pool->participants());
   const auto bounds = parallel_detail::shard_bounds(g.n(), shards);
-  std::vector<parallel_detail::ShardScratch> scratch;
-  scratch.reserve(shards);
-  for (std::size_t k = 0; k < shards; ++k) scratch.emplace_back(g.n());
-
   const auto run_shards = [&](const std::function<void(std::size_t)>& fn) {
     pool->run(shards, fn);
   };
@@ -253,49 +259,48 @@ RunResult<typename P::State> run_execution_parallel(
     }
   }();
 
-  // Shared guard-kernel state (context + padded verdict bytes): shards
-  // write disjoint verdict ranges, so one buffer serves all of them.
-  auto kernel = make_enabled_kernel(g, proto);
+  // Guard-kernel state (context + padded verdict bytes), built on the
+  // first dense step so runs that never take one skip its O(n + m)
+  // set-up.  Shards write disjoint verdict ranges, so one buffer serves
+  // all of them.
+  std::optional<decltype(make_enabled_kernel(g, proto))> kernel;
 
-  // Per-step touched stamps deduplicate ball overlaps on the sparse
-  // path: workers stamp only vertices inside their own shard range
-  // (interior balls), the sequential fix-up pass stamps anywhere.
-  std::vector<std::uint32_t> touched(static_cast<std::size_t>(g.n()), 0);
-  std::uint32_t step_gen = 0;
-
-  NeighborhoodExpander fixup_expander(g.n());
+  NeighborhoodExpander expander(g.n());
   ActionBuffer action;
   const std::vector<VertexId>& activated = action.active;
   std::vector<VertexId> round_base;
   std::vector<State> staged;
-  std::vector<VertexId> merged_added, merged_removed;
-  std::vector<VertexId> fix_added, fix_removed, boundary_all;
   std::vector<std::size_t> shard_counts(shards, 0), shard_offsets;
   std::vector<std::int64_t> shard_scores(shards, 0);
-  std::size_t sparse_per = 0;
 
-  // The phase bodies are hoisted std::functions so the hot loop never
-  // re-allocates closures; per-step state flows through the captured
-  // locals above.
+  // The step being installed: its sorted target set and, for a fault
+  // epoch, the given successor states (nullptr: an action, whose
+  // successors are computed into `staged`).
+  const std::vector<VertexId>* targets = nullptr;
+  const State* given = nullptr;
 
-  // Dense phase 1 — fused apply + install: shard k stages the successor
-  // states of its activated slice and merges its column segment of the
-  // inactive double buffers.  No cross-shard reads: the live buffers are
-  // immutable until dense_commit().
+  // The dense phase bodies are hoisted std::functions so the hot loop
+  // never re-allocates closures; per-step state flows through the
+  // captured locals above.
+
+  // Dense phase 1 — fused apply + install: shard k computes the successor
+  // states of its target slice and merges its segment of the inactive
+  // double buffers.  No cross-shard reads: the live buffers are immutable
+  // until dense_commit().
   const std::function<void(std::size_t)> dense_install_phase =
       [&](std::size_t k) {
+        const std::vector<VertexId>& t = *targets;
         const auto a_lo = static_cast<std::size_t>(
-            std::lower_bound(activated.begin(), activated.end(), bounds[k]) -
-            activated.begin());
+            std::lower_bound(t.begin(), t.end(), bounds[k]) - t.begin());
         const auto a_hi = static_cast<std::size_t>(
-            std::lower_bound(activated.begin(), activated.end(),
-                             bounds[k + 1]) -
-            activated.begin());
-        for (std::size_t j = a_lo; j < a_hi; ++j) {
-          staged[j] = proto.apply(g, live, activated[j]);
+            std::lower_bound(t.begin(), t.end(), bounds[k + 1]) - t.begin());
+        if (given == nullptr) {
+          for (std::size_t j = a_lo; j < a_hi; ++j) {
+            staged[j] = proto.apply(g, live, t[j]);
+          }
         }
-        cfg.dense_fill_range(activated, staged.data(), a_lo, a_hi,
-                             static_cast<std::size_t>(bounds[k]),
+        cfg.dense_fill_range(t, given != nullptr ? given : staged.data(),
+                             a_lo, a_hi, static_cast<std::size_t>(bounds[k]),
                              static_cast<std::size_t>(bounds[k + 1]));
       };
 
@@ -307,8 +312,8 @@ RunResult<typename P::State> run_execution_parallel(
         const VertexId lo = bounds[k];
         const VertexId hi = bounds[k + 1];
         shard_scores[k] =
-            fill_verdicts<kFusedScore>(kernel, g, proto, live, lo, hi);
-        shard_counts[k] = enabled.fill_words(lo, hi, kernel.verdicts.data());
+            fill_verdicts<kFusedScore>(*kernel, g, proto, live, lo, hi);
+        shard_counts[k] = enabled.fill_words(lo, hi, kernel->verdicts.data());
       };
 
   // Dense phase 3 — scatter the shard's words into its slice of the
@@ -318,92 +323,107 @@ RunResult<typename P::State> run_execution_parallel(
         enabled.scatter_words(bounds[k], bounds[k + 1], shard_offsets[k]);
       };
 
-  // Sparse apply phase: successor states chunked evenly (composite
-  // atomicity — every activation reads the pre-action configuration).
-  const std::function<void(std::size_t)> sparse_apply_phase =
-      [&](std::size_t k) {
-        const std::size_t lo = std::min(activated.size(), k * sparse_per);
-        const std::size_t hi = std::min(activated.size(), lo + sparse_per);
-        for (std::size_t j = lo; j < hi; ++j) {
-          staged[j] = proto.apply(g, live, activated[j]);
-        }
-      };
+  // Records one step in the trace.  The live view still reads the
+  // pre-step states here (dense steps publish at dense_commit(), sparse
+  // ones at set()).
+  const auto record = [&](const std::vector<VertexId>& step_targets,
+                          const State* after, bool perturbation) {
+    for (std::size_t j = 0; j < step_targets.size(); ++j) {
+      const auto i = static_cast<std::size_t>(step_targets[j]);
+      res.trace.note_change(step_targets[j], live.get(i), after[j]);
+    }
+    if (perturbation) {
+      res.trace.seal_perturbation(step_targets);
+    } else {
+      res.trace.seal_action(step_targets);
+    }
+  };
 
-  // Sparse re-test phase: shard k re-tests the activations in its range
-  // whose balls stay inside the range; the rest are deferred.
-  const std::function<void(std::size_t)> sparse_retest_phase =
-      [&](std::size_t k) {
-        auto& sc = scratch[k];
-        sc.added.clear();
-        sc.removed.clear();
-        sc.boundary.clear();
-        const EnabledView pre = enabled.view();
-        const auto first = std::lower_bound(activated.begin(),
-                                            activated.end(), bounds[k]);
-        const auto last = std::lower_bound(activated.begin(),
-                                           activated.end(), bounds[k + 1]);
-        for (auto it = first; it != last; ++it) {
-          const VertexId v = *it;
-          sc.seed.assign(1, v);
-          const auto& ball = sc.expander.expand(g, sc.seed, radius);
-          if (ball.front() < bounds[k] || ball.back() >= bounds[k + 1]) {
-            sc.boundary.push_back(v);
-            continue;
-          }
-          for (VertexId u : ball) {
-            auto& stamp = touched[static_cast<std::size_t>(u)];
-            if (stamp == step_gen) continue;
-            stamp = step_gen;
-            const bool now = proto.enabled(g, live, u);
-            if (now == pre.contains(u)) continue;
-            (now ? sc.added : sc.removed).push_back(u);
-          }
-        }
-        std::sort(sc.added.begin(), sc.added.end());
-        std::sort(sc.removed.begin(), sc.removed.end());
-      };
+  // The dense half of install_and_repair below: the three sharded phases,
+  // then one verdict — the fused total, a bulk pass, or the checker's own
+  // update.
+  const auto dense_install_and_repair =
+      [&](const std::vector<VertexId>& step_targets, const State* successors,
+          bool perturbation) -> bool {
+    targets = &step_targets;
+    given = successors;
+    if (successors == nullptr) staged.resize(step_targets.size());
+    cfg.dense_begin();
+    run_shards(dense_install_phase);
+    if (opt.record_trace) {
+      record(step_targets, successors != nullptr ? successors : staged.data(),
+             perturbation);
+    }
+    cfg.dense_commit();
+    if (!kernel) kernel.emplace(make_enabled_kernel(g, proto));
+    run_shards(dense_rescan_phase);
+    enabled.prepare_scatter(shard_counts, shard_offsets);
+    run_shards(dense_scatter_phase);
+    if constexpr (kFusedScore) {
+      std::int64_t total = 0;
+      for (std::size_t k = 0; k < shards; ++k) total += shard_scores[k];
+      return checker.accept_total(total);
+    } else if constexpr (HasBulkUpdate<C, State>) {
+      return checker.bulk_update(g, live);
+    } else {
+      return checker.on_update(g, live, step_targets);
+    }
+  };
+
+  // Installs the successors of the sorted `step_targets` (composite
+  // atomicity: all computed against the pre-step configuration), records
+  // the trace, and repairs the enabled set and the checker.  Returns the
+  // legitimacy verdict of the new configuration.  `successors` is nullptr
+  // for a daemon action (the protocol computes them) and the plan's
+  // corrupted states for a fault epoch.
+  const auto install_and_repair =
+      [&](const std::vector<VertexId>& step_targets, const State* successors,
+          bool perturbation) -> bool {
+    const std::size_t count = step_targets.size();
+    if (is_dense_update(static_cast<std::int64_t>(count), radius, g)) {
+      return dense_install_and_repair(step_targets, successors, perturbation);
+    }
+    const State* after = successors;
+    if (after == nullptr) {
+      staged.resize(count);
+      for (std::size_t j = 0; j < count; ++j) {
+        staged[j] = proto.apply(g, live, step_targets[j]);
+      }
+      after = staged.data();
+    }
+    if (opt.record_trace) record(step_targets, after, perturbation);
+    for (std::size_t j = 0; j < count; ++j) {
+      cfg.set(static_cast<std::size_t>(step_targets[j]), after[j]);
+    }
+    // Only guards inside the radius-r ball around the targets can have
+    // flipped; the ball is shared with a same-radius checker instead of
+    // letting it expand the same ball again.
+    enabled.begin_update();
+    const auto& dirty = expander.expand(g, step_targets, radius);
+    for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
+    bool legit;
+    if constexpr (HasBallUpdate<C, State>) {
+      legit = checker.update_radius() == radius
+                  ? checker.on_update_ball(g, live, dirty)
+                  : checker.on_update(g, live, step_targets);
+    } else {
+      legit = checker.on_update(g, live, step_targets);
+    }
+    enabled.commit();
+    return legit;
+  };
 
   StepIndex since_convergence = 0;
   while (res.steps < opt.max_steps) {
-    // Fault injection: corruption and repair run sequentially (epochs are
-    // rare; shard parallelism buys nothing on a k-vertex ball) and mirror
-    // the incremental engine's repair exactly, so perturbed runs stay
-    // byte-identical at every thread count.
+    // Fault injection: the epoch's corruption is installed and repaired
+    // like an action whose successors come from the plan.  A plan also
+    // fires when the run stalls so silent protocols cannot terminate with
+    // epochs pending.
     if (fault_plan && fault_plan->due(res.steps, enabled.empty())) {
       const Perturbation<State>& pert = fault_plan->fire(g, live, res.steps);
-      if (opt.record_trace) {
-        for (std::size_t i = 0; i < pert.victims.size(); ++i) {
-          const auto v = static_cast<std::size_t>(pert.victims[i]);
-          res.trace.note_change(pert.victims[i], live.get(v), pert.values[i]);
-        }
-        res.trace.seal_perturbation(pert.victims);
-      }
-      for (std::size_t i = 0; i < pert.victims.size(); ++i) {
-        cfg.set(static_cast<std::size_t>(pert.victims[i]), pert.values[i]);
-      }
-      bool checker_legit;
-      if (is_dense_update(static_cast<std::int64_t>(pert.victims.size()),
-                          radius, g)) {
-        enabled.begin_rebuild();
-        for (VertexId v = 0; v < g.n(); ++v) {
-          if (proto.enabled(g, live, v)) enabled.append(v);
-        }
-        enabled.end_rebuild();
-        checker_legit = fault_refresh_checker(checker, g, live, pert.victims);
-      } else {
-        enabled.begin_update();
-        const auto& dirty = fixup_expander.expand(g, pert.victims, radius);
-        for (VertexId v : dirty) enabled.note(v, proto.enabled(g, live, v));
-        if constexpr (HasBallUpdate<C, State>) {
-          checker_legit = checker.update_radius() == radius
-                              ? checker.on_update_ball(g, live, dirty)
-                              : checker.on_update(g, live, pert.victims);
-        } else {
-          checker_legit = checker.on_update(g, live, pert.victims);
-        }
-        enabled.commit();
-      }
-      note_legitimacy(res.steps, checker_legit);
+      note_legitimacy(res.steps,
+                      install_and_repair(pert.victims, pert.values.data(),
+                                         /*perturbation=*/true));
       continue;
     }
     if (enabled.empty()) {
@@ -418,133 +438,35 @@ RunResult<typename P::State> run_execution_parallel(
       break;
     }
 
+    // The daemon writes into the loop-owned scratch buffer (sorted, per
+    // the select_into contract) — a sparse step runs without allocating
+    // once the buffers reach their high-water capacity.
     daemon.select_into(g, enabled.view(), res.steps, action);
     assert(std::is_sorted(activated.begin(), activated.end()));
     if (observer) observer(res.steps, live, activated);
 
-    const bool dense = is_dense_update(
-        static_cast<std::int64_t>(activated.size()), radius, g);
-    staged.resize(activated.size());
-    if (dense) {
-      // Fused apply + install: one parallel phase writes the inactive
-      // double buffers, one O(1) swap publishes them.  Trace recording
-      // reads the still-live pre-action states against the staged
-      // successors before the swap.
-      cfg.dense_begin();
-      run_shards(dense_install_phase);
-      if (opt.record_trace) {
-        for (std::size_t j = 0; j < activated.size(); ++j) {
-          const auto i = static_cast<std::size_t>(activated[j]);
-          res.trace.note_change(activated[j], live.get(i), staged[j]);
-        }
-        res.trace.seal_action(activated);
-      }
-      cfg.dense_commit();
-    } else {
-      sparse_per =
-          (activated.size() + shards - 1) / std::max<std::size_t>(1, shards);
-      run_shards(sparse_apply_phase);
-      if (opt.record_trace) {
-        for (std::size_t j = 0; j < activated.size(); ++j) {
-          const auto i = static_cast<std::size_t>(activated[j]);
-          res.trace.note_change(activated[j], live.get(i), staged[j]);
-        }
-        res.trace.seal_action(activated);
-      }
-      for (std::size_t j = 0; j < activated.size(); ++j) {
-        cfg.set(static_cast<std::size_t>(activated[j]), staged[j]);
-      }
-    }
-
-    res.moves += static_cast<std::int64_t>(activated.size());
-    ++res.steps;
-    if (res.first_legitimate >= 0) ++since_convergence;
-
+    // The round counter reads the pre-action enabled set only at round
+    // boundaries; snapshot it there (once per round) so the repair can
+    // edit the sorted vector in place.
     const bool opening_round = !rc.round_open();
     if (opening_round) round_base = enabled.vertices();
 
-    // --- Guard re-test phase.
-    bool checker_legit;
-    if (dense) {
-      // Fused sharded rescan (phases 2-3 above); identical set contents
-      // to the incremental engine's ordered full rescan.
-      run_shards(dense_rescan_phase);
-      enabled.prepare_scatter(shard_counts, shard_offsets);
-      run_shards(dense_scatter_phase);
-      if constexpr (kFusedScore) {
-        std::int64_t total = 0;
-        for (std::size_t k = 0; k < shards; ++k) total += shard_scores[k];
-        checker_legit = checker.accept_total(total);
-      } else {
-        checker_legit = checker.on_update(g, live, activated);
-      }
-    } else {
-      if (++step_gen == 0) {
-        std::fill(touched.begin(), touched.end(), 0);
-        step_gen = 1;
-      }
-      run_shards(sparse_retest_phase);
-
-      // Sequential fix-up: boundary-crossing activations, expanded
-      // together; stamped vertices were already re-tested by a shard.
-      boundary_all.clear();
-      fix_added.clear();
-      fix_removed.clear();
-      for (std::size_t k = 0; k < shards; ++k) {
-        boundary_all.insert(boundary_all.end(), scratch[k].boundary.begin(),
-                            scratch[k].boundary.end());
-      }
-      if (!boundary_all.empty()) {
-        const EnabledView pre = enabled.view();
-        const auto& dirty = fixup_expander.expand(g, boundary_all, radius);
-        for (VertexId u : dirty) {
-          auto& stamp = touched[static_cast<std::size_t>(u)];
-          if (stamp == step_gen) continue;
-          stamp = step_gen;
-          const bool now = proto.enabled(g, live, u);
-          if (now == pre.contains(u)) continue;
-          (now ? fix_added : fix_removed).push_back(u);
-        }
-      }
-
-      // Merge: shard deltas concatenate sorted (shard ranges ascend);
-      // fix-up deltas merge in (disjoint by the stamp dedup).
-      merged_added.clear();
-      merged_removed.clear();
-      for (std::size_t k = 0; k < shards; ++k) {
-        merged_added.insert(merged_added.end(), scratch[k].added.begin(),
-                            scratch[k].added.end());
-        merged_removed.insert(merged_removed.end(),
-                              scratch[k].removed.begin(),
-                              scratch[k].removed.end());
-      }
-      if (!fix_added.empty()) {
-        const auto mid = merged_added.insert(merged_added.end(),
-                                             fix_added.begin(),
-                                             fix_added.end());
-        std::inplace_merge(merged_added.begin(), mid, merged_added.end());
-      }
-      if (!fix_removed.empty()) {
-        const auto mid = merged_removed.insert(merged_removed.end(),
-                                               fix_removed.begin(),
-                                               fix_removed.end());
-        std::inplace_merge(merged_removed.begin(), mid,
-                           merged_removed.end());
-      }
-      enabled.apply_delta(merged_added, merged_removed);
-      // The checker runs sequentially on the post-action configuration —
-      // same call, same verdict as the incremental engine's.
-      checker_legit = checker.on_update(g, live, activated);
-    }
-
+    const bool legit =
+        install_and_repair(activated, nullptr, /*perturbation=*/false);
+    res.moves += static_cast<std::int64_t>(activated.size());
+    ++res.steps;
+    if (res.first_legitimate >= 0) ++since_convergence;
     rc.on_action(opening_round ? round_base : enabled.vertices(), activated,
                  enabled.vertices());
-    note_legitimacy(res.steps, checker_legit);
+    note_legitimacy(res.steps, legit);
   }
   res.hit_step_cap = !res.terminated && res.steps >= opt.max_steps;
   res.rounds = rc.completed_rounds();
   if (fault_plan) res.perturb = fault_plan->finish();
 
+  // If legitimacy was lost after having been seen, the earliest
+  // configuration "from which every execution satisfies spec" is after the
+  // last violation; reflect that in first_legitimate.
   if (res.first_legitimate >= 0 &&
       res.first_legitimate <= res.last_illegitimate) {
     res.first_legitimate =
@@ -563,6 +485,30 @@ RunResult<typename P::State> run_execution_parallel(
   AlwaysLegitimate checker;
   return run_execution_parallel(g, proto, daemon, std::move(init), opt,
                                 checker);
+}
+
+/// Engine dispatcher: runs the engine selected by opt.engine.  The
+/// reference path evaluates the checker's from-scratch oracle once per
+/// configuration, in execution order, so stateful wrappers (closure
+/// counters) observe the same legitimacy sequence on both engines.
+template <ProtocolConcept P, class C>
+  requires IncrementalLegitimacy<C, typename P::State>
+RunResult<typename P::State> run_with_engine(
+    const Graph& g, const P& proto, Daemon& daemon,
+    Config<typename P::State> init, const RunOptions& opt, C& checker,
+    const StepObserver<typename P::State>& observer = nullptr,
+    FaultPlan<typename P::State>* fault_plan = nullptr) {
+  using State = typename P::State;
+  if (opt.engine == EngineKind::kReference) {
+    return run_execution(
+        g, proto, daemon, std::move(init), opt,
+        [&checker](const Graph& gg, ConfigView<State> c) {
+          return checker.full(gg, c);
+        },
+        observer, fault_plan);
+  }
+  return run_execution_parallel(g, proto, daemon, std::move(init), opt,
+                                checker, observer, fault_plan);
 }
 
 }  // namespace specstab

@@ -42,8 +42,8 @@ concept ProtocolConcept = requires(const P& p, const Graph& g,
 /// Optional ProtocolConcept extension: a protocol may declare the radius
 /// of its guard dependency — enabled(g, cfg, v) reads only the states of
 /// vertices within graph distance locality_radius() of v.  The
-/// incremental engine (incremental_engine.hpp) uses the radius to bound
-/// the dirty set after an action; the locality cross-check test
+/// production engine (parallel_engine.hpp) uses the radius to bound the
+/// dirty set after a sparse step; the locality cross-check test
 /// brute-forces the true radius on small graphs and fails loudly on a
 /// protocol that understates it.
 template <class P>

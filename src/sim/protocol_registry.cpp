@@ -123,7 +123,7 @@ bool is_ring_topology(const Graph& g) {
   // The *index* ring specifically: ring protocols address their
   // predecessor by index arithmetic (v-1 mod n), so a structurally-ring
   // cycle over permuted ids would silently mismatch graph adjacency and
-  // break the incremental engine's dirty-set locality.  Every v adjacent
+  // break the engine's dirty-set locality.  Every v adjacent
   // to (v+1) mod n accounts for n distinct edges; m == n leaves no
   // others, which implies all degrees 2 and connectivity.
   if (g.n() < 3 || g.m() != static_cast<std::int64_t>(g.n())) return false;

@@ -14,10 +14,11 @@
 // Type erasure lives only at this boundary.  Registration monomorphizes
 // one dispatch record per protocol (see any_protocol.hpp): its run
 // function is a compiled instantiation of the templated
-// run_with_engine() pipeline, so the hot loops — EnabledSet maintenance,
-// ActionBuffer selection, dirty-set propagation, incremental checkers —
-// stay fully inlined and a session pays exactly one indirect call, at
-// launch.  The bench-regression CI job gates this: the campaign rows in
+// run_with_engine() pipeline (sim/parallel_engine.hpp), so the hot
+// loops — ActionBuffer selection, the sparse dirty-set update, the
+// sharded dense rescan, incremental checkers — stay fully inlined and a
+// session pays exactly one indirect call, at launch.  The
+// bench-regression CI job gates this: the campaign rows in
 // BENCH_engine.json run through the erased path.
 #ifndef SPECSTAB_SIM_PROTOCOL_REGISTRY_HPP
 #define SPECSTAB_SIM_PROTOCOL_REGISTRY_HPP
@@ -48,10 +49,11 @@ struct SessionSpec {
   /// byte-identical across layouts (the layout-agreement suite holds
   /// every protocol to that).
   ConfigLayout layout = ConfigLayout::kAuto;
-  /// Worker threads for the parallel engine (CLI `--threads`); other
-  /// engines ignore it.  Results are byte-identical at any value.
+  /// Engine threads for the production engine's dense steps (CLI
+  /// `--threads`); the reference engine ignores it.  Results are
+  /// byte-identical at any value.
   unsigned threads = 1;
-  /// Optional externally owned worker pool for the parallel engine (see
+  /// Optional externally owned worker pool for the production engine (see
   /// RunOptions::pool): campaign workers and serve sessions thread their
   /// per-host-thread pool through here so back-to-back sessions skip
   /// thread spawning.  An execution resource, not part of the session's

@@ -1,13 +1,11 @@
-// SimdEval — the per-protocol guard-kernel trait shared by the rescan
-// engines.
+// SimdEval — the per-protocol guard-kernel trait behind the production
+// engine's dense steps.
 //
-// The vector engine (vector_engine.hpp) is a full-rescan engine: after
-// every action it re-evaluates all n guards.  The parallel engine
-// (parallel_engine.hpp) runs the same rescan on dense steps, but sharded:
-// each worker evaluates one contiguous vertex range.  A protocol opts
-// into the vectorized rescan by specializing SimdEval<P> — the guard
-// analogue of declaring a SoaFields split next to the state
-// (config_store.hpp):
+// A dense step (parallel_engine.hpp; synchronous and dense distributed
+// daemons) re-evaluates all n guards, sharded: each worker evaluates one
+// contiguous vertex range.  A protocol opts into the vectorized rescan by
+// specializing SimdEval<P> — the guard analogue of declaring a SoaFields
+// split next to the state (config_store.hpp):
 //
 //   template <>
 //   struct SimdEval<MyProtocol> {
@@ -19,19 +17,19 @@
 //                               VertexId begin, VertexId end);
 //   };
 //
-// make_context() runs once per execution and precomputes whatever the
-// kernel streams (typically the flattened CSR adjacency below).
+// make_context() runs once per execution, at its first dense step, and
+// precomputes whatever the kernel streams (typically the flattened CSR
+// adjacency below).
 // enabled_bytes() must write out[v] = proto.enabled(g, cfg, v) ? 1 : 0
 // for every vertex in [begin, end), bit-exactly — the differential
-// harness holds the rescan engines to byte-identical RunResults against
-// the other engines.  The range parameters exist for the parallel
-// engine's shard fan-out (disjoint ranges touch disjoint out bytes, so
-// shards write concurrently without synchronization); the vector engine
-// always passes [0, n).  Kernels are written as branch-light per-column
-// loops over the ConfigStore columns (the AoS vector *is* the column for
-// arithmetic states) so the compiler can auto-vectorize them; the
-// engines pack the verdict bytes into 64-bit words
-// (pack_verdict_word()) and feed them to EnabledSet::append_mask() /
+// harness holds the engine to byte-identical RunResults against the
+// reference engine.  The range parameters exist for the shard fan-out
+// (disjoint ranges touch disjoint out bytes, so shards write
+// concurrently without synchronization); one shard passes [0, n).
+// Kernels are written as branch-light per-column loops over the
+// ConfigStore columns (the AoS vector *is* the column for arithmetic
+// states) so the compiler can auto-vectorize them; the engine packs the
+// verdict bytes into 64-bit words (pack_verdict_word()) and feeds them to
 // EnabledSet::fill_words().
 //
 // A specialization may additionally fuse the legitimacy scan into the
@@ -41,15 +39,15 @@
 // (exactly the checker's bulk/score sum — same int64, no early exit;
 // per-shard partial totals summed in shard order reproduce the full-scan
 // total bit-exactly because the accumulation is int64 addition).  When
-// the run's checker advertises the matching ScoreKind, the rescan
-// engines call the scored kernel once per action and hand the total
-// straight to the checker (LocalScoreChecker::accept_total), skipping
-// the separate full() column scan — one pass over the columns instead
-// of two.  With any other checker the engines use enabled_bytes() plus
-// the checker's own scan, so the fusion is pay-as-you-match.
+// the run's checker advertises the matching ScoreKind, the engine calls
+// the scored kernel once per dense step and hands the total straight to
+// the checker (LocalScoreChecker::accept_total), skipping a separate
+// legitimacy scan — one pass over the columns instead of two.  With any
+// other checker the engine uses enabled_bytes() plus the checker's own
+// scan, so the fusion is pay-as-you-match.
 //
-// Protocols without a specialization run on the engines' scalar rescan
-// fallback (fill_verdicts() below), so the rescan engines stay
+// Protocols without a specialization run on the engine's scalar rescan
+// fallback (fill_verdicts() below), so the dense path stays
 // registry-complete.
 #ifndef SPECSTAB_SIM_SIMD_EVAL_HPP
 #define SPECSTAB_SIM_SIMD_EVAL_HPP
@@ -82,8 +80,8 @@ struct FlatAdjacency {
 [[nodiscard]] FlatAdjacency flatten_adjacency(const Graph& g);
 
 /// 64 verdict bytes -> one bitmask word, bit b = (bytes[b] != 0).  The
-/// caller guarantees 64 readable bytes (the engines pad their verdict
-/// buffers to a 64-byte multiple, zeroed past the last vertex so
+/// caller guarantees 64 readable bytes (the engine pads its verdict
+/// buffer to a 64-byte multiple, zeroed past the last vertex so
 /// trailing bits fold to zero as EnabledSet requires).
 [[nodiscard]] inline std::uint64_t pack_verdict_word(
     const std::uint8_t* bytes) {
@@ -108,8 +106,8 @@ struct FlatAdjacency {
 #endif
 }
 
-/// Primary template: no vectorized kernels declared; the rescan engines
-/// fall back to the scalar per-vertex sweep for such protocols.
+/// Primary template: no vectorized kernels declared; the engine falls
+/// back to the scalar per-vertex sweep for such protocols.
 template <class P>
 struct SimdEval {};
 
@@ -132,8 +130,8 @@ concept HasSimdEval =
 //
 // Score kinds name a violation-score definition shared between a
 // protocol's fused kernel and the LocalScoreChecker factory that counts
-// the same scores (core/incremental_legitimacy.hpp).  The rescan engines
-// fuse the two scans only when the tags are identical types, so e.g. an
+// the same scores (core/incremental_legitimacy.hpp).  The engine fuses
+// the two scans only when the tags are identical types, so e.g. an
 // SSME run under the mutex-safety checker never consumes a Gamma_1 total.
 
 /// Gamma_1 violation count: vertices not locally legitimate (register in
@@ -141,7 +139,7 @@ concept HasSimdEval =
 struct Gamma1ScoreKind {};
 
 /// The score kind a checker advertises, or void when it has none.  Lets
-/// generic code (the rescan engines, checker wrappers) read C::ScoreKind
+/// generic code (the engine, checker wrappers) read C::ScoreKind
 /// without requiring it.
 template <class C>
 struct ScoreKindOf {
@@ -183,8 +181,8 @@ struct ScalarKernelState {
 
 }  // namespace simd_detail
 
-/// Once-per-run kernel state shared by the vector and parallel engines:
-/// the protocol's kernel Context (when SimdEval<P> is specialized) plus
+/// Once-per-run kernel state for the engine's dense steps: the
+/// protocol's kernel Context (when SimdEval<P> is specialized) plus
 /// the verdict-byte buffer, padded to a full 64-byte word and zeroed so
 /// bits past the last vertex pack to zero.  The rescan loops run
 /// allocation-free against this.
@@ -206,8 +204,8 @@ template <class P>
 /// proto.enabled() sweep otherwise — and returns the fused ScoreKind
 /// violation total of the range when `Scored` (which requires a scored
 /// kernel), 0 otherwise.  Disjoint ranges touch disjoint verdict bytes,
-/// so the parallel engine's shards call this concurrently on one shared
-/// kernel state.
+/// so the engine's shards call this concurrently on one shared kernel
+/// state.
 template <bool Scored, class P, class Kernel>
 std::int64_t fill_verdicts(Kernel& kernel, const Graph& g, const P& proto,
                            const ConfigView<typename P::State>& cfg,

@@ -87,7 +87,7 @@ class UnisonProtocol {
   CherryClock clock_;
 };
 
-/// Vectorized guard kernel (vector engine opt-in, the guard analogue of
+/// Vectorized guard kernel (dense-rescan opt-in, the guard analogue of
 /// a SoaFields split): NA / CA / RA evaluated in one branch-light pass
 /// over the clock column and the flattened adjacency, with the cherry
 /// clock's ring projection inlined as conditional folds.  The pass also

@@ -89,6 +89,22 @@ TEST(CliTest, RunConvergesOnSmallRing) {
   EXPECT_NE(res.output.find("bounds: sync <="), std::string::npos);
 }
 
+TEST(CliTest, FoldedEngineNamesStillRun) {
+  // `vector` and `parallel` name the production engine now; the run is
+  // byte-identical to the default one and echoes the canonical name.
+  const auto base =
+      run_cli({"run", "ring", "6", "--seed", "7", "--daemon", "central-rr"});
+  for (const char* name : {"vector", "parallel"}) {
+    const auto res = run_cli({"run", "ring", "6", "--seed", "7", "--daemon",
+                              "central-rr", "--engine", name});
+    EXPECT_EQ(res.exit_code, 0) << name;
+    EXPECT_NE(res.output.find("engine:     incremental"), std::string::npos)
+        << name;
+    EXPECT_EQ(res.output, base.output) << name;
+  }
+  EXPECT_EQ(run_cli({"run", "ring", "6", "--engine", "warp"}).exit_code, 1);
+}
+
 TEST(CliTest, ListShowsProtocolAndDaemonCatalogs) {
   const auto res = run_cli({"list"});
   EXPECT_EQ(res.exit_code, 0);

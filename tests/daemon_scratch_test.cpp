@@ -32,7 +32,7 @@
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace {
 
@@ -283,7 +283,7 @@ TEST(DaemonScratchTest, WarmedSelectIntoIsAllocationFree) {
   }
 }
 
-/// Allocations of one incremental run at the given step budget.
+/// Allocations of one production-engine run at the given step budget.
 template <class MakeDaemon>
 long long run_allocations(const Graph& g, const SsmeProtocol& proto,
                           MakeDaemon make, StepIndex max_steps) {
@@ -294,7 +294,7 @@ long long run_allocations(const Graph& g, const SsmeProtocol& proto,
   opt.max_steps = max_steps;
   const long long before = g_allocations.load(std::memory_order_relaxed);
   const auto res =
-      run_execution_incremental(g, proto, *daemon, init, opt, checker);
+      run_execution_parallel(g, proto, *daemon, init, opt, checker);
   const long long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_GE(res.steps, max_steps);  // SSME never terminates
   return after - before;

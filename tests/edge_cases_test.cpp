@@ -21,7 +21,7 @@
 #include "graph/properties.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 
 namespace specstab {
@@ -92,14 +92,14 @@ TEST(EdgeCaseTest, CompleteGraphHasUnitBound) {
   }
 }
 
-// --- Empty and single-vertex graphs, all four engines ---
+// --- Empty and single-vertex graphs, both engines ---
 
 /// Every engine must return a well-formed *terminated* RunResult on the
 /// empty graph: no enabled vertices exist, so the run ends before the
 /// daemon is ever consulted — steps = moves = rounds = 0, terminated,
-/// no step-cap hit, and an empty final configuration.  The parallel
-/// engine additionally runs with more worker threads than vertices
-/// (all shard ranges empty).
+/// no step-cap hit, and an empty final configuration.  The production
+/// engine also runs with more worker threads than vertices (all shard
+/// ranges empty).
 template <class P, class MakeChecker>
 void expect_degenerate_termination(const Graph& g, const P& proto,
                                    const Config<typename P::State>& init,
@@ -110,9 +110,8 @@ void expect_degenerate_termination(const Graph& g, const P& proto,
   };
   constexpr EngineCase kCases[] = {{EngineKind::kReference, 1},
                                    {EngineKind::kIncremental, 1},
-                                   {EngineKind::kVector, 1},
-                                   {EngineKind::kParallel, 1},
-                                   {EngineKind::kParallel, 8}};
+                                   {EngineKind::kIncremental, 2},
+                                   {EngineKind::kIncremental, 8}};
   for (const auto& daemon_name :
        {std::string("synchronous"), std::string("central-rr"),
         std::string("bernoulli-0.5"), std::string("random-subset")}) {
@@ -182,9 +181,8 @@ TEST(EdgeCaseTest, SingleVertexUnisonRunsToCapIdenticallyOnAllEngines) {
   };
   constexpr EngineCase kCases[] = {{EngineKind::kReference, 1},
                                    {EngineKind::kIncremental, 1},
-                                   {EngineKind::kVector, 1},
-                                   {EngineKind::kParallel, 1},
-                                   {EngineKind::kParallel, 8}};
+                                   {EngineKind::kIncremental, 2},
+                                   {EngineKind::kIncremental, 8}};
   for (const EngineCase c : kCases) {
     RunOptions opt;
     opt.max_steps = 40;
@@ -211,8 +209,9 @@ TEST(EdgeCaseTest, SingleVertexUnisonRunsToCapIdenticallyOnAllEngines) {
 TEST(EdgeCaseTest, SingleVertexSessionsThreadInvariantThroughRegistry) {
   // The type-erased session path on a single-vertex graph: every
   // non-ring protocol must produce a well-formed SessionResult, and the
-  // three alternative engines must match the reference byte for byte
-  // (ring-only protocols are skipped — an index ring needs n >= 3).
+  // production engine at 1, 2 and 8 threads must match the reference
+  // byte for byte (ring-only protocols are skipped — an index ring needs
+  // n >= 3).
   const auto& registry = ProtocolRegistry::instance();
   const Graph g(1);
   for (const auto& entry : registry.entries()) {
@@ -227,9 +226,8 @@ TEST(EdgeCaseTest, SingleVertexSessionsThreadInvariantThroughRegistry) {
       unsigned threads;
     };
     constexpr EngineCase kCases[] = {{EngineKind::kIncremental, 1},
-                                     {EngineKind::kVector, 1},
-                                     {EngineKind::kParallel, 1},
-                                     {EngineKind::kParallel, 8}};
+                                     {EngineKind::kIncremental, 2},
+                                     {EngineKind::kIncremental, 8}};
     for (const EngineCase c : kCases) {
       spec.engine = c.kind;
       spec.threads = c.threads;

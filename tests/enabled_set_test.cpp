@@ -1,12 +1,13 @@
-// EnabledSet word-level bulk writes — the path the vector engine uses to
-// publish 64 guard verdicts per append_mask() call.
+// EnabledSet word-level bulk writes — the path the engine's dense steps
+// use to publish guard verdicts 64 per mask word (fill_words), then
+// decode them into the sorted vector (scatter_words).
 //
-// The contract under test: a rebuild performed with append_mask() over
-// packed verdict words produces exactly the same set (membership bitmap
-// and sorted vector) as the per-vertex append() path and as the
-// incremental begin_update()/note()/commit() flip path, including at
-// word boundaries and for the partial trailing word of a
-// non-multiple-of-64 vertex count.
+// The contract under test: a rebuild from packed verdict words produces
+// exactly the same set (membership bitmap and sorted vector) as assign()
+// of the enabled vertices and as the incremental
+// begin_update()/note()/commit() flip path, including at word
+// boundaries and for the partial trailing word of a non-multiple-of-64
+// vertex count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,57 +21,36 @@
 namespace specstab {
 namespace {
 
-/// Packs a byte-per-vertex verdict array into words and rebuilds `set`
-/// through append_mask — the vector engine's publication loop.
-void rebuild_from_bytes(EnabledSet& set, const std::vector<std::uint8_t>& on) {
-  const auto n = static_cast<VertexId>(on.size());
-  set.begin_rebuild();
-  for (VertexId base = 0; base < n; base += 64) {
-    const VertexId hi = std::min<VertexId>(64, n - base);
-    std::uint64_t mask = 0;
-    for (VertexId b = 0; b < hi; ++b) {
-      mask |= static_cast<std::uint64_t>(
-                  on[static_cast<std::size_t>(base + b)] != 0)
-              << b;
-    }
-    set.append_mask(base, mask);
-  }
-  set.end_rebuild();
+/// Byte-per-vertex verdicts zero-padded to a whole word, as the engine's
+/// guard kernels leave them.
+std::vector<std::uint8_t> padded(const std::vector<std::uint8_t>& on) {
+  std::vector<std::uint8_t> out((on.size() + 63) / 64 * 64, 0);
+  std::copy(on.begin(), on.end(), out.begin());
+  return out;
 }
 
-TEST(EnabledSetTest, AppendMaskMatchesScalarAppend) {
-  // Sizes straddling word boundaries: below one word, exact words, and
-  // partial trailing words on either side of the boundary.
-  for (const VertexId n : {1, 7, 63, 64, 65, 127, 128, 129, 200}) {
-    std::mt19937_64 rng(static_cast<std::uint64_t>(n) * 977u);
-    std::vector<std::uint8_t> on(static_cast<std::size_t>(n));
-    for (auto& b : on) b = static_cast<std::uint8_t>(rng() % 2);
+/// Single-shard dense rebuild of `set` from byte verdicts.
+void rebuild_from_bytes(EnabledSet& set, const std::vector<std::uint8_t>& on) {
+  const auto n = static_cast<VertexId>(on.size());
+  const std::vector<std::uint8_t> verdicts = padded(on);
+  std::vector<std::size_t> offsets;
+  set.prepare_scatter({set.fill_words(0, n, verdicts.data())}, offsets);
+  set.scatter_words(0, n, offsets[0]);
+}
 
-    EnabledSet scalar;
-    scalar.reset(n);
-    scalar.begin_rebuild();
-    for (VertexId v = 0; v < n; ++v) {
-      if (on[static_cast<std::size_t>(v)] != 0) scalar.append(v);
-    }
-    scalar.end_rebuild();
-
-    EnabledSet masked;
-    masked.reset(n);
-    rebuild_from_bytes(masked, on);
-
-    EXPECT_EQ(masked.vertices(), scalar.vertices()) << "n=" << n;
-    // The membership bitmap must agree too (the daemon view's contains()).
-    for (VertexId v = 0; v < n; ++v) {
-      EXPECT_EQ(masked.view().contains(v), scalar.view().contains(v))
-          << "n=" << n << " v=" << v;
-    }
+/// The enabled vertices of a verdict array, ascending.
+std::vector<VertexId> enabled_of(const std::vector<std::uint8_t>& on) {
+  std::vector<VertexId> out;
+  for (std::size_t v = 0; v < on.size(); ++v) {
+    if (on[v] != 0) out.push_back(static_cast<VertexId>(v));
   }
+  return out;
 }
 
 TEST(EnabledSetTest, ShardedRebuildMatchesScalarAppend) {
-  // The parallel engine's three-phase rebuild (per-shard fill_words,
+  // The engine's three-phase dense rebuild (per-shard fill_words,
   // prefix-sum prepare_scatter, per-shard scatter_words) must reproduce
-  // the ordered append() sweep exactly, for shard partitions whose
+  // assign() of the enabled vertices exactly, for shard partitions whose
   // word-aligned boundaries leave unequal and empty shards, and sizes
   // with partial trailing words.
   for (const VertexId n : {1, 7, 63, 64, 65, 97, 129, 200, 513}) {
@@ -86,11 +66,8 @@ TEST(EnabledSetTest, ShardedRebuildMatchesScalarAppend) {
 
     EnabledSet scalar;
     scalar.reset(n);
-    scalar.begin_rebuild();
-    for (VertexId v = 0; v < n; ++v) {
-      if (verdicts[static_cast<std::size_t>(v)] != 0) scalar.append(v);
-    }
-    scalar.end_rebuild();
+    scalar.assign(enabled_of(std::vector<std::uint8_t>(
+        verdicts.begin(), verdicts.begin() + n)));
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{3}, std::size_t{8},
@@ -127,43 +104,10 @@ TEST(EnabledSetTest, ShardedRebuildMatchesScalarAppend) {
   }
 }
 
-TEST(EnabledSetTest, AppendMaskWordBoundaryPatterns) {
-  constexpr VertexId kN = 192;  // three exact words
-  const std::uint64_t patterns[] = {
-      0u,
-      ~0ull,                  // full word
-      1u,                     // lowest bit only
-      0x8000000000000000ull,  // highest bit only (word-boundary vertex)
-      0x8000000000000001ull,  // both boundary bits
-      0xAAAAAAAAAAAAAAAAull,  // alternating
-  };
-  for (const std::uint64_t p0 : patterns) {
-    for (const std::uint64_t p1 : patterns) {
-      EnabledSet set;
-      set.reset(kN);
-      set.begin_rebuild();
-      set.append_mask(0, p0);
-      set.append_mask(64, p1);
-      set.append_mask(128, 0x3ull);  // vertices 128, 129
-      set.end_rebuild();
-
-      std::vector<VertexId> expected;
-      for (VertexId b = 0; b < 64; ++b) {
-        if ((p0 >> b) & 1u) expected.push_back(b);
-      }
-      for (VertexId b = 0; b < 64; ++b) {
-        if ((p1 >> b) & 1u) expected.push_back(64 + b);
-      }
-      expected.push_back(128);
-      expected.push_back(129);
-      EXPECT_EQ(set.vertices(), expected) << "p0=" << p0 << " p1=" << p1;
-    }
-  }
-}
-
 TEST(EnabledSetTest, PartialTrailingWordIgnoresPaddingBits) {
-  // 70 vertices: the second word covers bits 64..69 only.  The packing
-  // loop never sets padding bits, and membership stays within range.
+  // 70 vertices: the second word covers bits 64..69 only.  The zero
+  // padding never sets a bit past the last vertex, and membership stays
+  // within range.
   constexpr VertexId kN = 70;
   std::vector<std::uint8_t> on(static_cast<std::size_t>(kN), 0);
   on[63] = 1;
@@ -176,7 +120,7 @@ TEST(EnabledSetTest, PartialTrailingWordIgnoresPaddingBits) {
 }
 
 TEST(EnabledSetTest, RebuildAgreesWithIncrementalFlips) {
-  // A masked rebuild from the current verdict bytes must land on the same
+  // A word rebuild from the current verdict bytes must land on the same
   // set as the incremental note() flips that produced those verdicts —
   // the invariant the differential suite checks end-to-end through the
   // engines, here isolated to the set structure.
@@ -209,68 +153,6 @@ TEST(EnabledSetTest, RebuildAgreesWithIncrementalFlips) {
   }
 }
 
-// --- apply_delta: the parallel engine's one-shot merged-delta path ---
-
-TEST(EnabledSetTest, ApplyDeltaMatchesNoteCommit) {
-  // apply_delta(added, removed) must be observably identical to staging
-  // the same flips through begin_update()/note()/commit() — across both
-  // commit paths (<= 8 flips: binary-search erase/insert; > 8: linear
-  // merge) and including the returned changed flag.
-  constexpr VertexId kN = 120;
-  std::mt19937_64 rng(7);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<std::uint8_t> on(static_cast<std::size_t>(kN), 0);
-    for (auto& b : on) b = static_cast<std::uint8_t>(rng() % 2);
-    std::vector<VertexId> base;
-    for (VertexId v = 0; v < kN; ++v) {
-      if (on[static_cast<std::size_t>(v)] != 0) base.push_back(v);
-    }
-
-    // Flip count straddles the small-flip threshold (8) from both sides.
-    const int flips = 1 + static_cast<int>(rng() % 16);
-    std::vector<VertexId> dirty;
-    for (int k = 0; k < flips; ++k) {
-      dirty.push_back(static_cast<VertexId>(rng() % kN));
-    }
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    std::vector<VertexId> added, removed;
-    for (const VertexId v : dirty) {
-      (on[static_cast<std::size_t>(v)] != 0 ? removed : added).push_back(v);
-    }
-
-    EnabledSet staged;
-    staged.reset(kN);
-    staged.assign(base);
-    staged.begin_update();
-    for (const VertexId v : dirty) {
-      staged.note(v, on[static_cast<std::size_t>(v)] == 0);
-    }
-    const bool staged_changed = staged.commit();
-
-    EnabledSet delta;
-    delta.reset(kN);
-    delta.assign(base);
-    const bool delta_changed = delta.apply_delta(added, removed);
-
-    ASSERT_EQ(delta.vertices(), staged.vertices()) << "round " << round;
-    EXPECT_EQ(delta_changed, staged_changed) << "round " << round;
-    // The bitmap stays in lockstep with the vector (daemon-facing view).
-    for (VertexId v = 0; v < kN; ++v) {
-      ASSERT_EQ(delta.view().contains(v), staged.view().contains(v))
-          << "round " << round << " v=" << v;
-    }
-  }
-}
-
-TEST(EnabledSetTest, ApplyDeltaEmptyDeltasReportNoChange) {
-  EnabledSet set;
-  set.reset(10);
-  set.assign({2, 5, 7});
-  EXPECT_FALSE(set.apply_delta({}, {}));
-  EXPECT_EQ(set.vertices(), (std::vector<VertexId>{2, 5, 7}));
-}
-
 // --- commit() contract asserts (regression for the small-flip UB) ---
 //
 // The small-flip path formerly erased at lower_bound() without checking
@@ -282,24 +164,40 @@ TEST(EnabledSetTest, ApplyDeltaEmptyDeltasReportNoChange) {
 // exist in debug (the CI debug-sanitize matrix leg runs them).
 #if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
 
-TEST(EnabledSetDeathTest, CommitAssertsOnRemovingAbsentVertex) {
+/// Desyncs the bitmap from the sorted vector the way a buggy caller
+/// would: a word fill without its scatter rewrites the membership bits
+/// of {2, 5, 7} to {2, 3, 7} and leaves the vector alone.
+EnabledSet desynced_set() {
   EnabledSet set;
   set.reset(10);
   set.assign({2, 5, 7});
-  // Desync the bitmap from the vector the way a buggy caller would:
-  // note(v, false) on a vertex whose bit is set but which is missing
-  // from the sorted vector is impossible through the public API, so
-  // stage the breach via apply_delta's trusting fast path.
-  EXPECT_DEATH((void)set.apply_delta({}, {3}),
-               "removed vertex not in the set");
+  std::vector<std::uint8_t> on(10, 0);
+  on[2] = on[3] = on[7] = 1;
+  const std::vector<std::uint8_t> verdicts = padded(on);
+  (void)set.fill_words(0, 10, verdicts.data());
+  return set;
+}
+
+TEST(EnabledSetDeathTest, CommitAssertsOnRemovingAbsentVertex) {
+  EXPECT_DEATH(
+      {
+        EnabledSet set = desynced_set();
+        set.begin_update();
+        set.note(3, false);  // bit set, vertex missing from the vector
+        (void)set.commit();
+      },
+      "removed vertex not in the set");
 }
 
 TEST(EnabledSetDeathTest, CommitAssertsOnAddingPresentVertex) {
-  EnabledSet set;
-  set.reset(10);
-  set.assign({2, 5, 7});
-  EXPECT_DEATH((void)set.apply_delta({5}, {}),
-               "added vertex already in the set");
+  EXPECT_DEATH(
+      {
+        EnabledSet set = desynced_set();
+        set.begin_update();
+        set.note(5, true);  // bit clear, vertex present in the vector
+        (void)set.commit();
+      },
+      "added vertex already in the set");
 }
 
 #endif  // !NDEBUG && GTEST_HAS_DEATH_TEST

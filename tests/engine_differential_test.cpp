@@ -1,12 +1,10 @@
-// Differential harness: the incremental dirty-set engine vs the
-// reference full-rescan engine vs the vectorized column-scan engine vs
-// the sharded parallel engine (at 1, 2 and 8 threads) over a randomized
-// grid — every protocol crossed with ring/path/torus/random topologies,
-// synchronous / central-rr / bernoulli / random-subset daemons, and many
-// seeds.  All engines must produce byte-identical
-// final configurations and identical steps/moves/rounds/
-// first_legitimate/last_illegitimate/moves_to_convergence (the full
-// RunResult metering surface).
+// Differential harness: the production engine (at 1, 2 and 8 threads) vs
+// the reference full-rescan engine over a randomized grid — every
+// protocol crossed with ring/path/torus/random topologies, synchronous /
+// central-rr / bernoulli / random-subset daemons, and many seeds.  Every
+// run must produce byte-identical final configurations and identical
+// steps/moves/rounds/first_legitimate/last_illegitimate/
+// moves_to_convergence (the full RunResult metering surface).
 //
 // The seed count per (protocol, topology, daemon) cell defaults to 200
 // (over 20000 scenarios across the suite) and is enlarged further in the
@@ -32,7 +30,7 @@
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 #include "test_protocols.hpp"
 
@@ -62,10 +60,10 @@ std::vector<Graph> general_topologies() {
   return out;
 }
 
-/// Runs one scenario on all four engines (independent daemon instances,
-/// fresh checkers) and asserts the RunResults are identical.  The
-/// parallel engine runs at 1, 2 and 8 threads — its contract is
-/// byte-identical output at every thread count.
+/// Runs one scenario on the reference engine and on the production
+/// engine at 1, 2 and 8 threads (independent daemon instances, fresh
+/// checkers) and asserts the RunResults are identical — the production
+/// engine's contract is byte-identical output at every thread count.
 template <ProtocolConcept P, class MakeChecker>
 void expect_engines_agree(const Graph& g, const P& proto,
                           const std::string& daemon_name, std::uint64_t seed,
@@ -78,24 +76,14 @@ void expect_engines_agree(const Graph& g, const P& proto,
   const auto ref =
       run_with_engine(g, proto, *ref_daemon, init, opt, ref_checker);
 
-  struct EngineCase {
-    EngineKind kind;
-    unsigned threads;
-  };
-  constexpr EngineCase kCases[] = {{EngineKind::kIncremental, 1},
-                                   {EngineKind::kVector, 1},
-                                   {EngineKind::kParallel, 1},
-                                   {EngineKind::kParallel, 2},
-                                   {EngineKind::kParallel, 8}};
-  for (const EngineCase c : kCases) {
+  opt.engine = EngineKind::kIncremental;
+  for (const unsigned threads : {1u, 2u, 8u}) {
     auto daemon = make_daemon(daemon_name, seed);
     auto checker = make_checker();
-    opt.engine = c.kind;
-    opt.threads = c.threads;
+    opt.threads = threads;
     const auto got = run_with_engine(g, proto, *daemon, init, opt, checker);
-    const std::string ctx = context + " engine=" +
-                            std::string(engine_name(c.kind)) +
-                            " threads=" + std::to_string(c.threads);
+    const std::string ctx =
+        context + " threads=" + std::to_string(threads);
 
     ASSERT_EQ(ref.final_config, got.final_config) << ctx;
     EXPECT_EQ(ref.steps, got.steps) << ctx;
@@ -293,23 +281,21 @@ TEST(EngineDifferentialTest, ClosureViolationCountsAgree) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto init = seed % 3 == 0 ? two_gradient_config(g, proto)
                                     : random_config(g, proto.clock(), seed);
-    RunOptions opt;
-    opt.max_steps = 200;
-    std::int64_t violations[4] = {0, 0, 0, 0};
-    int i = 0;
-    for (const EngineKind kind :
-         {EngineKind::kReference, EngineKind::kIncremental,
-          EngineKind::kVector, EngineKind::kParallel}) {
+    const auto violations = [&](EngineKind kind, unsigned threads) {
+      RunOptions opt;
+      opt.max_steps = 200;
+      opt.engine = kind;
+      opt.threads = threads;
       auto daemon = make_daemon("bernoulli-0.5", seed);
       ClosureCounting checker(make_mutex_safety_checker(proto));
-      opt.engine = kind;
-      opt.threads = kind == EngineKind::kParallel ? 3 : 1;
       (void)run_with_engine(g, proto, *daemon, init, opt, checker);
-      violations[i++] = checker.violations();
+      return checker.violations();
+    };
+    const std::int64_t ref = violations(EngineKind::kReference, 1);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      EXPECT_EQ(violations(EngineKind::kIncremental, threads), ref)
+          << "seed=" << seed << " threads=" << threads;
     }
-    EXPECT_EQ(violations[0], violations[1]) << "seed=" << seed;
-    EXPECT_EQ(violations[0], violations[2]) << "seed=" << seed;
-    EXPECT_EQ(violations[0], violations[3]) << "seed=" << seed;
   }
 }
 
@@ -317,9 +303,10 @@ TEST(EngineDifferentialTest, RegistryIterationAllEnginesAllProtocols) {
   // The registry replaces the hand-maintained protocol list: every
   // registered protocol — present and future — is differentially tested
   // through the type-erased session API, each supported init crossed
-  // with the daemon axis over many seeds, incremental and vector vs
-  // reference.  The vector leg also proves registry completeness of the
-  // engine: protocols without a SimdEval kernel run its scalar fallback.
+  // with the daemon axis over many seeds, the production engine at 1, 2
+  // and 8 threads vs reference.  The synchronous legs also prove
+  // registry completeness of the dense path: protocols without a
+  // SimdEval kernel run its scalar fallback.
   const std::size_t seeds = std::max<std::size_t>(25, diff_seeds() / 8);
   const auto& registry = ProtocolRegistry::instance();
   ASSERT_GE(registry.names().size(), 9u);
@@ -335,24 +322,14 @@ TEST(EngineDifferentialTest, RegistryIterationAllEnginesAllProtocols) {
           spec.seed = 77777u * s + 31u;
           spec.engine = EngineKind::kReference;
           const SessionResult ref = entry.run_on(g, diam, spec);
-          struct EngineCase {
-            EngineKind kind;
-            unsigned threads;
-          };
-          constexpr EngineCase kCases[] = {{EngineKind::kIncremental, 1},
-                                           {EngineKind::kVector, 1},
-                                           {EngineKind::kParallel, 2},
-                                           {EngineKind::kParallel, 8}};
-          for (const EngineCase c : kCases) {
-            spec.engine = c.kind;
-            spec.threads = c.threads;
+          spec.engine = EngineKind::kIncremental;
+          for (const unsigned threads : {1u, 2u, 8u}) {
+            spec.threads = threads;
             const SessionResult got = entry.run_on(g, diam, spec);
             const std::string ctx = entry.info.name + " daemon=" +
                                     daemon_name + " init=" + init +
                                     " seed=" + std::to_string(spec.seed) +
-                                    " engine=" +
-                                    std::string(engine_name(c.kind)) +
-                                    " threads=" + std::to_string(c.threads);
+                                    " threads=" + std::to_string(threads);
             ASSERT_EQ(got.final_state, ref.final_state) << ctx;
             ASSERT_EQ(got.final_digest, ref.final_digest) << ctx;
             EXPECT_EQ(got.steps, ref.steps) << ctx;
@@ -381,6 +358,14 @@ TEST(EngineDifferentialTest, DeltaTracesIdenticalAcrossEngines) {
   // reconstructed configurations must replay the execution faithfully.
   const Graph g = make_ring(10);
   const SsmeProtocol proto = SsmeProtocol::for_graph(g);
+  struct EngineCase {
+    EngineKind kind;
+    unsigned threads;
+  };
+  constexpr EngineCase kCases[] = {{EngineKind::kReference, 1},
+                                   {EngineKind::kIncremental, 1},
+                                   {EngineKind::kIncremental, 2},
+                                   {EngineKind::kIncremental, 8}};
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     RunOptions opt;
     opt.max_steps = 120;
@@ -388,13 +373,11 @@ TEST(EngineDifferentialTest, DeltaTracesIdenticalAcrossEngines) {
     std::vector<Config<ClockValue>> observed;
     RunResult<ClockValue> results[4];
     int i = 0;
-    for (const EngineKind kind :
-         {EngineKind::kReference, EngineKind::kIncremental,
-          EngineKind::kVector, EngineKind::kParallel}) {
+    for (const EngineCase c : kCases) {
       auto daemon = make_daemon("bernoulli-0.5", seed);
       auto checker = make_gamma1_checker(proto);
-      opt.engine = kind;
-      opt.threads = kind == EngineKind::kParallel ? 3 : 1;
+      opt.engine = c.kind;
+      opt.threads = c.threads;
       observed.clear();
       results[i++] = run_with_engine(
           g, proto, *daemon, random_config(g, proto.clock(), seed), opt,
@@ -420,31 +403,22 @@ TEST(EngineDifferentialTest, DeltaTracesIdenticalAcrossEngines) {
 
 TEST(EngineDifferentialTest, CampaignRowsIdenticalAcrossEngines) {
   // End-to-end: a whole campaign grid must aggregate to identical rows
-  // under either engine.
+  // under the reference engine and the production engine at every
+  // engine-thread count.
   const campaign::CampaignGrid grid = campaign::thm3_grid(/*smoke=*/true);
-  campaign::RunnerOptions ref_opt;
-  ref_opt.threads = 2;
-  ref_opt.engine = EngineKind::kReference;
-  campaign::RunnerOptions inc_opt;
-  inc_opt.threads = 2;
-  inc_opt.engine = EngineKind::kIncremental;
-  campaign::RunnerOptions vec_opt;
-  vec_opt.threads = 2;
-  vec_opt.engine = EngineKind::kVector;
-  campaign::RunnerOptions par_opt;
-  par_opt.threads = 2;
-  par_opt.engine = EngineKind::kParallel;
-  const auto ref = campaign::run_campaign(grid, ref_opt);
-  const auto inc = campaign::run_campaign(grid, inc_opt);
-  const auto vec = campaign::run_campaign(grid, vec_opt);
-  const auto par = campaign::run_campaign(grid, par_opt);
-  ASSERT_EQ(ref.rows.size(), inc.rows.size());
-  ASSERT_EQ(ref.rows.size(), vec.rows.size());
-  ASSERT_EQ(ref.rows.size(), par.rows.size());
-  for (std::size_t i = 0; i < ref.rows.size(); ++i) {
-    EXPECT_TRUE(ref.rows[i] == inc.rows[i]) << "row " << i;
-    EXPECT_TRUE(ref.rows[i] == vec.rows[i]) << "row " << i;
-    EXPECT_TRUE(ref.rows[i] == par.rows[i]) << "row " << i;
+  campaign::RunnerOptions opt;
+  opt.threads = 2;
+  opt.engine = EngineKind::kReference;
+  const auto ref = campaign::run_campaign(grid, opt);
+  opt.engine = EngineKind::kIncremental;
+  for (const unsigned engine_threads : {1u, 2u, 8u}) {
+    opt.engine_threads = engine_threads;
+    const auto got = campaign::run_campaign(grid, opt);
+    ASSERT_EQ(ref.rows.size(), got.rows.size());
+    for (std::size_t i = 0; i < ref.rows.size(); ++i) {
+      EXPECT_TRUE(ref.rows[i] == got.rows[i])
+          << "row " << i << " engine_threads=" << engine_threads;
+    }
   }
 }
 

@@ -14,8 +14,8 @@
 //     (no built-in protocol needs it);
 //   - LeaderState's covers-all split (column gather on whole-state
 //     reads);
-//   - ConfigStore unit semantics (set/get round trips, dense_apply vs a
-//     naive apply, take()/materialize()).
+//   - ConfigStore unit semantics (set/get round trips, the ranged dense
+//     install vs a naive apply, take()/materialize()).
 #include <cstdint>
 #include <random>
 #include <string>
@@ -28,7 +28,7 @@
 #include "sim/any_protocol.hpp"
 #include "sim/config_store.hpp"
 #include "sim/daemon.hpp"
-#include "sim/incremental_engine.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 
 namespace specstab {
@@ -107,6 +107,23 @@ void expect_same_run(const RunResult<State>& a, const RunResult<State>& b,
   EXPECT_TRUE(a.trace == b.trace) << label;
 }
 
+/// The engine axis: the reference oracle plus the production engine at
+/// 1, 2 and 8 threads.
+struct EngineLeg {
+  EngineKind engine;
+  unsigned threads;
+};
+constexpr EngineLeg kEngineLegs[] = {{EngineKind::kReference, 1},
+                                     {EngineKind::kIncremental, 1},
+                                     {EngineKind::kIncremental, 2},
+                                     {EngineKind::kIncremental, 8}};
+
+std::string leg_label(const EngineLeg& leg, ConfigLayout layout) {
+  return std::string(engine_name(leg.engine)) + "-t" +
+         std::to_string(leg.threads) + "/" +
+         std::string(config_layout_name(layout));
+}
+
 // --- Typed differential: residual split, engines x layouts ------------
 
 TEST(LayoutAgreement, HotColdResidualSplitAgreesAcrossEnginesAndLayouts) {
@@ -119,14 +136,12 @@ TEST(LayoutAgreement, HotColdResidualSplitAgreesAcrossEnginesAndLayouts) {
       for (std::uint64_t seed = 0; seed < 5; ++seed) {
         std::vector<RunResult<HotColdState>> runs;
         std::vector<std::string> labels;
-        for (const EngineKind engine :
-             {EngineKind::kReference, EngineKind::kIncremental,
-              EngineKind::kVector, EngineKind::kParallel}) {
+        for (const EngineLeg& leg : kEngineLegs) {
           for (const ConfigLayout layout :
                {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
             RunOptions opt;
-            opt.engine = engine;
-            opt.threads = engine == EngineKind::kParallel ? 3 : 1;
+            opt.engine = leg.engine;
+            opt.threads = leg.threads;
             opt.layout = layout;
             opt.max_steps = 4000;
             opt.record_trace = true;
@@ -135,8 +150,7 @@ TEST(LayoutAgreement, HotColdResidualSplitAgreesAcrossEnginesAndLayouts) {
             runs.push_back(run_with_engine(g, proto, *daemon,
                                            random_hotcold(g, seed), opt,
                                            checker));
-            labels.push_back(std::string(engine_name(engine)) + "/" +
-                             std::string(config_layout_name(layout)));
+            labels.push_back(leg_label(leg, layout));
             EXPECT_TRUE(runs.back().terminated) << labels.back();
           }
         }
@@ -166,7 +180,7 @@ TEST(LayoutAgreement, FusedParallelThreadGridAgreesAcrossLayouts) {
         RunOptions opt;
         opt.max_steps = 4000;
         opt.record_trace = true;
-        opt.engine = EngineKind::kIncremental;
+        opt.engine = EngineKind::kReference;
         opt.threads = 1;
         opt.layout = ConfigLayout::kAoS;
         const auto init = random_hotcold(g, seed);
@@ -176,7 +190,7 @@ TEST(LayoutAgreement, FusedParallelThreadGridAgreesAcrossLayouts) {
                                           base_checker);
         EXPECT_TRUE(base.terminated);
 
-        opt.engine = EngineKind::kParallel;
+        opt.engine = EngineKind::kIncremental;
         for (const unsigned threads : {1u, 2u, 8u}) {
           for (const ConfigLayout layout :
                {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
@@ -189,7 +203,7 @@ TEST(LayoutAgreement, FusedParallelThreadGridAgreesAcrossLayouts) {
             expect_same_run(
                 base, got,
                 "n=" + std::to_string(g.n()) + " " + daemon_name + " seed " +
-                    std::to_string(seed) + " parallel-t" +
+                    std::to_string(seed) + " engine-t" +
                     std::to_string(threads) + "/" +
                     std::string(config_layout_name(layout)));
           }
@@ -208,14 +222,12 @@ TEST(LayoutAgreement, LeaderColumnsAgreeWithAoSIncludingTraces) {
        {std::string("synchronous"), std::string("bernoulli-0.5")}) {
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
       std::vector<RunResult<LeaderState>> runs;
-      for (const EngineKind engine :
-           {EngineKind::kReference, EngineKind::kIncremental,
-            EngineKind::kVector, EngineKind::kParallel}) {
+      for (const EngineLeg& leg : kEngineLegs) {
         for (const ConfigLayout layout :
              {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
           RunOptions opt;
-          opt.engine = engine;
-          opt.threads = engine == EngineKind::kParallel ? 3 : 1;
+          opt.engine = leg.engine;
+          opt.threads = leg.threads;
           opt.layout = layout;
           opt.max_steps = 4000;
           opt.record_trace = true;
@@ -257,17 +269,14 @@ TEST(LayoutAgreement, RegistrySessionsAgreeByteForByteAcrossLayouts) {
 
           std::vector<SessionResult> results;
           std::vector<std::string> labels;
-          for (const EngineKind engine :
-               {EngineKind::kReference, EngineKind::kIncremental,
-                EngineKind::kVector, EngineKind::kParallel}) {
+          for (const EngineLeg& leg : kEngineLegs) {
             for (const ConfigLayout layout :
                  {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
-              spec.engine = engine;
-              spec.threads = engine == EngineKind::kParallel ? 3 : 1;
+              spec.engine = leg.engine;
+              spec.threads = leg.threads;
               spec.layout = layout;
               results.push_back(entry.run(*g, spec));
-              labels.push_back(std::string(engine_name(engine)) + "/" +
-                               std::string(config_layout_name(layout)));
+              labels.push_back(leg_label(leg, layout));
             }
           }
           const auto& base = results.front();
@@ -350,14 +359,23 @@ TEST(ConfigStore, DenseApplyMatchesNaiveApply) {
       expected[static_cast<std::size_t>(v)] = proto.apply(g, init, v);
     }
 
+    // The engine's dense install: successors staged against the live
+    // configuration, then merged into the inactive buffers over two
+    // ranges that split the activated set ([0, 5) holds activated[0..3)).
     ConfigStore<HotColdState> store(init, layout);
-    store.dense_apply(activated, [&](ConfigView<HotColdState> prev,
-                                     VertexId v) {
-      return proto.apply(g, prev, v);
-    });
+    const ConfigView<HotColdState> live = store.view();
+    std::vector<HotColdState> staged;
+    for (VertexId v : activated) staged.push_back(proto.apply(g, live, v));
+    store.dense_begin();
+    store.dense_fill_range(activated, staged.data(), 0, 3, 0, 5);
+    store.dense_fill_range(activated, staged.data(), 3, activated.size(), 5,
+                           init.size());
+    // Until the commit the live view still reads the pre-step
+    // configuration (trace recording relies on it).
+    EXPECT_TRUE(live.materialize() == init);
+    store.dense_commit();
+    EXPECT_TRUE(live.materialize() == expected);
     EXPECT_TRUE(store.materialize() == expected);
-    // The swapped-out buffer still reads the pre-action configuration.
-    EXPECT_TRUE(store.prev_view().materialize() == init);
   }
 }
 

@@ -1,10 +1,10 @@
 // Locality cross-check: brute-forces the true guard-dependency radius of
 // every protocol on small graphs and asserts it is <= the declared
-// locality_radius().  The incremental engine re-tests guards only inside
-// the declared radius after an action, so a protocol that understates its
-// radius would silently corrupt the enabled set — this test makes that
-// fail loudly instead (demonstrated on a genuinely 2-hop protocol
-// declaring radius 1).
+// locality_radius().  The production engine re-tests guards only inside
+// the declared radius after a sparse step, so a protocol that
+// understates its radius would silently corrupt the enabled set — this
+// test makes that fail loudly instead (demonstrated on a genuinely 2-hop
+// protocol declaring radius 1).
 #include <gtest/gtest.h>
 
 #include <random>

@@ -1,19 +1,19 @@
-// Parallel-engine differential suite: the sharded parallel engine vs the
-// incremental dirty-set engine (itself held byte-identical to the
-// reference oracle by engine_differential_test).  The parallel engine's
-// contract is *thread-count invariance*: the same RunResult — final
-// configuration, every meter, the complete delta trace — at any
-// `--threads` value, because shard boundaries only change which worker
-// computes a delta, never the delta itself.
+// Thread-count differential suite: the production engine at many thread
+// counts vs the reference oracle.  The engine's contract is *thread-count
+// invariance*: the same RunResult — final configuration, every meter, the
+// complete delta trace — at any `--threads` value, because shard
+// boundaries only change which worker computes a verdict, never the
+// verdict itself.
 //
 // This file carries the `parallel` ctest label: the TSan CI job builds
 // with -fsanitize=thread and runs exactly this suite, so every test here
 // doubles as a data-race probe.  The scenarios are therefore chosen to
 // keep many shards busy: graphs big enough for 8–16 non-empty shards,
-// dense synchronous steps (parallel staged apply + per-shard rescan) and
-// sparse adversarial daemons (per-shard ball expansion with boundary
-// fix-up), radius-2 guards whose balls straddle shard boundaries, and
-// trace recording on top.
+// dense synchronous steps (sharded apply + per-shard rescan + scatter)
+// interleaved with the sparse steps of central and Bernoulli daemons
+// (which run on the calling thread at every thread count), radius-2
+// guards whose balls straddle shard boundaries, and trace recording on
+// top.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -29,7 +29,6 @@
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
-#include "sim/incremental_engine.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 #include "test_protocols.hpp"
@@ -74,7 +73,7 @@ void expect_same_run(const RunResult<State>& a, const RunResult<State>& b,
   EXPECT_TRUE(a.trace == b.trace) << ctx;
 }
 
-/// Runs the scenario on the incremental engine, then on the parallel
+/// Runs the scenario on the reference engine, then on the production
 /// engine at every thread-axis value, asserting identical RunResults
 /// (traces included — opt.record_trace is forced on).
 template <ProtocolConcept P, class MakeChecker>
@@ -85,14 +84,14 @@ void expect_thread_invariant(const Graph& g, const P& proto,
                              MakeChecker make_checker, RunOptions opt,
                              const std::string& context) {
   opt.record_trace = true;
-  opt.engine = EngineKind::kIncremental;
+  opt.engine = EngineKind::kReference;
   opt.threads = 1;
   auto base_daemon = make_daemon(daemon_name, seed);
   auto base_checker = make_checker();
   const auto base =
       run_with_engine(g, proto, *base_daemon, init, opt, base_checker);
 
-  opt.engine = EngineKind::kParallel;
+  opt.engine = EngineKind::kIncremental;
   for (const unsigned threads : thread_axis()) {
     opt.threads = threads;
     auto daemon = make_daemon(daemon_name, seed);
@@ -132,10 +131,9 @@ TEST(ParallelDifferential, UnisonManyShardsAllDaemons) {
 }
 
 TEST(ParallelDifferential, TwoHopGuardsAcrossShardBoundaries) {
-  // Radius-2 guards: a single activation near a shard boundary dirties
-  // vertices two shards away, so the interior test (ball inside
-  // [bounds[k], bounds[k+1])) rejects more activations and the
-  // sequential fix-up path runs constantly.
+  // Radius-2 guards: a dense step's per-shard rescan reads states two
+  // hops across its boundaries, and a sparse step's dirty ball spans
+  // shards, so every shard cut is exercised from both sides.
   const TwoHopMaxProtocol proto(2);
   std::vector<Graph> topologies;
   topologies.push_back(make_ring(64));
@@ -160,9 +158,9 @@ TEST(ParallelDifferential, TwoHopGuardsAcrossShardBoundaries) {
 }
 
 TEST(ParallelDifferential, SsmeClosureAndLegitimacyMeters) {
-  // The Gamma_1 incremental checker runs sequentially inside the
-  // parallel engine; first_legitimate / last_illegitimate /
-  // moves_to_convergence must match the incremental engine exactly.
+  // The Gamma_1 checker takes fused per-shard totals on dense steps and
+  // ball updates on sparse ones; first_legitimate / last_illegitimate /
+  // moves_to_convergence must match the reference engine exactly.
   const Graph g = make_torus(6, 8);
   const SsmeProtocol proto = SsmeProtocol::for_graph(g);
   for (const auto& daemon_name : daemon_axis()) {
@@ -179,8 +177,8 @@ TEST(ParallelDifferential, SsmeClosureAndLegitimacyMeters) {
 }
 
 TEST(ParallelDifferential, MatchingPointerStates) {
-  // Pointer-valued states with out-of-range garbage: exercises sparse
-  // per-shard flip detection where guards read neighbor pointers.
+  // Pointer-valued states with out-of-range garbage: exercises flip
+  // detection where guards read neighbor pointers.
   const Graph g = make_random_connected(60, 0.07, 23);
   const MatchingProtocol proto;
   for (const auto& daemon_name : daemon_axis()) {
@@ -249,8 +247,7 @@ TEST(ParallelDifferential, WordBoundaryShardMisalignment) {
 TEST(ParallelDifferential, GraphsSmallerThanOneShard) {
   // Word-aligned bounds mean any graph with n <= 64 lands entirely in
   // shard 0 and every other shard is an empty range, at every thread
-  // count — the dense path must degenerate to the single-shard scan and
-  // the sparse path must tolerate zero-work shards.
+  // count — the dense path must degenerate to the single-shard scan.
   const UnboundedUnisonProtocol proto;
   for (const VertexId n : {3, 17, 40, 63}) {
     const Graph g = make_ring(n);
@@ -310,7 +307,7 @@ TEST(ParallelDifferential, ExternalPoolReuseIsInvisible) {
       opt.max_steps = 200;
       opt.steps_after_convergence = 0;
       opt.record_trace = true;
-      opt.engine = EngineKind::kIncremental;
+      opt.engine = EngineKind::kReference;
       opt.threads = 1;
       auto base_daemon = make_daemon(daemon_name, seed);
       auto base_checker = make_unbounded_unison_checker(proto);
@@ -319,7 +316,7 @@ TEST(ParallelDifferential, ExternalPoolReuseIsInvisible) {
       const auto base =
           run_with_engine(g, proto, *base_daemon, init, opt, base_checker);
 
-      opt.engine = EngineKind::kParallel;
+      opt.engine = EngineKind::kIncremental;
       opt.pool = &pool;
       // threads > participants is clamped to the pool's size.
       for (const unsigned threads : {2u, 8u, 16u}) {
@@ -348,7 +345,6 @@ TEST(ParallelDifferential, RegistrySessionDigestsThreadInvariant) {
     SessionSpec spec;
     spec.daemon = "bernoulli-0.5";
     spec.seed = 4242;
-    spec.engine = EngineKind::kParallel;
     spec.threads = 1;
     const SessionResult base = entry.run_on(g, diam, spec);
     for (const unsigned threads : {2u, 8u}) {
@@ -376,7 +372,6 @@ TEST(ParallelDifferential, ShardPoolSurvivesManySessions) {
   const UnboundedUnisonProtocol proto;
   for (int rep = 0; rep < 20; ++rep) {
     RunOptions opt;
-    opt.engine = EngineKind::kParallel;
     opt.threads = 8;
     opt.max_steps = 60;
     opt.steps_after_convergence = 0;

@@ -1,15 +1,16 @@
 // Perturbation differential suite: fault-injected runs must stay
 // byte-identical — final configuration, every meter, the recovery
 // distribution, and the complete delta trace with its perturbation
-// records — across all four engines, both layouts, and every thread
-// count.  The FaultPlan draws every victim and corrupted value from its
-// own seeded stream, so engine-side data structures can never leak into
-// the schedule; this suite is the check that holds that contract.
+// records — across both engines, both layouts, and every thread count.
+// The FaultPlan draws every victim and corrupted value from its own
+// seeded stream, so engine-side data structures can never leak into the
+// schedule; this suite is the check that holds that contract.
 //
 // This file carries the `perturb` ctest label: the CI perturbation job
 // runs exactly this suite (plus fault_plan_test) under ASan/UBSan and
 // again under TSan, so the multi-thread legs double as race probes on
-// the parallel engine's sequential fault hook.
+// the engine's fault epochs, which run the same sharded dense path as
+// daemon actions.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -28,7 +29,6 @@
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/incremental_engine.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 
@@ -81,9 +81,10 @@ void expect_same_run(const RunResult<State>& a, const RunResult<State>& b,
   EXPECT_TRUE(a.trace == b.trace) << ctx;
 }
 
-/// Runs one perturbed scenario on the reference oracle, then on every
-/// other engine × layout (threads {1, 2, 8} for the parallel engine),
-/// asserting identical RunResults with traces and recovery stats.
+/// Runs one perturbed scenario on the reference oracle, then on the
+/// reference engine's other layout and the production engine at threads
+/// {1, 2, 8} across layouts, asserting identical RunResults with traces
+/// and recovery stats.
 template <ProtocolConcept P, class MakeChecker, class Pool>
 void expect_perturbation_invariant(const Graph& g, const P& proto,
                                    const std::string& daemon_name,
@@ -123,10 +124,9 @@ void expect_perturbation_invariant(const Graph& g, const P& proto,
       {EngineKind::kReference, ConfigLayout::kSoA, 1},
       {EngineKind::kIncremental, ConfigLayout::kAoS, 1},
       {EngineKind::kIncremental, ConfigLayout::kSoA, 1},
-      {EngineKind::kVector, ConfigLayout::kAuto, 1},
-      {EngineKind::kParallel, ConfigLayout::kAuto, 1},
-      {EngineKind::kParallel, ConfigLayout::kAoS, 2},
-      {EngineKind::kParallel, ConfigLayout::kSoA, 8},
+      {EngineKind::kIncremental, ConfigLayout::kAuto, 1},
+      {EngineKind::kIncremental, ConfigLayout::kAoS, 2},
+      {EngineKind::kIncremental, ConfigLayout::kSoA, 8},
   };
   for (const Combo& c : combos) {
     const auto got = run(c.engine, c.layout, c.threads);
@@ -201,9 +201,10 @@ TEST(PerturbationDifferential, SsmeRecoveryMetersAcrossEngines) {
 }
 
 TEST(PerturbationDifferential, RegistrySessionsAgreeForEveryProtocol) {
-  // Through the type-erased session API: every registered protocol, all
-  // four engines, multi-threaded parallel legs.  Digests, meters,
-  // recovery stats and service stalls must match byte for byte.
+  // Through the type-erased session API: every registered protocol, the
+  // production engine at 1, 2 and 8 threads against the reference engine.
+  // Digests, meters, recovery stats and service stalls must match byte
+  // for byte.
   const auto& registry = ProtocolRegistry::instance();
   const Graph g = make_ring(24);
   const VertexId diam = 12;
@@ -218,21 +219,12 @@ TEST(PerturbationDifferential, RegistrySessionsAgreeForEveryProtocol) {
         << entry.info.name;
     EXPECT_EQ(base.perturb_epochs, 3) << entry.info.name;
 
-    struct Leg {
-      EngineKind engine;
-      unsigned threads;
-    };
-    const Leg legs[] = {{EngineKind::kIncremental, 1},
-                        {EngineKind::kVector, 1},
-                        {EngineKind::kParallel, 1},
-                        {EngineKind::kParallel, 8}};
-    for (const Leg& leg : legs) {
-      spec.engine = leg.engine;
-      spec.threads = leg.threads;
+    spec.engine = EngineKind::kIncremental;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      spec.threads = threads;
       const SessionResult got = entry.run_on(g, diam, spec);
-      const std::string ctx = entry.info.name + " engine=" +
-                              std::string(engine_name(leg.engine)) +
-                              " threads=" + std::to_string(leg.threads);
+      const std::string ctx =
+          entry.info.name + " threads=" + std::to_string(threads);
       ASSERT_EQ(got.final_state, base.final_state) << ctx;
       ASSERT_EQ(got.final_digest, base.final_digest) << ctx;
       EXPECT_EQ(got.steps, base.steps) << ctx;
@@ -255,7 +247,7 @@ TEST(PerturbationDifferential, RegistrySessionsAgreeForEveryProtocol) {
 TEST(PerturbationDifferential, RegistryTracesCarryIdenticalPerturbations) {
   // Delta traces replay corrupted configurations too; the materialized
   // trace (every gamma_i rendered per vertex) must agree between the
-  // incremental engine and the parallel engine at 8 threads.
+  // reference engine and the production engine at 8 threads.
   const auto& registry = ProtocolRegistry::instance();
   const auto* entry = registry.find("ssme");
   ASSERT_NE(entry, nullptr);
@@ -265,9 +257,9 @@ TEST(PerturbationDifferential, RegistryTracesCarryIdenticalPerturbations) {
   spec.seed = 99;
   spec.perturb = "burst:period=10;k=4;epochs=2;start=5";
   spec.record_trace = true;
-  spec.engine = EngineKind::kIncremental;
+  spec.engine = EngineKind::kReference;
   const SessionResult a = entry->run_on(g, 8, spec);
-  spec.engine = EngineKind::kParallel;
+  spec.engine = EngineKind::kIncremental;
   spec.threads = 8;
   const SessionResult b = entry->run_on(g, 8, spec);
   ASSERT_EQ(a.trace_length, b.trace_length);

@@ -210,7 +210,7 @@ TEST(ProtocolRegistryTest, RingOnlyProtocolsRejectNonRingsAtTheBoundary) {
   EXPECT_FALSE(is_ring_topology(make_star(5)));
   // A cycle over *permuted* ids is structurally a ring but its graph
   // adjacency does not match the index-arithmetic predecessors ring
-  // protocols use — it must be rejected, or the incremental engine's
+  // protocols use — it must be rejected, or the production engine's
   // dirty-set locality would silently go stale.
   const Graph permuted(5, {{0, 2}, {2, 4}, {4, 1}, {1, 3}, {3, 0}});
   EXPECT_FALSE(is_ring_topology(permuted));

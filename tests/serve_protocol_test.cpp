@@ -2,12 +2,17 @@
 // against an in-process SessionServer: malformed-input fuzzing (every
 // bad line gets a structured error, the connection and the server
 // survive), oversized-line resync, partial writes, pipelining, busy
-// backpressure, abrupt disconnect mid-stream, and drain-on-shutdown.
+// backpressure, abrupt disconnect mid-stream, drain-on-shutdown, and a
+// bounded thread count whatever a request's `threads` asks for.
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -345,6 +350,63 @@ TEST(ServeProtocolTest, ImmediateRepeatOfEveryRunHitsTheCache) {
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->find("hits")->as_int(), kUnique);
   EXPECT_EQ(cache->find("misses")->as_int(), kUnique);
+}
+
+/// Threads of this process, counted from /proc/self/task.
+[[nodiscard]] std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+TEST(ServeProtocolTest, RequestThreadsAreClampedToTheWorkerPool) {
+  // Every session worker owns an engine pool, even a single-participant
+  // one, so a request's `threads` only picks a shard count within it:
+  // asking for 4096 threads (through the `parallel` engine synonym) must
+  // not add one thread to the server, and the reply must equal the
+  // one-thread reply.
+  ServeOptions options;
+  options.threads = 1;
+  options.engine_threads = 1;
+  ServerHarness harness(options);
+  LineClient client = harness.connect();
+  const std::string args = ",\"seed\":5,\"steps\":400";
+  const std::string single =
+      client.roundtrip(run_request(1, "unison", "ring 512", args));
+  ASSERT_TRUE(is_result(single)) << single;
+
+  // The sampler starts before the baseline, so it is part of it.
+  std::atomic<bool> sampling{true};
+  std::atomic<std::size_t> peak{0};
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      const std::size_t now = thread_count();
+      std::size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+    }
+  });
+  while (peak.load() == 0) std::this_thread::yield();
+  const std::size_t before = thread_count();
+  peak.store(before);
+  const std::string wide = client.roundtrip(
+      run_request(2, "unison", "ring 512",
+                  args + ",\"engine\":\"parallel\",\"threads\":4096"));
+  sampling.store(false);
+  sampler.join();
+  ASSERT_TRUE(is_result(wide)) << wide;
+  EXPECT_LE(peak.load(), before);
+
+  const JsonValue a = *JsonValue::parse(single).find("result");
+  const JsonValue b = *JsonValue::parse(wide).find("result");
+  for (const char* key :
+       {"steps", "moves", "rounds", "terminated", "hit_step_cap", "converged",
+        "convergence_steps", "moves_to_convergence", "rounds_to_convergence",
+        "closure_violations", "final_digest"}) {
+    ASSERT_NE(a.find(key), nullptr) << key;
+    ASSERT_NE(b.find(key), nullptr) << key;
+    EXPECT_EQ(a.find(key)->dump(), b.find(key)->dump()) << key;
+  }
 }
 
 }  // namespace

@@ -221,7 +221,19 @@ TEST(ServeWireTest, DecodeSessionParamsValidatesTypesAndKeys) {
   EXPECT_EQ(req.topology, "ring 8");  // canonicalized spelling
   EXPECT_EQ(req.spec.seed, 5u);
   EXPECT_EQ(req.spec.threads, 2u);
-  EXPECT_EQ(req.spec.engine, EngineKind::kVector);
+  // "vector" and "parallel" are synonyms of the production engine and
+  // share its canonical spelling (and so its cache entries).
+  EXPECT_EQ(req.spec.engine, EngineKind::kIncremental);
+  EXPECT_NE(req.spec.to_canonical_string().find(",engine=incremental,"),
+            std::string::npos);
+  const SessionRequest par = decode_session_params(JsonValue::parse(
+      "{\"protocol\":\"ssme\",\"topology\":\"ring 8\","
+      "\"engine\":\"parallel\"}"));
+  EXPECT_EQ(par.spec.engine, EngineKind::kIncremental);
+  EXPECT_THROW((void)decode_session_params(JsonValue::parse(
+                   "{\"protocol\":\"ssme\",\"topology\":\"ring 8\","
+                   "\"engine\":\"warp\"}")),
+               RpcError);
 
   for (const char* bad : {
            "{}",                                          // protocol missing

@@ -27,7 +27,7 @@ TEST(SessionCodecTest, RoundTripsThroughParse) {
   spec.init = "random";
   spec.seed = 987654321012345ull;
   spec.max_steps = 5000;
-  spec.engine = EngineKind::kParallel;
+  spec.engine = EngineKind::kReference;
   spec.layout = ConfigLayout::kSoA;
   spec.threads = 16;
   spec.perturb = "periodic:period=8;k=2;epochs=3";
@@ -52,13 +52,27 @@ TEST(SessionCodecTest, ParseAcceptsAnyFieldOrderAndSubsets) {
   EXPECT_EQ(shuffled.daemon, "central-rr");
   EXPECT_EQ(shuffled.threads, 4u);
   EXPECT_EQ(shuffled.seed, 9u);
-  EXPECT_EQ(shuffled.engine, EngineKind::kVector);
+  EXPECT_EQ(shuffled.engine, EngineKind::kIncremental);
   // Unspecified fields keep their defaults.
   EXPECT_EQ(shuffled.layout, ConfigLayout::kAuto);
   EXPECT_EQ(shuffled.max_steps, 0);
 
   const SessionSpec empty = SessionSpec::parse("");
   EXPECT_EQ(empty.to_canonical_string(), SessionSpec{}.to_canonical_string());
+}
+
+TEST(SessionCodecTest, FoldedEngineNamesParseToTheProductionEngine) {
+  // "vector" and "parallel" named engines the production engine absorbed;
+  // old session strings keep parsing and format under the canonical name.
+  for (const char* name : {"incremental", "vector", "parallel"}) {
+    const SessionSpec spec =
+        SessionSpec::parse(std::string("engine=") + name);
+    EXPECT_EQ(spec.engine, EngineKind::kIncremental) << name;
+    EXPECT_EQ(spec.to_canonical_string(), SessionSpec{}.to_canonical_string())
+        << name;
+  }
+  EXPECT_EQ(SessionSpec::parse("engine=reference").engine,
+            EngineKind::kReference);
 }
 
 TEST(SessionCodecTest, ParseRejectsMalformedInput) {
@@ -91,11 +105,12 @@ TEST(SessionCodecTest, PerturbCanonicalizesThroughFaultSpec) {
 TEST(SessionCodecTest, CacheKeyIsStablePinned) {
   EXPECT_EQ(session_cache_key("ssme", "ring 8", SessionSpec{}),
             4865572124009062971ull);
+  // "engine=vector" canonicalizes to "engine=incremental".
   const SessionSpec spec = SessionSpec::parse(
       "seed=7,daemon=central-rr,engine=vector,"
       "perturb=periodic:period=8;k=2;epochs=3");
   EXPECT_EQ(session_cache_key("coloring", "torus 3 4", spec),
-            2739087089154995984ull);
+            2913159567866232269ull);
 }
 
 TEST(SessionCodecTest, CacheKeyDiscriminatesEveryComponent) {

@@ -17,7 +17,7 @@ namespace specstab {
 /// two hops holds a larger value, and then adopts the maximum over its
 /// 2-ball.  Converges to the all-global-max configuration (silent).  The
 /// guard genuinely depends on states two hops away, so the protocol must
-/// declare locality_radius() = 2 for the incremental engine to be
+/// declare locality_radius() = 2 for the production engine to be
 /// correct; constructing it with an understated radius lets tests verify
 /// the locality cross-check fails loudly.
 class TwoHopMaxProtocol {

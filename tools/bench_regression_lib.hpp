@@ -25,11 +25,6 @@ struct Row {
   long long steps = 0;
   double reference_ms = 0.0;
   double speedup = 0.0;
-  /// Vector-engine speedup, absent when the row never timed the vector
-  /// engine (parallel scaling and perturbed rows omit the key).  A
-  /// present-but-zero value is rejected at parse time: an unmeasured
-  /// metric must be omitted, not written as a zero posing as data.
-  std::optional<double> vector_speedup;
 };
 
 struct BenchFile {
@@ -84,15 +79,6 @@ inline double num_value(const std::string& text, const std::string& key,
   } catch (const std::exception&) {
     fail("non-numeric '" + key + "' in " + where + ": " + raw);
   }
-}
-
-/// Like num_value but tolerates an absent key (an explicitly unmeasured
-/// metric).  A key that IS present must still parse as a number.
-inline std::optional<double> opt_num_value(const std::string& text,
-                                           const std::string& key,
-                                           const std::string& where) {
-  if (text.find("\"" + key + "\":") == std::string::npos) return std::nullopt;
-  return num_value(text, key, 0, where);
 }
 
 /// Speedup metrics are ratios of two wall-clock timings, so a true
@@ -152,12 +138,6 @@ inline BenchFile parse_bench_json(const std::string& text,
     row.reference_ms = detail::num_value(obj, "reference_ms", 0, obj_where);
     row.speedup = detail::num_value(obj, "speedup", 0, obj_where);
     detail::reject_zero_measurement("speedup", row.speedup, obj_where);
-    row.vector_speedup = detail::opt_num_value(obj, "vector_speedup",
-                                               obj_where);
-    if (row.vector_speedup) {
-      detail::reject_zero_measurement("vector_speedup", *row.vector_speedup,
-                                      obj_where);
-    }
     out.micro.push_back(std::move(row));
     pos = close;
   }
@@ -243,20 +223,6 @@ inline GateOutcome compare(const BenchFile& baseline, const BenchFile& current,
       continue;
     }
     check(base_row.name, base_row.speedup, cur_row->speedup);
-    // The vector engine is gated wherever the baseline measured it; a
-    // current run that stopped measuring the metric is a stale-format
-    // FAIL, not a skip.  A metric new in the current run (absent from
-    // the baseline) passes silently until the snapshot is regenerated.
-    if (base_row.vector_speedup) {
-      if (!cur_row->vector_speedup) {
-        out.lines.push_back("FAIL " + base_row.name +
-                            ": vector_speedup missing from current");
-        out.regressed = true;
-      } else {
-        check(base_row.name + " (vector)", *base_row.vector_speedup,
-              *cur_row->vector_speedup);
-      }
-    }
   }
   return out;
 }
