@@ -75,18 +75,24 @@ std::vector<VertexId> DijkstraRingProtocol::token_chase_priority(VertexId n) {
 }
 
 void SimdEval<DijkstraRingProtocol>::enabled_bytes(
-    const Context&, const DijkstraRingProtocol&,
-    const ConfigView<std::int32_t>& cfg, std::uint8_t* out, VertexId begin,
-    VertexId end) {
+    const Context&, const DijkstraRingProtocol& proto,
+    const ConfigView<std::int32_t>& cfg, std::uint8_t* out,
+    std::int32_t* next, VertexId begin, VertexId end) {
   const std::int32_t* c = cfg.column();
   const auto n = cfg.size();
   auto v = static_cast<std::size_t>(begin);
   if (begin == 0 && end > 0) {
     out[0] = static_cast<std::uint8_t>(c[0] == c[n - 1]);
+    // apply()'s (pred + 1) % K, in int64 so a disabled INT32_MAX
+    // predecessor cannot overflow; equal wherever the int32 sum is defined.
+    const auto bumped = static_cast<std::int32_t>(
+        (std::int64_t{c[n - 1]} + 1) % proto.k());
+    next[0] = out[0] != 0 ? bumped : c[0];
     v = 1;
   }
   for (; v < static_cast<std::size_t>(end); ++v) {
     out[v] = static_cast<std::uint8_t>(c[v] != c[v - 1]);
+    next[v] = c[v - 1];  // a disabled vertex already equals its predecessor
   }
 }
 

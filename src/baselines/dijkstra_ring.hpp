@@ -90,16 +90,18 @@ class DijkstraRingProtocol {
 
 /// Vectorized guard kernel: the predecessor of v is v - 1 (n - 1 for the
 /// bottom machine), so the guards are one shifted compare over the
-/// counter column — no adjacency context needed.
+/// counter column and the successors one shifted copy (the bottom
+/// machine's incremented mod K) — no adjacency context needed.
 template <>
 struct SimdEval<DijkstraRingProtocol> {
   struct Context {};
   static Context make_context(const Graph&, const DijkstraRingProtocol&) {
     return {};
   }
-  static void enabled_bytes(const Context&, const DijkstraRingProtocol&,
+  static void enabled_bytes(const Context&, const DijkstraRingProtocol& proto,
                             const ConfigView<std::int32_t>& cfg,
-                            std::uint8_t* out, VertexId begin, VertexId end);
+                            std::uint8_t* out, std::int32_t* next,
+                            VertexId begin, VertexId end);
 };
 
 }  // namespace specstab

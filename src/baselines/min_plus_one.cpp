@@ -62,8 +62,8 @@ SimdEval<MinPlusOneProtocol>::Context SimdEval<MinPlusOneProtocol>::
 
 void SimdEval<MinPlusOneProtocol>::enabled_bytes(
     const Context& ctx, const MinPlusOneProtocol& proto,
-    const ConfigView<std::int32_t>& cfg, std::uint8_t* out, VertexId begin,
-    VertexId end) {
+    const ConfigView<std::int32_t>& cfg, std::uint8_t* out,
+    std::int32_t* next, VertexId begin, VertexId end) {
   const std::int32_t* c = cfg.column();
   const std::int32_t* off = ctx.adj.offsets.data();
   const VertexId* tg = ctx.adj.targets.data();
@@ -79,8 +79,9 @@ void SimdEval<MinPlusOneProtocol>::enabled_bytes(
     // extreme levels clamp identically instead of wrapping.
     const auto target = static_cast<std::int32_t>(
         std::min<std::int64_t>(static_cast<std::int64_t>(best) + 1, cap));
+    next[v] = v == root ? 0 : target;  // disabled: already the target
     out[v] = static_cast<std::uint8_t>(c[static_cast<std::size_t>(v)] !=
-                                       (v == root ? 0 : target));
+                                       next[v]);
   }
 }
 

@@ -74,7 +74,8 @@ class MinPlusOneProtocol {
 
 /// Vectorized guard kernel: target(v) is a min-reduction over the
 /// neighbour levels streamed from the flat adjacency, enabledness one
-/// compare against the level column.
+/// compare against the level column, and the successor the target
+/// itself.
 template <>
 struct SimdEval<MinPlusOneProtocol> {
   struct Context {
@@ -83,7 +84,8 @@ struct SimdEval<MinPlusOneProtocol> {
   static Context make_context(const Graph& g, const MinPlusOneProtocol&);
   static void enabled_bytes(const Context& ctx, const MinPlusOneProtocol& proto,
                             const ConfigView<std::int32_t>& cfg,
-                            std::uint8_t* out, VertexId begin, VertexId end);
+                            std::uint8_t* out, std::int32_t* next,
+                            VertexId begin, VertexId end);
 };
 
 }  // namespace specstab

@@ -47,8 +47,8 @@ SimdEval<UnboundedUnisonProtocol>::Context SimdEval<UnboundedUnisonProtocol>::
 
 void SimdEval<UnboundedUnisonProtocol>::enabled_bytes(
     const Context& ctx, const UnboundedUnisonProtocol&,
-    const ConfigView<std::int64_t>& cfg, std::uint8_t* out, VertexId begin,
-    VertexId end) {
+    const ConfigView<std::int64_t>& cfg, std::uint8_t* out,
+    std::int64_t* next, VertexId begin, VertexId end) {
   const std::int64_t* c = cfg.column();
   const std::int32_t* off = ctx.adj.offsets.data();
   const VertexId* tg = ctx.adj.targets.data();
@@ -60,6 +60,11 @@ void SimdEval<UnboundedUnisonProtocol>::enabled_bytes(
           static_cast<unsigned>(cv <= c[static_cast<std::size_t>(tg[j])]);
     }
     out[v] = static_cast<std::uint8_t>(minimal);
+    // apply()'s c_v + 1 when enabled, c_v otherwise; added in uint64 so
+    // INT64_MAX (never enabled unless apply() itself overflows) wraps
+    // instead of overflowing.
+    next[v] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cv) +
+                                        minimal);
   }
 }
 

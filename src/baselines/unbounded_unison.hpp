@@ -59,7 +59,7 @@ class UnboundedUnisonProtocol {
 
 /// Vectorized guard kernel: the local-minimum test is an and-reduction
 /// of c_v <= c_u over the neighbour clocks streamed from the flat
-/// adjacency.
+/// adjacency; the successor is c_v + 1.
 template <>
 struct SimdEval<UnboundedUnisonProtocol> {
   struct Context {
@@ -68,7 +68,8 @@ struct SimdEval<UnboundedUnisonProtocol> {
   static Context make_context(const Graph& g, const UnboundedUnisonProtocol&);
   static void enabled_bytes(const Context& ctx, const UnboundedUnisonProtocol&,
                             const ConfigView<std::int64_t>& cfg,
-                            std::uint8_t* out, VertexId begin, VertexId end);
+                            std::uint8_t* out, std::int64_t* next,
+                            VertexId begin, VertexId end);
 };
 
 }  // namespace specstab

@@ -121,9 +121,10 @@ class SsmeProtocol {
   UnisonProtocol unison_;
 };
 
-/// Vectorized guard kernel: SSME's rules *are* the unison's (the
-/// privileged predicate never interferes with the moves), so the kernel
-/// forwards to SimdEval<UnisonProtocol> on the underlying substrate.
+/// Vectorized guard kernel: SSME's rules and successors *are* the
+/// unison's (the privileged predicate never interferes with the moves),
+/// so the kernel forwards to SimdEval<UnisonProtocol> on the underlying
+/// substrate.
 template <>
 struct SimdEval<SsmeProtocol> {
   using ScoreKind = SimdEval<UnisonProtocol>::ScoreKind;
@@ -133,18 +134,18 @@ struct SimdEval<SsmeProtocol> {
   }
   static void enabled_bytes(const Context& ctx, const SsmeProtocol& proto,
                             const ConfigView<ClockValue>& cfg,
-                            std::uint8_t* out, VertexId begin, VertexId end) {
+                            std::uint8_t* out, ClockValue* next,
+                            VertexId begin, VertexId end) {
     SimdEval<UnisonProtocol>::enabled_bytes(ctx, proto.unison(), cfg, out,
-                                            begin, end);
+                                            next, begin, end);
   }
   static std::int64_t enabled_bytes_scored(const Context& ctx,
                                            const SsmeProtocol& proto,
                                            const ConfigView<ClockValue>& cfg,
-                                           std::uint8_t* out, VertexId begin,
-                                           VertexId end) {
-    return SimdEval<UnisonProtocol>::enabled_bytes_scored(ctx, proto.unison(),
-                                                          cfg, out, begin,
-                                                          end);
+                                           std::uint8_t* out, ClockValue* next,
+                                           VertexId begin, VertexId end) {
+    return SimdEval<UnisonProtocol>::enabled_bytes_scored(
+        ctx, proto.unison(), cfg, out, next, begin, end);
   }
 };
 

@@ -127,6 +127,14 @@ inline std::uint64_t lex_key(std::int32_t leader, std::int32_t dist) {
          (static_cast<std::uint32_t>(dist) ^ 0x80000000u);
 }
 
+/// Inverse of lex_key.
+inline LeaderState lex_state(std::uint64_t key) {
+  return {static_cast<std::int32_t>(static_cast<std::uint32_t>(key >> 32) ^
+                                    0x80000000u),
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(key) ^
+                                    0x80000000u)};
+}
+
 }  // namespace
 
 SimdEval<LeaderElectionProtocol>::Context SimdEval<LeaderElectionProtocol>::
@@ -136,8 +144,8 @@ SimdEval<LeaderElectionProtocol>::Context SimdEval<LeaderElectionProtocol>::
 
 void SimdEval<LeaderElectionProtocol>::enabled_bytes(
     const Context& ctx, const LeaderElectionProtocol& proto,
-    const ConfigView<LeaderState>& cfg, std::uint8_t* out, VertexId begin,
-    VertexId end) {
+    const ConfigView<LeaderState>& cfg, std::uint8_t* out, LeaderState* next,
+    VertexId begin, VertexId end) {
   const std::int32_t* off = ctx.adj.offsets.data();
   const VertexId* tg = ctx.adj.targets.data();
   const auto bound = static_cast<std::int32_t>(cfg.size());
@@ -159,6 +167,7 @@ void SimdEval<LeaderElectionProtocol>::enabled_bytes(
           best !=
           lex_key(lead[static_cast<std::size_t>(v)],
                   dst[static_cast<std::size_t>(v)]));
+      next[v] = lex_state(best);  // disabled: already the best candidate
     }
     return;
   }
@@ -176,6 +185,7 @@ void SimdEval<LeaderElectionProtocol>::enabled_bytes(
     const auto iv = static_cast<std::size_t>(v);
     out[v] = static_cast<std::uint8_t>(
         best != lex_key(cfg.field<kLeaderField>(iv), cfg.field<kDistField>(iv)));
+    next[v] = lex_state(best);
   }
 }
 

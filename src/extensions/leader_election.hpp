@@ -129,8 +129,9 @@ class LeaderElectionProtocol {
 /// candidate order (leader, then dist) is folded into one order-preserving
 /// unsigned 64-bit key — sign-flip each int32 field and concatenate — so
 /// the best candidate is a plain min-reduction over packed keys streamed
-/// from the leader and dist columns.  Falls back to per-field loads under
-/// AoS layout (columns unavailable), byte-identical either way.
+/// from the leader and dist columns, and the successor is that key
+/// decoded.  Falls back to per-field loads under AoS layout (columns
+/// unavailable), byte-identical either way.
 template <>
 struct SimdEval<LeaderElectionProtocol> {
   struct Context {
@@ -140,7 +141,8 @@ struct SimdEval<LeaderElectionProtocol> {
   static void enabled_bytes(const Context& ctx,
                             const LeaderElectionProtocol& proto,
                             const ConfigView<LeaderState>& cfg,
-                            std::uint8_t* out, VertexId begin, VertexId end);
+                            std::uint8_t* out, LeaderState* next,
+                            VertexId begin, VertexId end);
 };
 
 /// Uniformly random leader-election configuration (fields in

@@ -420,6 +420,20 @@ class ConfigStore {
     data_.swap(next_data_);
   }
 
+  /// Whether one full-state vector is the whole representation (AoS, or
+  /// a state without a struct split), so swap_in() applies.
+  [[nodiscard]] bool holds_one_vector() const {
+    return backing_columns() == nullptr;
+  }
+
+  /// Installs a complete next configuration by swapping its vector with
+  /// the live one (O(1)); `next` receives the previous configuration.
+  /// Requires holds_one_vector() and next.size() == n().
+  void swap_in(Config<State>& next) {
+    assert(holds_one_vector() && next.size() == n_);
+    data_.swap(next);
+  }
+
   /// Full AoS copy-out.
   [[nodiscard]] Config<State> materialize() const {
     return view().materialize();

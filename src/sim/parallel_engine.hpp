@@ -23,14 +23,20 @@
 //   EnabledSet mask words, and shard k stays pinned to worker k for the
 //   whole run.  Three barrier-separated phases:
 //
-//   1. *apply + install* — shard k computes the successor states of the
-//      targets in its range and merges them straight into the
-//      ConfigStore's inactive double buffers over its own segment
-//      (dense_fill_range); a sequential O(1) buffer swap (dense_commit)
-//      then publishes the new configuration;
+//   1. *install* — shard k takes the successor states of the targets in
+//      its range (read from the kernel's successor column when it is
+//      fresh, computed with apply() otherwise; see below) and merges them
+//      straight into the ConfigStore's inactive double buffers over its
+//      own segment (dense_fill_range); a sequential O(1) buffer swap
+//      (dense_commit) then publishes the new configuration.  A step
+//      that activates every enabled vertex while the column is fresh
+//      skips the phase: the column is the next configuration, swapped
+//      in whole (ConfigStore::swap_in) where the store keeps one
+//      full-state vector;
 //   2. *fused guard rescan* — shard k evaluates its range through the
 //      protocol's SimdEval kernel (simd_eval.hpp; a scalar sweep for
-//      protocols without one) and packs the verdict bytes into its own
+//      protocols without one), which also writes every vertex's
+//      synchronous successor, and packs the verdict bytes into its own
 //      mask words (fill_words).  When the kernel and the checker share a
 //      ScoreKind, the same pass accumulates a partial violation total and
 //      the totals merge into one checker.accept_total() call; otherwise a
@@ -50,6 +56,19 @@
 // successors come from the FaultPlan, its trace record is sealed as a
 // perturbation, and it counts no step, move or round and calls no
 // observer.
+//
+// Successor freshness.  A dense rescan leaves, next to the verdicts, the
+// synchronous successor of the configuration the next step starts from
+// (apply() of every enabled vertex, the current state of the others), so
+// one guard pass per dense step serves both the enabled set and the next
+// install.  The column is fresh exactly when the latest install (action
+// or fault epoch) was dense and the protocol has a SimdEval kernel.  A
+// sparse install changes states without refreshing it, so the column
+// goes stale until the next dense rescan; the first dense step of a run
+// (no kernel state yet), dense steps after a stale column and
+// kernel-less protocols compute successors with apply().  Fault epochs
+// always install the plan's successors.  Sparse steps never read or
+// refresh the column: their cost stays O(ball).
 //
 // Fresh guard verdicts are pure functions of the post-step configuration,
 // so the enabled set — and with it daemon selection, meters, traces and
@@ -259,11 +278,14 @@ RunResult<typename P::State> run_execution_parallel(
     }
   }();
 
-  // Guard-kernel state (context + padded verdict bytes), built on the
-  // first dense step so runs that never take one skip its O(n + m)
-  // set-up.  Shards write disjoint verdict ranges, so one buffer serves
-  // all of them.
+  // Guard-kernel state (context + padded verdict bytes + successor
+  // column), built on the first dense step so runs that never take one
+  // skip its O(n + m) set-up.  Shards write disjoint verdict and
+  // successor ranges, so one buffer of each serves all of them.
   std::optional<decltype(make_enabled_kernel(g, proto))> kernel;
+  // Whether kernel->successors holds the synchronous successor of the
+  // live configuration (see "Successor freshness" above).
+  bool successors_fresh = false;
 
   NeighborhoodExpander expander(g.n());
   ActionBuffer action;
@@ -283,10 +305,10 @@ RunResult<typename P::State> run_execution_parallel(
   // never re-allocates closures; per-step state flows through the
   // captured locals above.
 
-  // Dense phase 1 — fused apply + install: shard k computes the successor
-  // states of its target slice and merges its segment of the inactive
-  // double buffers.  No cross-shard reads: the live buffers are immutable
-  // until dense_commit().
+  // Dense phase 1 — install: shard k stages the successor states of its
+  // target slice (the fresh kernel column, or apply()) and merges its
+  // segment of the inactive double buffers.  No cross-shard reads: the
+  // live buffers are immutable until dense_commit().
   const std::function<void(std::size_t)> dense_install_phase =
       [&](std::size_t k) {
         const std::vector<VertexId>& t = *targets;
@@ -295,8 +317,18 @@ RunResult<typename P::State> run_execution_parallel(
         const auto a_hi = static_cast<std::size_t>(
             std::lower_bound(t.begin(), t.end(), bounds[k + 1]) - t.begin());
         if (given == nullptr) {
-          for (std::size_t j = a_lo; j < a_hi; ++j) {
-            staged[j] = proto.apply(g, live, t[j]);
+          if constexpr (HasSimdEval<P>) {
+            if (successors_fresh) {
+              const State* next = kernel->successors.data();
+              for (std::size_t j = a_lo; j < a_hi; ++j) {
+                staged[j] = next[static_cast<std::size_t>(t[j])];
+              }
+            }
+          }
+          if (!successors_fresh) {
+            for (std::size_t j = a_lo; j < a_hi; ++j) {
+              staged[j] = proto.apply(g, live, t[j]);
+            }
           }
         }
         cfg.dense_fill_range(t, given != nullptr ? given : staged.data(),
@@ -305,8 +337,9 @@ RunResult<typename P::State> run_execution_parallel(
       };
 
   // Dense phase 2 — fused guard rescan over the shard's vertex range:
-  // SimdEval kernel (or scalar sweep) into the shared verdict buffer,
-  // packed into the shard's own mask words, partial score total kept.
+  // SimdEval kernel (or scalar sweep) into the shared verdict buffer and
+  // successor column, packed into the shard's own mask words, partial
+  // score total kept.
   const std::function<void(std::size_t)> dense_rescan_phase =
       [&](std::size_t k) {
         const VertexId lo = bounds[k];
@@ -348,15 +381,39 @@ RunResult<typename P::State> run_execution_parallel(
     targets = &step_targets;
     given = successors;
     if (successors == nullptr) staged.resize(step_targets.size());
-    cfg.dense_begin();
-    run_shards(dense_install_phase);
-    if (opt.record_trace) {
-      record(step_targets, successors != nullptr ? successors : staged.data(),
-             perturbation);
+    bool swapped = false;
+    if constexpr (HasSimdEval<P>) {
+      // A fresh column is the synchronous successor configuration, so a
+      // step that activates every enabled vertex (targets are a subset
+      // of equal size) installs it whole with a buffer swap.
+      if (successors == nullptr && successors_fresh &&
+          step_targets.size() == enabled.vertices().size() &&
+          cfg.holds_one_vector()) {
+        assert(step_targets == enabled.vertices());
+        if (opt.record_trace) {
+          for (std::size_t j = 0; j < step_targets.size(); ++j) {
+            staged[j] =
+                kernel->successors[static_cast<std::size_t>(step_targets[j])];
+          }
+          record(step_targets, staged.data(), perturbation);
+        }
+        cfg.swap_in(kernel->successors);
+        swapped = true;
+      }
     }
-    cfg.dense_commit();
+    if (!swapped) {
+      cfg.dense_begin();
+      run_shards(dense_install_phase);
+      if (opt.record_trace) {
+        record(step_targets,
+               successors != nullptr ? successors : staged.data(),
+               perturbation);
+      }
+      cfg.dense_commit();
+    }
     if (!kernel) kernel.emplace(make_enabled_kernel(g, proto));
     run_shards(dense_rescan_phase);
+    successors_fresh = HasSimdEval<P>;
     enabled.prepare_scatter(shard_counts, shard_offsets);
     run_shards(dense_scatter_phase);
     if constexpr (kFusedScore) {
@@ -383,6 +440,8 @@ RunResult<typename P::State> run_execution_parallel(
     if (is_dense_update(static_cast<std::int64_t>(count), radius, g)) {
       return dense_install_and_repair(step_targets, successors, perturbation);
     }
+    // The configuration changes under the successor column.
+    successors_fresh = false;
     const State* after = successors;
     if (after == nullptr) {
       staged.resize(count);
@@ -445,19 +504,21 @@ RunResult<typename P::State> run_execution_parallel(
     assert(std::is_sorted(activated.begin(), activated.end()));
     if (observer) observer(res.steps, live, activated);
 
-    // The round counter reads the pre-action enabled set only at round
-    // boundaries; snapshot it there (once per round) so the repair can
-    // edit the sorted vector in place.
-    const bool opening_round = !rc.round_open();
-    if (opening_round) round_base = enabled.vertices();
+    // The round counter reads the pre-action enabled set only when the
+    // action opens a round it does not also complete; snapshot it then
+    // (at most once per round, never on a synchronous step) so the repair
+    // can edit the sorted vector in place.
+    const std::size_t enabled_before = enabled.vertices().size();
+    if (rc.needs_enabled_before(enabled_before, activated.size())) {
+      round_base = enabled.vertices();
+    }
 
     const bool legit =
         install_and_repair(activated, nullptr, /*perturbation=*/false);
     res.moves += static_cast<std::int64_t>(activated.size());
     ++res.steps;
     if (res.first_legitimate >= 0) ++since_convergence;
-    rc.on_action(opening_round ? round_base : enabled.vertices(), activated,
-                 enabled.vertices());
+    rc.on_action(enabled_before, round_base, activated, enabled.vertices());
     note_legitimacy(res.steps, legit);
   }
   res.hit_step_cap = !res.terminated && res.steps >= opt.max_steps;

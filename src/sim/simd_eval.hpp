@@ -3,7 +3,7 @@
 //
 // A dense step (parallel_engine.hpp; synchronous and dense distributed
 // daemons) re-evaluates all n guards, sharded: each worker evaluates one
-// contiguous vertex range.  A protocol opts into the vectorized rescan by
+// contiguous vertex range.  A protocol opts into the kernel rescan by
 // specializing SimdEval<P> — the guard analogue of declaring a SoaFields
 // split next to the state (config_store.hpp):
 //
@@ -14,18 +14,28 @@
 //     static void enabled_bytes(const Context&, const MyProtocol&,
 //                               const ConfigView<MyProtocol::State>& cfg,
 //                               std::uint8_t* out,
+//                               MyProtocol::State* next,
 //                               VertexId begin, VertexId end);
 //   };
 //
 // make_context() runs once per execution, at its first dense step, and
 // precomputes whatever the kernel streams (typically the flattened CSR
 // adjacency below).
-// enabled_bytes() must write out[v] = proto.enabled(g, cfg, v) ? 1 : 0
-// for every vertex in [begin, end), bit-exactly — the differential
-// harness holds the engine to byte-identical RunResults against the
-// reference engine.  The range parameters exist for the shard fan-out
-// (disjoint ranges touch disjoint out bytes, so shards write
-// concurrently without synchronization); one shard passes [0, n).
+// enabled_bytes() must, for every vertex v in [begin, end), write
+//   out[v]  = proto.enabled(g, cfg, v) ? 1 : 0, and
+//   next[v] = out[v] ? proto.apply(g, cfg, v) : cfg[v]
+// bit-exactly: next is the configuration a synchronous step produces.
+// The successor comes out of the same pass because the guard evaluation
+// already knows which rule fired; the engine's next dense install reads
+// it instead of calling apply() once per target, and a step that
+// activates every enabled vertex installs the whole column with a
+// buffer swap (see "Successor freshness" in parallel_engine.hpp).  The
+// differential harness holds the engine to byte-identical RunResults
+// against the reference engine, and tests/simd_eval_test.cpp holds every
+// kernel to both equalities directly.  The range parameters exist for
+// the shard fan-out (disjoint ranges touch disjoint out and next
+// entries, so shards write concurrently without synchronization); one
+// shard passes [0, n).
 // Kernels are written as branch-light per-column loops over the
 // ConfigStore columns (the AoS vector *is* the column for arithmetic
 // states) so the compiler can auto-vectorize them; the engine packs the
@@ -34,20 +44,22 @@
 //
 // A specialization may additionally fuse the legitimacy scan into the
 // guard pass: declare a ScoreKind tag plus enabled_bytes_scored(), which
-// writes the same guard bytes AND returns the total violation score the
-// tag's LocalScoreChecker would compute from scratch over [begin, end)
-// (exactly the checker's bulk/score sum — same int64, no early exit;
-// per-shard partial totals summed in shard order reproduce the full-scan
-// total bit-exactly because the accumulation is int64 addition).  When
-// the run's checker advertises the matching ScoreKind, the engine calls
-// the scored kernel once per dense step and hands the total straight to
-// the checker (LocalScoreChecker::accept_total), skipping a separate
-// legitimacy scan — one pass over the columns instead of two.  With any
-// other checker the engine uses enabled_bytes() plus the checker's own
-// scan, so the fusion is pay-as-you-match.
+// writes the same guard bytes and successors AND returns the total
+// violation score the tag's LocalScoreChecker would compute from scratch
+// over [begin, end) (exactly the checker's bulk/score sum — same int64,
+// no early exit; per-shard partial totals summed in shard order
+// reproduce the full-scan total bit-exactly because the accumulation is
+// int64 addition).  When the run's checker advertises the matching
+// ScoreKind, the engine calls the scored kernel once per dense step and
+// hands the total straight to the checker
+// (LocalScoreChecker::accept_total), skipping a separate legitimacy
+// scan — one pass over the columns instead of two.  With any other
+// checker the engine uses enabled_bytes() plus the checker's own scan,
+// so the fusion is pay-as-you-match.
 //
 // Protocols without a specialization run on the engine's scalar rescan
-// fallback (fill_verdicts() below), so the dense path stays
+// fallback (fill_verdicts() below), which writes verdicts only: their
+// dense installs keep calling apply(), so the dense path stays
 // registry-complete.
 #ifndef SPECSTAB_SIM_SIMD_EVAL_HPP
 #define SPECSTAB_SIM_SIMD_EVAL_HPP
@@ -111,18 +123,18 @@ struct FlatAdjacency {
 template <class P>
 struct SimdEval {};
 
-/// Protocol opts into the vectorized rescan: SimdEval<P> declares a
-/// Context, a once-per-run make_context() and the ranged enabled_bytes()
-/// guard kernel.
+/// Protocol opts into the kernel rescan: SimdEval<P> declares a Context,
+/// a once-per-run make_context() and the ranged enabled_bytes() guard
+/// kernel, which writes verdicts and synchronous successors.
 template <class P>
 concept HasSimdEval =
     requires(const Graph& g, const P& p,
              const ConfigView<typename P::State>& cfg,
              const typename SimdEval<P>::Context& ctx, std::uint8_t* out,
-             VertexId begin, VertexId end) {
+             typename P::State* next, VertexId begin, VertexId end) {
       { SimdEval<P>::make_context(g, p) }
           -> std::same_as<typename SimdEval<P>::Context>;
-      { SimdEval<P>::enabled_bytes(ctx, p, cfg, out, begin, end) }
+      { SimdEval<P>::enabled_bytes(ctx, p, cfg, out, next, begin, end) }
           -> std::same_as<void>;
     };
 
@@ -152,17 +164,18 @@ struct ScoreKindOf<C> {
 };
 
 /// Kernel with a fused legitimacy scan: enabled_bytes_scored() writes the
-/// guard bytes and returns the ScoreKind violation total of [begin, end)
-/// in one pass.
+/// guard bytes and successors and returns the ScoreKind violation total
+/// of [begin, end) in one pass.
 template <class P>
 concept HasScoredSimdEval =
     HasSimdEval<P> &&
     requires(const P& p, const ConfigView<typename P::State>& cfg,
              const typename SimdEval<P>::Context& ctx, std::uint8_t* out,
-             VertexId begin, VertexId end) {
+             typename P::State* next, VertexId begin, VertexId end) {
       typename SimdEval<P>::ScoreKind;
-      { SimdEval<P>::enabled_bytes_scored(ctx, p, cfg, out, begin, end) }
-          -> std::same_as<std::int64_t>;
+      {
+        SimdEval<P>::enabled_bytes_scored(ctx, p, cfg, out, next, begin, end)
+      } -> std::same_as<std::int64_t>;
     };
 
 // --- Shared kernel state -------------------------------------------------
@@ -173,6 +186,10 @@ template <class P>
 struct KernelState {
   typename SimdEval<P>::Context ctx;
   std::vector<std::uint8_t> verdicts;
+  /// The synchronous successor of the configuration cfg of the latest
+  /// fill_verdicts(): proto.apply(g, cfg, v) where the verdict is 1,
+  /// cfg[v] elsewhere.
+  std::vector<typename P::State> successors;
 };
 
 struct ScalarKernelState {
@@ -182,16 +199,22 @@ struct ScalarKernelState {
 }  // namespace simd_detail
 
 /// Once-per-run kernel state for the engine's dense steps: the
-/// protocol's kernel Context (when SimdEval<P> is specialized) plus
-/// the verdict-byte buffer, padded to a full 64-byte word and zeroed so
-/// bits past the last vertex pack to zero.  The rescan loops run
-/// allocation-free against this.
+/// protocol's kernel Context and an n-entry successor column (when
+/// SimdEval<P> is specialized) plus the verdict-byte buffer, padded to a
+/// full 64-byte word and zeroed so bits past the last vertex pack to
+/// zero.  The rescan loops run allocation-free against this.
 template <class P>
 [[nodiscard]] auto make_enabled_kernel(const Graph& g, const P& proto) {
-  const auto padded = (static_cast<std::size_t>(g.n()) + 63) / 64 * 64;
+  static_assert(HasSimdEval<P> || !requires { typename SimdEval<P>::Context; },
+                "SimdEval<P> is declared but does not match the kernel "
+                "contract (enabled_bytes must also take a State* next)");
+  const auto n = static_cast<std::size_t>(g.n());
+  const auto padded = (n + 63) / 64 * 64;
   if constexpr (HasSimdEval<P>) {
-    return simd_detail::KernelState<P>{SimdEval<P>::make_context(g, proto),
-                                       std::vector<std::uint8_t>(padded, 0)};
+    return simd_detail::KernelState<P>{
+        SimdEval<P>::make_context(g, proto),
+        std::vector<std::uint8_t>(padded, 0),
+        std::vector<typename P::State>(n)};
   } else {
     (void)proto;
     return simd_detail::ScalarKernelState{
@@ -200,12 +223,12 @@ template <class P>
 }
 
 /// Fills kernel.verdicts[begin..end) with fresh guard verdicts — through
-/// the protocol's SimdEval kernel when one is declared, a scalar
-/// proto.enabled() sweep otherwise — and returns the fused ScoreKind
-/// violation total of the range when `Scored` (which requires a scored
-/// kernel), 0 otherwise.  Disjoint ranges touch disjoint verdict bytes,
-/// so the engine's shards call this concurrently on one shared kernel
-/// state.
+/// the protocol's SimdEval kernel when one is declared, which also fills
+/// kernel.successors[begin..end), and a scalar proto.enabled() sweep
+/// otherwise — and returns the fused ScoreKind violation total of the
+/// range when `Scored` (which requires a scored kernel), 0 otherwise.
+/// Disjoint ranges touch disjoint verdict and successor entries, so the
+/// engine's shards call this concurrently on one shared kernel state.
 template <bool Scored, class P, class Kernel>
 std::int64_t fill_verdicts(Kernel& kernel, const Graph& g, const P& proto,
                            const ConfigView<typename P::State>& cfg,
@@ -214,10 +237,12 @@ std::int64_t fill_verdicts(Kernel& kernel, const Graph& g, const P& proto,
     if constexpr (Scored) {
       static_assert(HasScoredSimdEval<P>);
       return SimdEval<P>::enabled_bytes_scored(
-          kernel.ctx, proto, cfg, kernel.verdicts.data(), begin, end);
+          kernel.ctx, proto, cfg, kernel.verdicts.data(),
+          kernel.successors.data(), begin, end);
     } else {
       SimdEval<P>::enabled_bytes(kernel.ctx, proto, cfg,
-                                 kernel.verdicts.data(), begin, end);
+                                 kernel.verdicts.data(),
+                                 kernel.successors.data(), begin, end);
       return 0;
     }
   } else {

@@ -14,10 +14,11 @@ void RoundCounter::reset() {
   rounds_ = 0;
 }
 
-void RoundCounter::on_action(const std::vector<VertexId>& enabled_before,
+void RoundCounter::on_action(std::size_t enabled_before_size,
+                             const std::vector<VertexId>& enabled_before,
                              const std::vector<VertexId>& activated,
                              const std::vector<VertexId>& enabled_after) {
-  if (!round_open_ && activated.size() == enabled_before.size()) {
+  if (!round_open_ && activated.size() == enabled_before_size) {
     // Synchronous action at a round boundary: activated is a subset of
     // enabled_before, so equal sizes mean every vertex the round would
     // wait on is served by this very action — the round opens and

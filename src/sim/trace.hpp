@@ -234,16 +234,34 @@ class RoundCounter {
   /// the enabled set in the post-configuration.  All sorted.
   void on_action(const std::vector<VertexId>& enabled_before,
                  const std::vector<VertexId>& activated,
+                 const std::vector<VertexId>& enabled_after) {
+    on_action(enabled_before.size(), enabled_before, activated,
+              enabled_after);
+  }
+
+  /// The same, for callers that repair the enabled set in place and keep
+  /// no pre-action copy: `enabled_before_size` is the size of the
+  /// pre-configuration enabled set, and `enabled_before` must hold that
+  /// set only when needs_enabled_before() returned true for this action
+  /// (it is not read otherwise).
+  void on_action(std::size_t enabled_before_size,
+                 const std::vector<VertexId>& enabled_before,
+                 const std::vector<VertexId>& activated,
                  const std::vector<VertexId>& enabled_after);
+
+  /// Whether on_action() will read the pre-configuration enabled set: the
+  /// action opens a round that it does not also complete.  An action at
+  /// a round boundary that activates every enabled vertex (every
+  /// synchronous step) completes its round at once and needs only the
+  /// set's size.
+  [[nodiscard]] bool needs_enabled_before(
+      std::size_t enabled_before_size,
+      std::size_t activated_size) const noexcept {
+    return !round_open_ && activated_size != enabled_before_size;
+  }
 
   /// Number of completed rounds so far.
   [[nodiscard]] StepIndex completed_rounds() const noexcept { return rounds_; }
-
-  /// True while a round is in progress.  When false, the next on_action()
-  /// reads `enabled_before` to open a round; when true, `enabled_before`
-  /// is ignored (callers tracking the enabled set incrementally only need
-  /// a snapshot at round boundaries).
-  [[nodiscard]] bool round_open() const noexcept { return round_open_; }
 
   void reset();
 

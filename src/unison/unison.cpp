@@ -125,15 +125,16 @@ SimdEval<UnisonProtocol>::Context SimdEval<UnisonProtocol>::make_context(
 void SimdEval<UnisonProtocol>::enabled_bytes(const Context& ctx,
                                              const UnisonProtocol& proto,
                                              const ConfigView<ClockValue>& cfg,
-                                             std::uint8_t* out, VertexId begin,
+                                             std::uint8_t* out,
+                                             ClockValue* next, VertexId begin,
                                              VertexId end) {
-  (void)enabled_bytes_scored(ctx, proto, cfg, out, begin, end);
+  (void)enabled_bytes_scored(ctx, proto, cfg, out, next, begin, end);
 }
 
 std::int64_t SimdEval<UnisonProtocol>::enabled_bytes_scored(
     const Context& ctx, const UnisonProtocol& proto,
-    const ConfigView<ClockValue>& cfg, std::uint8_t* out, VertexId begin,
-    VertexId end) {
+    const ConfigView<ClockValue>& cfg, std::uint8_t* out, ClockValue* next,
+    VertexId begin, VertexId end) {
   // Bit-exact restatement of enabled() = NA || CA || RA with the guard
   // relations inlined branch-free.  All clock arithmetic runs in int64
   // like CherryClock::ring_projection, so corrupted int32 registers fold
@@ -145,6 +146,15 @@ std::int64_t SimdEval<UnisonProtocol>::enabled_bytes_scored(
   // it already folds stab_v in, and an isolated vertex is locally
   // legitimate iff stab_v — so (ac & stab_v) ^ 1 is exactly the violation
   // score make_gamma1_checker() counts, accumulated here for free.
+  //
+  // The successor follows apply(): NA and CA (pairwise exclusive with
+  // RA) increment, RA resets, and a disabled register keeps its value.
+  // NA fires only on stab values and CA only on init* values, so phi is
+  // rv + 1 with K - 1 wrapping to 0; computing it in int64 keeps
+  // corrupted registers (whose increment is never used) free of
+  // overflow.  The rule select is mask arithmetic: written as ternaries
+  // it compiles to a branch on the rule, which mispredicts on every
+  // irregular enabled pattern.
   const ClockValue* c = cfg.column();
   const std::int64_t k = proto.clock().k();
   const std::int64_t alpha = proto.clock().alpha();
@@ -171,6 +181,11 @@ std::int64_t SimdEval<UnisonProtocol>::enabled_bytes_scored(
     const unsigned init_v = static_cast<unsigned>(rv >= -alpha && rv <= 0);
     const unsigned ra = (ac ^ 1u) & (init_v ^ 1u);  // RA
     out[v] = static_cast<std::uint8_t>(na | ca | ra);
+    const std::int64_t phi = (rv + 1) & -static_cast<std::int64_t>(rv + 1 != k);
+    const auto inc = -static_cast<std::int64_t>(na | ca);  // all ones: NA/CA
+    const auto moves = -static_cast<std::int64_t>(na | ca | ra);
+    const std::int64_t moved = (phi & inc) | (-alpha & ~inc);
+    next[v] = static_cast<ClockValue>((moved & moves) | (rv & ~moves));
     total += (ac & stab_v) ^ 1u;
   }
   return total;

@@ -90,10 +90,12 @@ class UnisonProtocol {
 /// Vectorized guard kernel (dense-rescan opt-in, the guard analogue of
 /// a SoaFields split): NA / CA / RA evaluated in one branch-light pass
 /// over the clock column and the flattened adjacency, with the cherry
-/// clock's ring projection inlined as conditional folds.  The pass also
-/// yields the Gamma_1 violation count for free — the allCorrect fold is
-/// exactly local legitimacy — so the scored variant fuses the guard and
-/// legitimacy scans into one (see simd_eval.hpp).
+/// clock's ring projection inlined as conditional folds.  The rule that
+/// fired selects the successor in the same pass: phi(r_v) for NA and CA,
+/// -alpha for RA.  The pass also yields the Gamma_1 violation count for
+/// free — the allCorrect fold is exactly local legitimacy — so the scored
+/// variant fuses the guard and legitimacy scans into one (see
+/// simd_eval.hpp).
 template <>
 struct SimdEval<UnisonProtocol> {
   using ScoreKind = Gamma1ScoreKind;
@@ -103,12 +105,13 @@ struct SimdEval<UnisonProtocol> {
   static Context make_context(const Graph& g, const UnisonProtocol&);
   static void enabled_bytes(const Context& ctx, const UnisonProtocol& proto,
                             const ConfigView<ClockValue>& cfg,
-                            std::uint8_t* out, VertexId begin, VertexId end);
+                            std::uint8_t* out, ClockValue* next,
+                            VertexId begin, VertexId end);
   static std::int64_t enabled_bytes_scored(const Context& ctx,
                                            const UnisonProtocol& proto,
                                            const ConfigView<ClockValue>& cfg,
-                                           std::uint8_t* out, VertexId begin,
-                                           VertexId end);
+                                           std::uint8_t* out, ClockValue* next,
+                                           VertexId begin, VertexId end);
 };
 
 }  // namespace specstab

@@ -46,6 +46,22 @@ TEST(RoundCounterTest, ReactivationDoesNotRejoinOpenRound) {
   EXPECT_EQ(rc.completed_rounds(), 1);  // 0 served, 1 neutralised
 }
 
+TEST(RoundCounterTest, SnapshotReadOnlyWhenARoundOpensPartially) {
+  // Callers that repair the enabled set in place pass its pre-action size
+  // and copy the set only when needs_enabled_before() asks; the empty
+  // vectors below stand in for snapshots that are never read.
+  RoundCounter rc(3);
+  EXPECT_FALSE(rc.needs_enabled_before(3, 3));  // synchronous: opens and closes
+  rc.on_action(3, {}, {0, 1, 2}, {0, 1, 2});
+  EXPECT_EQ(rc.completed_rounds(), 1);
+  EXPECT_TRUE(rc.needs_enabled_before(3, 1));  // opens a round on {0, 1, 2}
+  rc.on_action(3, {0, 1, 2}, {0}, {0, 1, 2});
+  EXPECT_FALSE(rc.needs_enabled_before(3, 1));  // round open: size only
+  rc.on_action(3, {}, {1}, {0, 1, 2});
+  rc.on_action(3, {}, {2}, {0, 1, 2});
+  EXPECT_EQ(rc.completed_rounds(), 2);
+}
+
 TEST(RoundCounterTest, ResetClearsState) {
   RoundCounter rc(2);
   rc.on_action({0, 1}, {0}, {0, 1});

@@ -4,11 +4,15 @@
 #define SPECSTAB_TESTS_TEST_PROTOCOLS_HPP
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
 
+#include "baselines/unbounded_unison.hpp"
 #include "graph/graph.hpp"
+#include "sim/config_store.hpp"
+#include "sim/simd_eval.hpp"
 #include "sim/types.hpp"
 
 namespace specstab {
@@ -71,6 +75,61 @@ class TwoHopMaxProtocol {
 
  private:
   VertexId declared_radius_;
+};
+
+/// Unbounded unison whose apply() counts its calls into a caller-owned
+/// counter, with a SimdEval kernel forwarding to the unbounded unison's.
+/// Tests read the counter to see which dense installs re-derive their
+/// successors through apply() and which take them from the kernel's
+/// successor column.  The count is atomic: dense installs call apply()
+/// from every shard.
+class CountingUnisonProtocol {
+ public:
+  using State = std::int64_t;
+
+  explicit CountingUnisonProtocol(std::atomic<std::int64_t>& applies)
+      : applies_(&applies) {}
+
+  [[nodiscard]] const UnboundedUnisonProtocol& inner() const noexcept {
+    return inner_;
+  }
+
+  // --- ProtocolConcept ---
+  [[nodiscard]] bool enabled(const Graph& g, const ConfigView<State>& cfg,
+                             VertexId v) const {
+    return inner_.enabled(g, cfg, v);
+  }
+  [[nodiscard]] State apply(const Graph& g, const ConfigView<State>& cfg,
+                            VertexId v) const {
+    applies_->fetch_add(1, std::memory_order_relaxed);
+    return inner_.apply(g, cfg, v);
+  }
+  [[nodiscard]] std::string_view rule_name(const Graph& g,
+                                           const ConfigView<State>& cfg,
+                                           VertexId v) const {
+    return inner_.rule_name(g, cfg, v);
+  }
+
+ private:
+  UnboundedUnisonProtocol inner_;
+  std::atomic<std::int64_t>* applies_;
+};
+
+template <>
+struct SimdEval<CountingUnisonProtocol> {
+  using Context = SimdEval<UnboundedUnisonProtocol>::Context;
+  static Context make_context(const Graph& g,
+                              const CountingUnisonProtocol& proto) {
+    return SimdEval<UnboundedUnisonProtocol>::make_context(g, proto.inner());
+  }
+  static void enabled_bytes(const Context& ctx,
+                            const CountingUnisonProtocol& proto,
+                            const ConfigView<std::int64_t>& cfg,
+                            std::uint8_t* out, std::int64_t* next,
+                            VertexId begin, VertexId end) {
+    SimdEval<UnboundedUnisonProtocol>::enabled_bytes(ctx, proto.inner(), cfg,
+                                                     out, next, begin, end);
+  }
 };
 
 }  // namespace specstab
