@@ -194,10 +194,11 @@ std::vector<MicroRow> run_micros(bool smoke, int repeats) {
         repeats));
   }
   {
-    // Multi-field state at scale: LeaderState runs SoA by default (leader
-    // and dist in separate columns), and this row is what guards the
-    // split — guard scans over a large random graph are exactly the
-    // memory-bound path the layout targets.
+    // Multi-field state at scale: the engine stores LeaderState as
+    // columns (leader and dist apart) and the reference engine as one
+    // vector, and this row is what guards the split — guard scans over a
+    // large random graph are exactly the memory-bound path the columns
+    // target.
     const Graph g =
         make_random_connected(smoke ? 48 : 4096, smoke ? 0.15 : 0.0025, 7);
     const LeaderElectionProtocol proto(g);

@@ -50,7 +50,7 @@ std::int64_t estimated_cost(const Scenario& s, const TopologyInstance& topo,
 /// here.
 ScenarioResult run_scenario_on(const Scenario& scenario,
                                const TopologyInstance& topo,
-                               EngineKind engine, ConfigLayout layout,
+                               EngineKind engine,
                                unsigned engine_threads = 1,
                                ShardPool* pool = nullptr) {
   ScenarioResult out;
@@ -73,7 +73,6 @@ ScenarioResult run_scenario_on(const Scenario& scenario,
   spec.seed = scenario.seed;
   spec.max_steps = scenario.max_steps;
   spec.engine = engine;
-  spec.layout = layout;
   spec.threads = std::max(1u, engine_threads);
   spec.pool = pool;
   spec.perturb = scenario.perturb;
@@ -117,10 +116,9 @@ WorkOrder work_order_by_name(const std::string& name) {
                               "' (heavy | index)");
 }
 
-ScenarioResult run_scenario(const Scenario& scenario, EngineKind engine,
-                            ConfigLayout layout) {
+ScenarioResult run_scenario(const Scenario& scenario, EngineKind engine) {
   return run_scenario_on(scenario, TopologyInstance(scenario.topology),
-                         engine, layout);
+                         engine);
 }
 
 CampaignResult run_scenarios(const std::vector<Scenario>& items,
@@ -187,7 +185,7 @@ CampaignResult run_scenarios(const std::vector<Scenario>& items,
         if (item.max_steps == 0) item.max_steps = opt.max_steps_override;
         result.rows[i] = run_scenario_on(
             item, topologies.at(item.topology.label()), opt.engine,
-            opt.layout, engine_threads, &engine_pool);
+            engine_threads, &engine_pool);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();

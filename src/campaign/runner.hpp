@@ -58,11 +58,6 @@ struct RunnerOptions {
   /// wall-clock differs.
   EngineKind engine = EngineKind::kIncremental;
 
-  /// Configuration storage layout for every run (CLI `--layout
-  /// soa|aos`).  kAuto resolves per protocol state; results are
-  /// byte-identical either way — only memory traffic differs.
-  ConfigLayout layout = ConfigLayout::kAuto;
-
   /// Work-distribution schedule (CLI `--order heavy|index`).  Results
   /// are bit-identical either way; only wall-clock differs.
   WorkOrder order = WorkOrder::kHeavyFirst;
@@ -81,8 +76,7 @@ struct RunnerOptions {
 /// Executes one scenario synchronously.  Throws std::invalid_argument on
 /// malformed scenarios (unknown daemon, bad topology).
 [[nodiscard]] ScenarioResult run_scenario(
-    const Scenario& scenario, EngineKind engine = EngineKind::kIncremental,
-    ConfigLayout layout = ConfigLayout::kAuto);
+    const Scenario& scenario, EngineKind engine = EngineKind::kIncremental);
 
 /// Expands the grid and executes every item on `threads` workers.
 [[nodiscard]] CampaignResult run_campaign(const CampaignGrid& grid,

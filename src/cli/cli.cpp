@@ -78,6 +78,15 @@ std::uint64_t parse_uint(const std::string& token, const std::string& what) {
   return value;
 }
 
+/// `--steps` for run and campaign: parse_uint capped to StepIndex.
+StepIndex parse_steps(const std::string& token) {
+  const std::uint64_t n = parse_uint(token, "--steps");
+  if (n > static_cast<std::uint64_t>(std::numeric_limits<StepIndex>::max())) {
+    fail("out-of-range --steps: " + token);
+  }
+  return static_cast<StepIndex>(n);
+}
+
 double parse_double(const std::string& token, const std::string& what) {
   try {
     std::size_t used = 0;
@@ -102,7 +111,6 @@ struct Options {
   std::size_t configs = 10;
   bool dot = false;
   EngineKind engine = EngineKind::kIncremental;
-  ConfigLayout layout = ConfigLayout::kAuto;
   unsigned threads = 1;  ///< engine threads for dense steps
   std::string perturb;   ///< fault-injection spec (FaultSpec::parse text)
 };
@@ -133,25 +141,21 @@ Options parse_options(const std::vector<std::string>& args, std::size_t pos) {
     } else if (flag == "--init") {
       opt.init = value;
     } else if (flag == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(
-          parse_double(value, "--seed"));
+      opt.seed = parse_uint(value, "--seed");
     } else if (flag == "--steps") {
-      opt.max_steps = static_cast<StepIndex>(parse_double(value, "--steps"));
+      opt.max_steps = parse_steps(value);
     } else if (flag == "--daemon") {
       opt.daemon = value;
     } else if (flag == "--engine") {
       opt.engine = engine_by_name(value);
-    } else if (flag == "--layout") {
-      opt.layout = config_layout_by_name(value);
     } else if (flag == "--threads") {
-      const double t = parse_double(value, "--threads");
+      const std::uint64_t t = parse_uint(value, "--threads");
       if (t < 1 || t > 4096) fail("--threads must be in [1, 4096]");
       opt.threads = static_cast<unsigned>(t);
     } else if (flag == "--perturb") {
       opt.perturb = value;
     } else if (flag == "--configs") {
-      opt.configs =
-          static_cast<std::size_t>(parse_double(value, "--configs"));
+      opt.configs = static_cast<std::size_t>(parse_uint(value, "--configs"));
     } else {
       fail("unknown option " + flag);
     }
@@ -191,8 +195,6 @@ std::string usage() {
      << "                                     or the full-rescan oracle;\n"
      << "                                     vector and parallel are\n"
      << "                                     synonyms of incremental\n"
-     << "  --layout auto|soa|aos              configuration storage layout\n"
-     << "                                     (auto: SoA where declared)\n"
      << "  --threads T                        engine threads for dense steps\n"
      << "                                     (results identical at any T)\n"
      << "run additionally accepts\n"
@@ -314,10 +316,6 @@ std::string campaign_usage() {
      << "                                 lowered to compensate — each\n"
      << "                                 worker keeps a persistent engine\n"
      << "                                 pool of this size)\n"
-     << "  --layout auto|soa|aos          configuration storage layout\n"
-     << "                                 (default auto: SoA where the\n"
-     << "                                 protocol declares a field split);\n"
-     << "                                 artifacts are identical either way\n"
      << "  --order heavy|index            work-stealing schedule: heavy\n"
      << "                                 cells first (default) or grid\n"
      << "                                 order; artifacts are identical\n"
@@ -359,8 +357,8 @@ CliResult cmd_campaign(const std::vector<std::string>& args) {
       "--preset",  "--protocols", "--families", "--sizes",
       "--daemons", "--inits",     "--reps",     "--seed",
       "--threads", "--steps",     "--json",     "--csv",
-      "--runs-csv", "--engine",   "--order",    "--layout",
-      "--perturb", "--engine-threads"};
+      "--runs-csv", "--engine",   "--order",    "--perturb",
+      "--engine-threads"};
   for (std::size_t pos = 0; pos < args.size();) {
     const std::string& flag = args[pos];
     if (flag == "--help") return {0, campaign_usage()};
@@ -420,16 +418,9 @@ CliResult cmd_campaign(const std::vector<std::string>& args) {
       if (t < 1 || t > 4096) fail("--engine-threads must be in [1, 4096]");
       run_opt.engine_threads = static_cast<unsigned>(t);
     } else if (flag == "--steps") {
-      const std::uint64_t n = parse_uint(value, "--steps");
-      if (n > static_cast<std::uint64_t>(
-                  std::numeric_limits<StepIndex>::max())) {
-        fail("out-of-range --steps: " + value);
-      }
-      run_opt.max_steps_override = static_cast<StepIndex>(n);
+      run_opt.max_steps_override = parse_steps(value);
     } else if (flag == "--engine") {
       run_opt.engine = engine_by_name(value);
-    } else if (flag == "--layout") {
-      run_opt.layout = config_layout_by_name(value);
     } else if (flag == "--order") {
       run_opt.order = cmp::work_order_by_name(value);
     } else if (flag == "--json") {
@@ -627,7 +618,6 @@ CliResult cmd_run(const std::vector<std::string>& args,
   spec.seed = opt.seed;
   spec.max_steps = opt.max_steps;
   spec.engine = opt.engine;
-  spec.layout = opt.layout;
   spec.threads = opt.threads;
   spec.perturb = opt.perturb;
   const SessionResult res = entry.run(g, spec);
@@ -639,9 +629,6 @@ CliResult cmd_run(const std::vector<std::string>& args,
      << ")\n"
      << "daemon:     " << opt.daemon << '\n'
      << "engine:     " << engine_name(opt.engine) << '\n'
-     << "layout:     " << config_layout_name(opt.layout)
-     << (opt.layout == ConfigLayout::kAuto ? " (soa where declared)" : "")
-     << '\n'
      << "init:       "
      << (opt.init.empty() ? entry.info.inits.front() + " (default)"
                           : opt.init)
@@ -703,7 +690,6 @@ CliResult cmd_witness(const std::vector<std::string>& args) {
   SynchronousDaemon daemon;
   RunOptions run_opt;
   run_opt.engine = opt.engine;
-  run_opt.layout = opt.layout;
   run_opt.threads = opt.threads;
   run_opt.max_steps =
       opt.max_steps > 0 ? opt.max_steps
@@ -740,7 +726,6 @@ CliResult cmd_speculate(const std::vector<std::string>& args) {
   auto safe = make_mutex_safety_checker(proto);
   RunOptions run_opt;
   run_opt.engine = opt.engine;
-  run_opt.layout = opt.layout;
   run_opt.threads = opt.threads;
   run_opt.max_steps = 40 * (proto.params().k + proto.params().n);
 

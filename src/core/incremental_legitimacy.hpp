@@ -440,7 +440,7 @@ class ClosureCounting {
     const LeaderElectionProtocol& proto, const Graph& g) {
   Config<LeaderState> elected = proto.elected_config(g);
   // Split the elected configuration into per-field columns so the bulk
-  // scan is two contiguous compares under SoA layout.
+  // scan is two contiguous compares over the engine's columns.
   std::vector<std::int32_t> el_lead(elected.size());
   std::vector<std::int32_t> el_dist(elected.size());
   for (std::size_t i = 0; i < elected.size(); ++i) {
@@ -469,6 +469,8 @@ class ClosureCounting {
             static_cast<unsigned>(dst[i] != el_dist[i]));
       }
     } else {
+      // A plain vector (the reference engine's configuration) has no
+      // columns.
       for (std::size_t i = 0; i < cfg.size(); ++i) {
         total += cfg[i] == LeaderState{el_lead[i], el_dist[i]} ? 0 : 1;
       }

@@ -1,6 +1,7 @@
 #include "extensions/leader_election.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <random>
 #include <stdexcept>
 #include <unordered_set>
@@ -53,9 +54,9 @@ LeaderState LeaderElectionProtocol::best_candidate(const Graph& g,
     // Discard corrupted or overflowing distances: the candidate would sit
     // at distance dist_u + 1, which must stay below n in any real
     // configuration.  This is the ghost-flushing bound.  Reading the
-    // dist column first keeps the discard off the leader column — under
-    // SoA the scan touches one contiguous array until a candidate
-    // survives.
+    // dist column first keeps the discard off the leader column — in the
+    // engine's store the scan touches one contiguous array until a
+    // candidate survives.
     const std::int32_t du = cfg.field<kDistField>(i);
     if (du < 0 || du + 1 >= bound) continue;
     const LeaderState candidate{cfg.field<kLeaderField>(i), du + 1};
@@ -149,43 +150,26 @@ void SimdEval<LeaderElectionProtocol>::enabled_bytes(
   const std::int32_t* off = ctx.adj.offsets.data();
   const VertexId* tg = ctx.adj.targets.data();
   const auto bound = static_cast<std::int32_t>(cfg.size());
+  // Kernels only receive the engine's store view, which keeps LeaderState
+  // as columns.
   const std::int32_t* lead = cfg.column<kLeaderField>();
   const std::int32_t* dst = cfg.column<kDistField>();
-  if (lead != nullptr && dst != nullptr) {
-    for (VertexId v = begin; v < end; ++v) {
-      std::uint64_t best = lex_key(proto.id_of(v), 0);
-      for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
-        const auto i = static_cast<std::size_t>(tg[j]);
-        const std::int32_t du = dst[i];
-        // Same discard as best_candidate(): corrupted or overflowing
-        // distances never become candidates (the ghost-flushing bound).
-        const std::uint64_t ck = lex_key(lead[i], du + 1);
-        const bool live = du >= 0 && du + 1 < bound;
-        best = live && ck < best ? ck : best;
-      }
-      out[v] = static_cast<std::uint8_t>(
-          best !=
-          lex_key(lead[static_cast<std::size_t>(v)],
-                  dst[static_cast<std::size_t>(v)]));
-      next[v] = lex_state(best);  // disabled: already the best candidate
-    }
-    return;
-  }
-  // AoS layout: no contiguous columns; identical arithmetic over per-field
-  // loads.
+  assert(lead != nullptr && dst != nullptr);
   for (VertexId v = begin; v < end; ++v) {
     std::uint64_t best = lex_key(proto.id_of(v), 0);
     for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
       const auto i = static_cast<std::size_t>(tg[j]);
-      const std::int32_t du = cfg.field<kDistField>(i);
-      const std::uint64_t ck = lex_key(cfg.field<kLeaderField>(i), du + 1);
+      const std::int32_t du = dst[i];
+      // Same discard as best_candidate(): corrupted or overflowing
+      // distances never become candidates (the ghost-flushing bound).
+      const std::uint64_t ck = lex_key(lead[i], du + 1);
       const bool live = du >= 0 && du + 1 < bound;
       best = live && ck < best ? ck : best;
     }
-    const auto iv = static_cast<std::size_t>(v);
     out[v] = static_cast<std::uint8_t>(
-        best != lex_key(cfg.field<kLeaderField>(iv), cfg.field<kDistField>(iv)));
-    next[v] = lex_state(best);
+        best != lex_key(lead[static_cast<std::size_t>(v)],
+                        dst[static_cast<std::size_t>(v)]));
+    next[v] = lex_state(best);  // disabled: already the best candidate
   }
 }
 

@@ -53,15 +53,13 @@ struct LeaderState {
   }
 };
 
-/// SoA split: the guard reads both fields of every neighbour, but the
+/// Column split: the guard reads both fields of every neighbour, but the
 /// distance bound discards most candidates before their leader identity
-/// matters, so `dist` scans profit from its own contiguous column.  The
-/// two members cover the struct — no residual array under SoA.
+/// matters, so `dist` scans profit from its own contiguous column.
 template <>
 struct SoaFields<LeaderState> {
   static constexpr auto members =
       std::make_tuple(&LeaderState::leader, &LeaderState::dist);
-  static constexpr bool covers_state = true;
 };
 
 /// Column indices for ConfigView<LeaderState>::field<I>().
@@ -125,13 +123,12 @@ class LeaderElectionProtocol {
   VertexId min_vertex_ = 0;
 };
 
-/// Vectorized guard kernel over both SoA columns.  The lexicographic
+/// Vectorized guard kernel over both columns.  The lexicographic
 /// candidate order (leader, then dist) is folded into one order-preserving
 /// unsigned 64-bit key — sign-flip each int32 field and concatenate — so
 /// the best candidate is a plain min-reduction over packed keys streamed
 /// from the leader and dist columns, and the successor is that key
-/// decoded.  Falls back to per-field loads under AoS layout (columns
-/// unavailable), byte-identical either way.
+/// decoded.  Requires a view with columns (the engine's store view).
 template <>
 struct SimdEval<LeaderElectionProtocol> {
   struct Context {

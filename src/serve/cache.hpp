@@ -14,7 +14,7 @@
 // wrong session's bytes.
 //
 // Sessions here are deterministic functions of their canonical key (the
-// differential suites hold every engine/layout/thread combination to
+// differential suites hold every engine and thread count to
 // byte-identical results), so cached entries never go stale: eviction
 // exists purely to bound memory.
 #ifndef SPECSTAB_SERVE_CACHE_HPP

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "sim/config_store.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/parallel_engine.hpp"
@@ -116,12 +115,6 @@ SessionRequest decode_session_params(const JsonValue& params) {
     } else if (key == "engine") {
       try {
         req.spec.engine = engine_by_name(require_string(value, key));
-      } catch (const std::invalid_argument& e) {
-        throw RpcError(kErrInvalid, e.what());
-      }
-    } else if (key == "layout") {
-      try {
-        req.spec.layout = config_layout_by_name(require_string(value, key));
       } catch (const std::invalid_argument& e) {
         throw RpcError(kErrInvalid, e.what());
       }

@@ -83,8 +83,8 @@ struct SessionRequest {
 };
 
 /// Validates and extracts the session params (protocol/topology
-/// required; daemon, init, seed, steps, engine, layout, threads, perturb
-/// optional with SessionSpec defaults).  Unknown keys and mistyped
+/// required; daemon, init, seed, steps, engine, threads, perturb optional
+/// with SessionSpec defaults).  Unknown keys and mistyped
 /// values throw RpcError(kErrInvalid).  The topology is canonicalized;
 /// its semantic validation (does the family exist, do the sizes make
 /// sense) happens when the session instantiates the graph.

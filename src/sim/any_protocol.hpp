@@ -123,7 +123,6 @@ template <class Traits>
   const auto daemon = make_daemon(spec.daemon, spec.seed);
   RunOptions opt;
   opt.engine = spec.engine;
-  opt.layout = spec.layout;
   opt.threads = spec.threads;
   opt.pool = spec.pool;
   opt.record_trace = spec.record_trace;

@@ -1,51 +1,44 @@
-// Layout-polymorphic configuration storage.
+// Configuration storage, one layout per state type.
 //
 // A configuration assigns a state to every vertex.  How those states are
-// *stored* is a performance decision, not a semantic one: the engine's
-// dirty-set guard re-tests stream the states of whole
-// neighborhoods, and for multi-field states an array-of-structs layout
-// (one std::vector<State>) drags every cold byte of the struct through
-// the cache on each guard read.  ConfigStore<State> makes the layout
-// selectable per run:
+// *stored* never changes a result, only memory traffic: the engine's
+// guard re-tests stream the states of whole neighborhoods, and for a
+// multi-field state one std::vector<State> drags every field through the
+// cache on each guard read.  So the state type decides its layout:
 //
-//   - AoS: one contiguous std::vector<State> (the classic layout);
-//   - SoA: the *hot* guard fields declared by SoaFields<State> live in
-//     separate contiguous column arrays; any cold payload stays in a
-//     residual full-struct array.  Single-field (arithmetic) states are
-//     their own hot column, so for them the two layouts coincide — the
-//     zero-cost fallback.
+//   - a state that declares SoaFields<State> is stored as one contiguous
+//     column per declared member;
+//   - every other state is stored as one std::vector<State>.  For
+//     arithmetic states that vector *is* the single column, and the
+//     engine can install a whole next configuration with a buffer swap
+//     (ConfigStore::swap_in).
 //
 // Consumers never touch the backing vectors.  They read through
 // ConfigView<State>, a two-pointer proxy offering get()/operator[]
-// (whole-state reads), field<I>() (column reads for hot guard scans) and
+// (whole-state reads), field<I>() (column reads for guard scans) and
 // materialize(); engines mutate through ConfigStore::set() and the
-// dense_begin()/dense_fill_range()/dense_commit() column-swap path.
-// States round-trip bit-identically through every layout, so results
-// (digests, delta traces) are byte-identical across layouts — the
-// layout-agreement differential suite asserts exactly that.
+// dense_begin()/dense_fill_range()/dense_commit() buffer-swap path.
+// States round-trip bit-identically through the columns, so results
+// (digests, delta traces) match the reference engine, which keeps its
+// configuration in a plain vector; the differential suites assert that.
 //
 // Declaring a split for a new multi-field state:
 //
 //   template <>
 //   struct SoaFields<MyState> {
 //     static constexpr auto members =
-//         std::make_tuple(&MyState::hot_a, &MyState::hot_b);
-//     static constexpr bool covers_state = false;  // has cold payload
+//         std::make_tuple(&MyState::a, &MyState::b);
 //   };
 //
-// With covers_state == true the columns are the entire representation;
-// otherwise a residual std::vector<MyState> keeps the full struct (so
-// whole-state reads stay a single load) and the columns mirror the hot
-// members for contiguous guard scans.
+// The columns are the whole representation, so a split must name every
+// member of the struct; one that leaves a member out (or a struct with
+// padding) fails to build.
 #ifndef SPECSTAB_SIM_CONFIG_STORE_HPP
 #define SPECSTAB_SIM_CONFIG_STORE_HPP
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -56,77 +49,36 @@
 
 namespace specstab {
 
-/// Which backing layout a ConfigStore uses.  kAuto resolves per state
-/// type: SoA wherever SoaFields<State> declares a split (including the
-/// trivial single-column split of arithmetic states), AoS otherwise.
-enum class ConfigLayout {
-  kAuto,
-  kAoS,
-  kSoA,
-};
-
-/// "auto" | "aos" | "soa".
-[[nodiscard]] constexpr std::string_view config_layout_name(
-    ConfigLayout layout) {
-  switch (layout) {
-    case ConfigLayout::kAuto:
-      return "auto";
-    case ConfigLayout::kAoS:
-      return "aos";
-    case ConfigLayout::kSoA:
-      return "soa";
-  }
-  return "?";
-}
-
-/// Inverse of config_layout_name; throws std::invalid_argument on unknown
-/// names.
-[[nodiscard]] inline ConfigLayout config_layout_by_name(
-    const std::string& name) {
-  if (name == "auto") return ConfigLayout::kAuto;
-  if (name == "aos") return ConfigLayout::kAoS;
-  if (name == "soa") return ConfigLayout::kSoA;
-  throw std::invalid_argument("unknown layout '" + name +
-                              "' (auto | aos | soa)");
-}
-
-/// Trait declaring the SoA field split of a state type.  The primary
-/// template declares nothing: such states are stored AoS regardless of
-/// the requested layout (requesting SoA falls back — "zero cost" both
-/// ways).  Specializations declare a `members` tuple of pointers to the
-/// hot guard fields, plus `covers_state` (true when the listed members
-/// are the whole struct, so no residual array is needed).
+/// Trait declaring the column split of a state type.  The primary
+/// template declares nothing: such states are stored as one vector.
+/// Specializations declare a `members` tuple of pointers to every member
+/// of the struct, one column each.
 template <class State>
 struct SoaFields {};
 
-/// Arithmetic states are a single hot field already: the AoS vector *is*
-/// the one SoA column, so both layouts share the same representation and
-/// the dense column-swap path applies.
-template <class State>
-  requires std::is_arithmetic_v<State>
-struct SoaFields<State> {
-  static constexpr bool scalar_column = true;
-};
-
-/// State declares a genuine multi-column split (struct states).
+/// State declares a column split.
 template <class State>
 concept HasStructSplit = requires { SoaFields<State>::members; };
 
-/// State participates in SoA at all (struct split or scalar column);
-/// kAuto resolves to kSoA exactly for these.
-template <class State>
-concept HasSoaSplit =
-    HasStructSplit<State> || requires { SoaFields<State>::scalar_column; };
-
 namespace detail {
 
-/// tuple<vector<field type>...> for the declared members of State; an
-/// empty placeholder for states without a struct split (the partial
-/// specialization keeps the member tuple un-instantiated for them).
-struct NoColumns {
-  friend bool operator==(const NoColumns&, const NoColumns&) = default;
-};
+/// Empty placeholder for the columns of states without a split (the
+/// partial specialization keeps the member tuple un-instantiated for
+/// them).
+struct NoColumns {};
 
+/// Total size of the members a split declares.
+template <class State>
+[[nodiscard]] consteval std::size_t split_member_bytes() {
+  return std::apply(
+      [](auto... member) {
+        return (std::size_t{0} + ... +
+                sizeof(std::declval<const State&>().*member));
+      },
+      SoaFields<State>::members);
+}
+
+/// tuple<vector<field type>...> for the declared members of State.
 template <class State, bool kSplit = HasStructSplit<State>>
 struct ColumnsOf {
   using type = NoColumns;
@@ -134,6 +86,11 @@ struct ColumnsOf {
 
 template <class State>
 struct ColumnsOf<State, true> {
+  // Without a full-struct array, a member the split leaves out would be
+  // dropped on every round trip through the columns.
+  static_assert(split_member_bytes<State>() == sizeof(State),
+                "SoaFields must name every member of the state");
+
   static constexpr auto kMembers = SoaFields<State>::members;
   static constexpr std::size_t kFields =
       std::tuple_size_v<std::remove_cvref_t<decltype(kMembers)>>;
@@ -152,37 +109,26 @@ struct ColumnsOf<State, true> {
 template <class State>
 using Columns = typename ColumnsOf<State>::type;
 
-/// Whether the declared struct split keeps a residual full-struct array
-/// (cold payload present, i.e. covers_state == false).
-template <class State>
-[[nodiscard]] consteval bool split_has_residual() {
-  if constexpr (HasStructSplit<State>) {
-    return !SoaFields<State>::covers_state;
-  } else {
-    return false;
-  }
-}
-
 }  // namespace detail
 
 template <class State>
 class ConfigStore;
 
 /// Non-owning, trivially copyable read proxy over one configuration,
-/// independent of its backing layout.  This is the type protocols,
-/// legitimacy checkers, observers and trace recording consume:
+/// backed either by a plain std::vector<State> or by a ConfigStore.  This
+/// is the type protocols, legitimacy checkers, observers and trace
+/// recording consume:
 ///
-///   cfg[v] / cfg.get(v)   whole state of v (one load when a contiguous
-///                         full-struct array backs the view; a column
-///                         gather in covers-all struct-SoA);
-///   cfg.field<I>(v)       the I-th declared hot member of v — a
-///                         contiguous column read under SoA, a member
-///                         load under AoS;
-///   cfg.materialize()     full AoS copy (trace snapshots, digests).
+///   cfg[v] / cfg.get(v)   whole state of v (one load from a vector; a
+///                         column gather from a split store);
+///   cfg.field<I>(v)       the I-th declared member of v — a contiguous
+///                         column read from a split store, a member load
+///                         from a vector;
+///   cfg.materialize()     full vector copy (trace snapshots, digests).
 ///
-/// A view over a plain std::vector<State> (implicit) makes every
-/// existing configuration literal and helper interoperate; for states
-/// without a struct split the view converts back to the vector, so
+/// A view over a plain vector (implicit) makes every configuration
+/// literal, helper and the reference engine's configuration interoperate;
+/// for states without a split the view converts back to the vector, so
 /// vector-shaped helpers keep working behind the proxy.
 template <class State>
 class ConfigView {
@@ -192,13 +138,17 @@ class ConfigView {
  public:
   ConfigView() = default;
 
-  /* implicit */ ConfigView(const Config<State>& aos)
-      : vec_(&aos), n_(aos.size()) {}
+  /* implicit */ ConfigView(const Config<State>& vec)
+      : vec_(&vec), n_(vec.size()) {}
 
   /* implicit */ ConfigView(const ConfigStore<State>& store)
-      : vec_(store.backing_vector()),
-        cols_(store.backing_columns()),
-        n_(static_cast<std::size_t>(store.size())) {}
+      : n_(store.n()) {
+    if constexpr (kStructSplit) {
+      cols_ = &store.backing();
+    } else {
+      vec_ = &store.backing();
+    }
+  }
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] VertexId n() const { return static_cast<VertexId>(n_); }
@@ -207,15 +157,15 @@ class ConfigView {
   [[nodiscard]] State get(std::size_t i) const {
     assert(i < n_);
     if constexpr (kStructSplit) {
-      if (vec_ == nullptr) return gather(i);
+      if (cols_ != nullptr) return gather(i);
     }
     return (*vec_)[i];
   }
   [[nodiscard]] State operator[](std::size_t i) const { return get(i); }
 
-  /// The I-th declared hot member of vertex i (the whole state for
-  /// scalar-column states).  Under SoA this is a contiguous column read —
-  /// the access pattern the dirty-set guard re-tests want.
+  /// The I-th declared member of vertex i (the whole state for states
+  /// without a split).  From a split store this is a contiguous column
+  /// read — the access pattern the guard re-tests want.
   template <std::size_t I = 0>
   [[nodiscard]] auto field(std::size_t i) const {
     assert(i < n_);
@@ -228,17 +178,16 @@ class ConfigView {
     }
   }
 
-  /// Pointer to the contiguous I-th hot column when the backing layout
-  /// keeps one (struct-SoA), nullptr otherwise.  Guard kernels
-  /// (sim/simd_eval.hpp) take this fast path and fall back to per-element
-  /// field<I>() reads under AoS; for states without a struct split the
-  /// backing vector *is* the single column, so the pointer is never null.
+  /// Pointer to the contiguous I-th column.  For states without a split
+  /// the backing vector *is* the single column, so the pointer is never
+  /// null.  A split state viewed through a plain vector (the reference
+  /// engine's configuration, helper calls) has no columns: nullptr.  The
+  /// engine's store view always has them, so guard kernels
+  /// (sim/simd_eval.hpp) may assert non-null.
   template <std::size_t I = 0>
   [[nodiscard]] auto column() const {
     if constexpr (kStructSplit) {
-      using Field = std::remove_cvref_t<decltype(std::declval<const State&>().*
-                                                 std::get<I>(
-                                                     SoaFields<State>::members))>;
+      using Field = typename detail::ColumnsOf<State>::template Field<I>;
       return cols_ != nullptr ? std::get<I>(*cols_).data()
                               : static_cast<const Field*>(nullptr);
     } else {
@@ -247,7 +196,7 @@ class ConfigView {
     }
   }
 
-  /// Full AoS copy of the viewed configuration.
+  /// Full vector copy of the viewed configuration.
   [[nodiscard]] Config<State> materialize() const {
     if (vec_ != nullptr) return *vec_;
     Config<State> out(n_);
@@ -255,9 +204,9 @@ class ConfigView {
     return out;
   }
 
-  /// For states without a struct split the view is always backed by a
-  /// real vector, so vector-shaped consumers (legacy predicates, spec
-  /// helpers) can keep their signatures and read through the proxy.
+  /// For states without a split the view is always backed by a real
+  /// vector, so vector-shaped consumers (legacy predicates, spec helpers)
+  /// can keep their signatures and read through the proxy.
   /* implicit */ operator const Config<State>&() const
     requires(!kStructSplit)
   {
@@ -281,60 +230,38 @@ class ConfigView {
      ...);
   }
 
-  const Config<State>* vec_ = nullptr;  // AoS data / residual full structs
-  const Columns* cols_ = nullptr;       // hot columns (struct-SoA only)
+  const Config<State>* vec_ = nullptr;  // vector backing
+  const Columns* cols_ = nullptr;       // split-store columns
   std::size_t n_ = 0;
 };
 
-/// Owning configuration storage with a per-instance layout.  Engines hold
-/// one ConfigStore for the whole run, mutate it through set() or the
-/// dense install below, and hand ConfigView to every consumer.
+/// Owning configuration storage for the production engine: member
+/// columns for a state that declares a split, one vector otherwise.  The
+/// engine holds one ConfigStore for the whole run, mutates it through
+/// set() or the dense install below, and hands ConfigView to every
+/// consumer.
 template <class State>
 class ConfigStore {
   using Columns = detail::Columns<State>;
   static constexpr bool kStructSplit = HasStructSplit<State>;
-  static constexpr bool kResidual = detail::split_has_residual<State>();
+  using Storage = std::conditional_t<kStructSplit, Columns, Config<State>>;
 
  public:
+  /// Whether one full-state vector is the whole representation, so
+  /// swap_in() applies.
+  static constexpr bool kOneVector = !kStructSplit;
+
   ConfigStore() = default;
 
-  explicit ConfigStore(Config<State> init,
-                       ConfigLayout layout = ConfigLayout::kAuto) {
-    reset(std::move(init), layout);
-  }
-
-  /// Resolves kAuto (and requests the state type cannot honor) to the
-  /// layout actually used: SoA wherever a split is declared, AoS
-  /// otherwise.
-  [[nodiscard]] static constexpr ConfigLayout resolve(ConfigLayout requested) {
-    if constexpr (HasSoaSplit<State>) {
-      return requested == ConfigLayout::kAoS ? ConfigLayout::kAoS
-                                             : ConfigLayout::kSoA;
-    } else {
-      return ConfigLayout::kAoS;
-    }
-  }
-
-  /// (Re)installs a configuration under the given layout.
-  void reset(Config<State> init, ConfigLayout layout = ConfigLayout::kAuto) {
-    layout_ = resolve(layout);
-    n_ = init.size();
+  explicit ConfigStore(Config<State> init) : n_(init.size()) {
     if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        scatter_all(init);
-        if constexpr (kResidual) {
-          data_ = std::move(init);
-        } else {
-          data_.clear();
-        }
-        return;
-      }
-      clear_columns();
+      resize_columns(data_);
+      for (std::size_t i = 0; i < n_; ++i) scatter_one(i, init[i]);
+    } else {
+      data_ = std::move(init);
     }
-    data_ = std::move(init);
   }
 
-  [[nodiscard]] ConfigLayout layout() const { return layout_; }
   [[nodiscard]] VertexId size() const { return static_cast<VertexId>(n_); }
   [[nodiscard]] std::size_t n() const { return n_; }
 
@@ -344,17 +271,13 @@ class ConfigStore {
 
   [[nodiscard]] State get(std::size_t i) const { return view().get(i); }
 
-  /// Installs one state, keeping every backing array consistent (columns
-  /// and, when present, the residual struct array).
+  /// Installs one state (one write per column under a split).
   void set(std::size_t i, const State& s) {
     if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        scatter_one(cols_, i, s);
-        if constexpr (kResidual) data_[i] = s;
-        return;
-      }
+      scatter_one(i, s);
+    } else {
+      data_[i] = s;
     }
-    data_[i] = s;
   }
 
   // --- Sharded dense install ----------------------------------------------
@@ -377,13 +300,10 @@ class ConfigStore {
 
   void dense_begin() {
     if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        resize_columns(next_cols_);
-        if constexpr (kResidual) next_data_.resize(n_);
-        return;
-      }
+      resize_columns(next_);
+    } else {
+      next_.resize(n_);
     }
-    next_data_.resize(n_);
   }
 
   void dense_fill_range(const std::vector<VertexId>& activated,
@@ -391,110 +311,65 @@ class ConfigStore {
                         std::size_t a_hi, std::size_t begin,
                         std::size_t end) {
     if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        fill_columns_range(activated, staged, a_lo, a_hi, begin, end,
-                           std::make_index_sequence<std::tuple_size_v<Columns>>{});
-        if constexpr (kResidual) {
-          segment_merge_range(data_, next_data_, activated, a_lo, a_hi, begin,
-                              end, [&](std::size_t a, std::size_t i) {
-                                next_data_[i] = staged[a];
-                              });
-        }
-        return;
-      }
+      fill_columns_range(activated, staged, a_lo, a_hi, begin, end,
+                         std::make_index_sequence<std::tuple_size_v<Columns>>{});
+    } else {
+      segment_merge_range(data_, next_, activated, a_lo, a_hi, begin, end,
+                          [&](std::size_t a, std::size_t i) {
+                            next_[i] = staged[a];
+                          });
     }
-    segment_merge_range(data_, next_data_, activated, a_lo, a_hi, begin, end,
-                        [&](std::size_t a, std::size_t i) {
-                          next_data_[i] = staged[a];
-                        });
   }
 
-  void dense_commit() {
-    if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) {
-        std::swap(cols_, next_cols_);
-        if constexpr (kResidual) data_.swap(next_data_);
-        return;
-      }
-    }
-    data_.swap(next_data_);
-  }
-
-  /// Whether one full-state vector is the whole representation (AoS, or
-  /// a state without a struct split), so swap_in() applies.
-  [[nodiscard]] bool holds_one_vector() const {
-    return backing_columns() == nullptr;
-  }
+  void dense_commit() { data_.swap(next_); }
 
   /// Installs a complete next configuration by swapping its vector with
   /// the live one (O(1)); `next` receives the previous configuration.
-  /// Requires holds_one_vector() and next.size() == n().
-  void swap_in(Config<State>& next) {
-    assert(holds_one_vector() && next.size() == n_);
+  /// Requires next.size() == n().
+  void swap_in(Config<State>& next)
+    requires kOneVector
+  {
+    assert(next.size() == n_);
     data_.swap(next);
   }
 
-  /// Full AoS copy-out.
+  /// Full vector copy-out.
   [[nodiscard]] Config<State> materialize() const {
     return view().materialize();
   }
 
-  /// Moves the configuration out as a plain vector (materializes from
-  /// columns when no full-struct array is kept).  Leaves the store empty.
+  /// Moves the configuration out as a plain vector (gathered from the
+  /// columns under a split).  Leaves the store empty.
   [[nodiscard]] Config<State> take() {
     Config<State> out;
-    if constexpr (kStructSplit && !kResidual) {
-      if (layout_ == ConfigLayout::kSoA) {
-        out = materialize();
-        n_ = 0;
-        return out;
-      }
+    if constexpr (kStructSplit) {
+      out = materialize();
+    } else {
+      out = std::move(data_);
     }
-    out = std::move(data_);
     n_ = 0;
     return out;
   }
 
-  // --- ConfigView backing access (see its store constructor) ---
-
-  /// The contiguous full-struct array, or nullptr when the layout keeps
-  /// columns only.
-  [[nodiscard]] const Config<State>* backing_vector() const {
-    if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA && !kResidual) return nullptr;
-    }
-    return &data_;
-  }
-
-  /// The hot-field columns, or nullptr outside struct-SoA mode.
-  [[nodiscard]] const Columns* backing_columns() const {
-    if constexpr (kStructSplit) {
-      if (layout_ == ConfigLayout::kSoA) return &cols_;
-    }
-    return nullptr;
-  }
+  /// The live backing: the columns under a split, the vector otherwise
+  /// (ConfigView's store constructor reads it).
+  [[nodiscard]] const Storage& backing() const { return data_; }
 
  private:
-  void scatter_all(const Config<State>& init)
+  void scatter_one(std::size_t i, const State& s)
     requires kStructSplit
   {
-    resize_columns(cols_);
-    for (std::size_t i = 0; i < n_; ++i) scatter_one(cols_, i, init[i]);
-  }
-
-  void scatter_one(Columns& cols, std::size_t i, const State& s)
-    requires kStructSplit
-  {
-    scatter_one_impl(cols, i, s,
+    scatter_one_impl(i, s,
                      std::make_index_sequence<std::tuple_size_v<Columns>>{});
   }
 
   template <std::size_t... I>
-  void scatter_one_impl(Columns& cols, std::size_t i, const State& s,
+  void scatter_one_impl(std::size_t i, const State& s,
                         std::index_sequence<I...>)
     requires kStructSplit
   {
-    ((std::get<I>(cols)[i] = s.*std::get<I>(SoaFields<State>::members)), ...);
+    ((std::get<I>(data_)[i] = s.*std::get<I>(SoaFields<State>::members)),
+     ...);
   }
 
   /// The dense carry-over shared by every backing array, restricted to
@@ -533,10 +408,10 @@ class ConfigStore {
                           std::size_t end, std::index_sequence<I...>)
     requires kStructSplit
   {
-    ((segment_merge_range(std::get<I>(cols_), std::get<I>(next_cols_),
-                          activated, a_lo, a_hi, begin, end,
+    ((segment_merge_range(std::get<I>(data_), std::get<I>(next_), activated,
+                          a_lo, a_hi, begin, end,
                           [&](std::size_t a, std::size_t i) {
-                            std::get<I>(next_cols_)[i] =
+                            std::get<I>(next_)[i] =
                                 staged[a].*std::get<I>(SoaFields<State>::members);
                           })),
      ...);
@@ -548,18 +423,9 @@ class ConfigStore {
     std::apply([this](auto&... column) { (column.resize(n_), ...); }, cols);
   }
 
-  void clear_columns()
-    requires kStructSplit
-  {
-    std::apply([](auto&... column) { (column.clear(), ...); }, cols_);
-  }
-
-  ConfigLayout layout_ = ConfigLayout::kAoS;
   std::size_t n_ = 0;
-  Config<State> data_;       // AoS data, or the SoA residual struct array
-  Columns cols_{};           // SoA hot-field columns (struct splits only)
-  Config<State> next_data_;  // dense install double buffers
-  Columns next_cols_{};
+  Storage data_{};  // the live configuration
+  Storage next_{};  // dense install double buffer
 };
 
 }  // namespace specstab

@@ -39,14 +39,13 @@ class ShardPool;  // parallel_engine.hpp
 /// dense ones, or the *reference* engine below, which rescans all n
 /// vertices after every action with deliberately naive code and serves as
 /// the differential-testing oracle.  Both produce bit-identical
-/// RunResults for the same inputs.  kParallel and kVector are synonyms of
-/// kIncremental, kept for callers written against the engines the
+/// RunResults for the same inputs.  kParallel is a synonym of
+/// kIncremental, kept for callers written against the engine the
 /// production engine absorbed.
 enum class EngineKind {
   kIncremental,
   kReference,
   kParallel = kIncremental,
-  kVector = kIncremental,
 };
 
 struct RunOptions {
@@ -57,11 +56,6 @@ struct RunOptions {
   /// parallel_engine.hpp (run_execution below always executes the
   /// reference algorithm regardless of this field).
   EngineKind engine = EngineKind::kIncremental;
-
-  /// Backing layout of the live configuration (see config_store.hpp).
-  /// kAuto picks SoA wherever the state type declares a split — results
-  /// are byte-identical across layouts; only memory traffic differs.
-  ConfigLayout layout = ConfigLayout::kAuto;
 
   /// Worker threads for the production engine's dense steps (ignored by
   /// the reference engine).  Results are byte-identical at every thread
@@ -139,7 +133,7 @@ template <class State>
 using StepObserver = std::function<void(
     StepIndex, ConfigView<State>, const std::vector<VertexId>&)>;
 
-/// Legitimacy predicate over a configuration view, layout-agnostic.
+/// Legitimacy predicate over a configuration view.
 template <class State>
 using LegitimacyPredicate =
     std::function<bool(const Graph&, ConfigView<State>)>;
@@ -153,10 +147,11 @@ RunResult<typename P::State> run_execution(
     FaultPlan<typename P::State>* fault_plan = nullptr) {
   using State = typename P::State;
   RunResult<State> res;
-  ConfigStore<State> cfg(std::move(init), opt.layout);
-  // One view for the whole run: it reads through the store's member
-  // buffers, so in-place set() and dense buffer swaps stay visible.
-  const ConfigView<State> live = cfg.view();
+  // A plain vector, not the production engine's ConfigStore: the oracle
+  // shares no storage code with the engine it checks.  One view for the
+  // whole run reads through it, so in-place writes stay visible.
+  Config<State> cfg = std::move(init);
+  const ConfigView<State> live(cfg);
   RoundCounter rc(g.n());
 
   bool pending_convergence_marker = false;
@@ -206,7 +201,7 @@ RunResult<typename P::State> run_execution(
         res.trace.seal_perturbation(pert.victims);
       }
       for (std::size_t i = 0; i < pert.victims.size(); ++i) {
-        cfg.set(static_cast<std::size_t>(pert.victims[i]), pert.values[i]);
+        cfg[static_cast<std::size_t>(pert.victims[i])] = pert.values[i];
       }
       enabled = enabled_vertices(g, proto, live);
       note_legitimacy(res.steps);
@@ -241,7 +236,7 @@ RunResult<typename P::State> run_execution(
       }
       res.trace.seal_action(activated);
     }
-    for (const auto& [v, s] : updates) cfg.set(static_cast<std::size_t>(v), s);
+    for (const auto& [v, s] : updates) cfg[static_cast<std::size_t>(v)] = s;
 
     res.moves += static_cast<std::int64_t>(activated.size());
     ++res.steps;
@@ -266,7 +261,7 @@ RunResult<typename P::State> run_execution(
         (res.last_illegitimate < res.steps) ? res.last_illegitimate + 1 : -1;
   }
 
-  res.final_config = cfg.take();
+  res.final_config = std::move(cfg);
   return res;
 }
 

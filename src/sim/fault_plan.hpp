@@ -12,7 +12,7 @@
 // values, adversarial candidates) is drawn from a splitmix64 stream
 // seeded by mix(plan_seed, epoch_index) — never from engine-side state —
 // so the same spec + seed produces byte-identical perturbations in both
-// engines, both layouts, and any thread count.  Scheduling is by
+// engines and at any thread count.  Scheduling is by
 // step index with one exception: a plan also fires when the run stalls
 // (enabled set empty) before the next fire point, so silent protocols
 // cannot terminate with epochs still pending.  Stall steps are identical
@@ -250,8 +250,8 @@ inline std::uint64_t mix64(std::uint64_t x) {
 ///
 /// The plan owns the epoch counter, the victim/value selection and the
 /// recovery meter; engines own the installation (writing the values into
-/// their ConfigStore) and the repair (guard re-tests in the perturbed
-/// ball, checker refresh) because those are layout- and engine-specific.
+/// their configuration) and the repair (guard re-tests in the perturbed
+/// ball, checker refresh) because those are engine-specific.
 template <class State>
 class FaultPlan {
  public:

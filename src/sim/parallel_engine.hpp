@@ -31,8 +31,8 @@
 //      (dense_commit) then publishes the new configuration.  A step
 //      that activates every enabled vertex while the column is fresh
 //      skips the phase: the column is the next configuration, swapped
-//      in whole (ConfigStore::swap_in) where the store keeps one
-//      full-state vector;
+//      in whole (ConfigStore::swap_in) when the state type is stored as
+//      one full-state vector;
 //   2. *fused guard rescan* — shard k evaluates its range through the
 //      protocol's SimdEval kernel (simd_eval.hpp; a scalar sweep for
 //      protocols without one), which also writes every vertex's
@@ -209,7 +209,7 @@ RunResult<typename P::State> run_execution_parallel(
     FaultPlan<typename P::State>* fault_plan = nullptr) {
   using State = typename P::State;
   RunResult<State> res;
-  ConfigStore<State> cfg(std::move(init), opt.layout);
+  ConfigStore<State> cfg(std::move(init));
   // One view for the whole run: it reads through the store's member
   // buffers, so in-place set() and dense buffer swaps stay visible.
   const ConfigView<State> live = cfg.view();
@@ -382,13 +382,12 @@ RunResult<typename P::State> run_execution_parallel(
     given = successors;
     if (successors == nullptr) staged.resize(step_targets.size());
     bool swapped = false;
-    if constexpr (HasSimdEval<P>) {
+    if constexpr (HasSimdEval<P> && ConfigStore<State>::kOneVector) {
       // A fresh column is the synchronous successor configuration, so a
       // step that activates every enabled vertex (targets are a subset
       // of equal size) installs it whole with a buffer swap.
       if (successors == nullptr && successors_fresh &&
-          step_targets.size() == enabled.vertices().size() &&
-          cfg.holds_one_vector()) {
+          step_targets.size() == enabled.vertices().size()) {
         assert(step_targets == enabled.vertices());
         if (opt.record_trace) {
           for (std::size_t j = 0; j < step_targets.size(); ++j) {

@@ -23,9 +23,10 @@
 
 namespace specstab {
 
-// Protocols consume configurations through the layout-polymorphic
-// ConfigView proxy (config_store.hpp), never a concrete vector: the same
-// guard code runs over AoS storage and over SoA hot-field columns.
+// Protocols consume configurations through the ConfigView proxy
+// (config_store.hpp), never a concrete vector: the same guard code runs
+// over the reference engine's plain vector and over the production
+// engine's store, which keeps a split state as member columns.
 // Protocols written against `const Config<State>&` still satisfy the
 // concept for states without a struct split (the view converts back to
 // its backing vector), so test doubles need no migration.

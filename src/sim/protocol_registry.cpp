@@ -15,7 +15,6 @@ std::string SessionSpec::to_canonical_string() const {
   out += "daemon=" + daemon;
   out += ",engine=" + std::string(engine_name(engine));
   out += ",init=" + init;
-  out += ",layout=" + std::string(config_layout_name(layout));
   out += ",max_steps=" + std::to_string(max_steps);
   out += ",perturb=" + FaultSpec::parse(perturb).format();
   out += ",seed=" + std::to_string(seed);
@@ -57,8 +56,6 @@ SessionSpec SessionSpec::parse(const std::string& text) {
       spec.engine = engine_by_name(value);
     } else if (key == "init") {
       spec.init = value;
-    } else if (key == "layout") {
-      spec.layout = config_layout_by_name(value);
     } else if (key == "max_steps") {
       spec.max_steps =
           static_cast<StepIndex>(as_int(0, std::numeric_limits<StepIndex>::max()));

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sim/config_store.hpp"
 #include "sim/engine.hpp"
 #include "sim/types.hpp"
 
@@ -44,11 +43,6 @@ struct SessionSpec {
   std::uint64_t seed = 42;             ///< feeds init + randomized daemons
   StepIndex max_steps = 0;             ///< 0: protocol-appropriate default
   EngineKind engine = EngineKind::kIncremental;
-  /// Configuration storage layout (CLI `--layout soa|aos`).  kAuto picks
-  /// SoA wherever the protocol's state declares a split; results are
-  /// byte-identical across layouts (the layout-agreement suite holds
-  /// every protocol to that).
-  ConfigLayout layout = ConfigLayout::kAuto;
   /// Engine threads for the production engine's dense steps (CLI
   /// `--threads`); the reference engine ignores it.  Results are
   /// byte-identical at any value.
@@ -71,8 +65,8 @@ struct SessionSpec {
   std::string perturb;
 
   /// Canonical `,`-joined `key=value` text over the result-determining
-  /// fields (daemon, engine, init, layout, max_steps, perturb, seed,
-  /// threads — alphabetical, every field spelled out, perturb
+  /// fields (daemon, engine, init, max_steps, perturb, seed, threads —
+  /// alphabetical, every field spelled out, perturb
   /// canonicalized through FaultSpec).  The FaultSpec pattern from the
   /// fault-injection subsystem, one level up: the serve result cache,
   /// the CLI's session echo and tests all agree on this one spelling.

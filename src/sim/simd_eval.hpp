@@ -29,7 +29,8 @@
 // already knows which rule fired; the engine's next dense install reads
 // it instead of calling apply() once per target, and a step that
 // activates every enabled vertex installs the whole column with a
-// buffer swap (see "Successor freshness" in parallel_engine.hpp).  The
+// buffer swap when the state is stored as one vector (see "Successor
+// freshness" in parallel_engine.hpp).  The
 // differential harness holds the engine to byte-identical RunResults
 // against the reference engine, and tests/simd_eval_test.cpp holds every
 // kernel to both equalities directly.  The range parameters exist for
@@ -37,7 +38,7 @@
 // entries, so shards write concurrently without synchronization); one
 // shard passes [0, n).
 // Kernels are written as branch-light per-column loops over the
-// ConfigStore columns (the AoS vector *is* the column for arithmetic
+// ConfigStore columns (the one vector *is* the column for arithmetic
 // states) so the compiler can auto-vectorize them; the engine packs the
 // verdict bytes into 64-bit words (pack_verdict_word()) and feeds them to
 // EnabledSet::fill_words().

@@ -55,8 +55,8 @@ class DeltaTrace {
     perturbation_.clear();
   }
 
-  /// Installs gamma_0 (snapshotted to an AoS copy, whatever layout backs
-  /// the view).  Must be called exactly once, before any seal_action().
+  /// Installs gamma_0 (snapshotted to a vector copy, whatever backs the
+  /// view).  Must be called exactly once, before any seal_action().
   void start(ConfigView<State> initial) {
     clear();
     started_ = true;

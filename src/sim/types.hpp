@@ -18,11 +18,12 @@ namespace specstab {
 /// gamma_i is the one reached after i actions.
 using StepIndex = std::int64_t;
 
-/// A configuration *materialized* as one array-of-structs: state of every
-/// vertex, indexed by VertexId.  This is the boundary type — initial
-/// configurations, final configurations, trace snapshots.  Engines store
-/// the live configuration in a layout-polymorphic ConfigStore and hand
-/// consumers a ConfigView proxy instead (see sim/config_store.hpp).
+/// A configuration *materialized* as one vector of states, indexed by
+/// VertexId.  This is the boundary type — initial configurations, final
+/// configurations, trace snapshots — and the reference engine's live
+/// configuration.  The production engine stores the live configuration
+/// in a ConfigStore (member columns for states that declare a split);
+/// both hand consumers a ConfigView proxy (see sim/config_store.hpp).
 template <class State>
 using Config = std::vector<State>;
 

@@ -291,6 +291,47 @@ TEST(CliTest, UnknownOptionFails) {
   const auto res = run_cli({"run", "ring", "5", "--frobnicate", "1"});
   EXPECT_EQ(res.exit_code, 1);
   EXPECT_NE(res.output.find("unknown option"), std::string::npos);
+  // The storage layout is a property of the state type, not an option.
+  const auto layout = run_cli({"run", "ring", "5", "--layout", "aos"});
+  EXPECT_EQ(layout.exit_code, 1);
+  EXPECT_NE(layout.output.find("unknown option --layout"), std::string::npos);
+}
+
+TEST(CliTest, RunRejectsNegativeAndFractionalNumericOptions) {
+  // Integer options are read exactly: no double round-trip that would
+  // truncate 2.7 to 2 or wrap -1 to 2^64 - 1.
+  for (const std::string cmd : {"run", "witness", "speculate"}) {
+    for (const std::string flag :
+         {"--seed", "--steps", "--threads", "--configs"}) {
+      const auto neg = run_cli({cmd, "ring", "6", flag, "-1"});
+      EXPECT_EQ(neg.exit_code, 1) << cmd << " " << flag;
+      EXPECT_NE(neg.output.find("non-negative"), std::string::npos)
+          << cmd << " " << flag;
+      const auto frac = run_cli({cmd, "ring", "6", flag, "2.7"});
+      EXPECT_EQ(frac.exit_code, 1) << cmd << " " << flag;
+      EXPECT_NE(frac.output.find("bad " + flag + ": 2.7"), std::string::npos)
+          << cmd << " " << flag << ": " << frac.output;
+    }
+  }
+  EXPECT_EQ(run_cli({"run", "ring", "6", "--threads", "0"}).exit_code, 1);
+  EXPECT_NE(run_cli({"run", "ring", "6", "--steps", "9223372036854775808"})
+                .output.find("out-of-range --steps"),
+            std::string::npos);
+}
+
+TEST(CliTest, RunSeedSurvives64Bits) {
+  // 2^53 + 1 is the smallest seed a double cannot hold, 2^64 - 1 the
+  // largest the option takes; the init and session lines echo the seed
+  // that actually ran.
+  for (const std::string seed : {"9007199254740993", "18446744073709551615"}) {
+    const auto res = run_cli(
+        {"run", "ring", "8", "--daemon", "central-random", "--seed", seed});
+    EXPECT_EQ(res.exit_code, 0) << res.output;
+    EXPECT_NE(res.output.find(", seed " + seed + "\n"), std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find(",seed=" + seed + ","), std::string::npos)
+        << res.output;
+  }
 }
 
 TEST(CliTest, GraphFromSpecAdvancesPosition) {
@@ -373,6 +414,9 @@ TEST(CliTest, CampaignUnknownFlagNamesTheFlag) {
   const auto res = run_cli({"campaign", "--bogus"});
   EXPECT_EQ(res.exit_code, 1);
   EXPECT_NE(res.output.find("unknown option --bogus"), std::string::npos);
+  const auto layout = run_cli({"campaign", "--layout", "soa"});
+  EXPECT_EQ(layout.exit_code, 1);
+  EXPECT_NE(layout.output.find("unknown option --layout"), std::string::npos);
 }
 
 TEST(CliTest, CampaignRejectsNegativeNumericOptions) {

@@ -352,6 +352,57 @@ TEST(EngineDifferentialTest, RegistryIterationAllEnginesAllProtocols) {
   }
 }
 
+TEST(EngineDifferentialTest, RegistrySessionsAgreeByteForByteIncludingTraces) {
+  // Every registered protocol x init x daemon on ring 9 and, unless the
+  // protocol is ring-only, torus 3x3: printed final states, digests,
+  // every meter and the complete delta trace through the erased session
+  // boundary must match the reference engine at 1, 2 and 8 threads.
+  // The reference engine keeps a plain vector, the production engine
+  // stores split states (leader election) as columns.
+  const auto& registry = ProtocolRegistry::instance();
+  const Graph ring = make_ring(9);
+  const Graph torus = make_torus(3, 3);
+  for (const auto& entry : registry.entries()) {
+    for (const Graph* g :
+         entry.info.ring_only ? std::vector<const Graph*>{&ring}
+                              : std::vector<const Graph*>{&ring, &torus}) {
+      for (const auto& init : entry.info.inits) {
+        for (const std::string& daemon_name :
+             {std::string("synchronous"), std::string("central-rr"),
+              std::string("bernoulli-0.5")}) {
+          SessionSpec spec;
+          spec.daemon = daemon_name;
+          spec.init = init;
+          spec.seed = 7;
+          spec.record_trace = true;
+          spec.engine = EngineKind::kReference;
+          const SessionResult base = entry.run(*g, spec);
+          spec.engine = EngineKind::kIncremental;
+          for (const unsigned threads : {1u, 2u, 8u}) {
+            spec.threads = threads;
+            const SessionResult r = entry.run(*g, spec);
+            const std::string label =
+                entry.info.name + " n=" + std::to_string(g->n()) +
+                " init=" + init + " daemon=" + daemon_name +
+                " threads=" + std::to_string(threads);
+            ASSERT_EQ(base.final_digest, r.final_digest) << label;
+            ASSERT_EQ(base.final_state, r.final_state) << label;
+            EXPECT_EQ(base.steps, r.steps) << label;
+            EXPECT_EQ(base.moves, r.moves) << label;
+            EXPECT_EQ(base.rounds, r.rounds) << label;
+            EXPECT_EQ(base.converged, r.converged) << label;
+            EXPECT_EQ(base.convergence_steps, r.convergence_steps) << label;
+            EXPECT_EQ(base.closure_violations, r.closure_violations) << label;
+            ASSERT_EQ(base.trace_length, r.trace_length) << label;
+            EXPECT_EQ(base.trace_materialize(), r.trace_materialize())
+                << label;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(EngineDifferentialTest, DeltaTracesIdenticalAcrossEngines) {
   // Trace recording is delta-based; both engines must record the same
   // representation (same activated sets, same change lists), and the

@@ -248,6 +248,18 @@ TEST(ServeWireTest, DecodeSessionParamsValidatesTypesAndKeys) {
     EXPECT_THROW((void)decode_session_params(JsonValue::parse(bad)), RpcError)
         << "params: " << bad;
   }
+
+  // The storage layout is a property of the state type, not a param; the
+  // removed key is refused by name.
+  try {
+    (void)decode_session_params(JsonValue::parse(
+        "{\"protocol\":\"ssme\",\"topology\":\"ring 8\",\"layout\":\"aos\"}"));
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), kErrInvalid);
+    EXPECT_NE(std::string(e.what()).find("'layout'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeWireTest, ReplyRenderingIsLineFramedAndIdEchoing) {

@@ -17,8 +17,8 @@ namespace {
 TEST(SessionCodecTest, DefaultSpecCanonicalSpelling) {
   const SessionSpec spec;
   EXPECT_EQ(spec.to_canonical_string(),
-            "daemon=synchronous,engine=incremental,init=,layout=auto,"
-            "max_steps=0,perturb=none,seed=42,threads=1");
+            "daemon=synchronous,engine=incremental,init=,max_steps=0,"
+            "perturb=none,seed=42,threads=1");
 }
 
 TEST(SessionCodecTest, RoundTripsThroughParse) {
@@ -28,7 +28,6 @@ TEST(SessionCodecTest, RoundTripsThroughParse) {
   spec.seed = 987654321012345ull;
   spec.max_steps = 5000;
   spec.engine = EngineKind::kReference;
-  spec.layout = ConfigLayout::kSoA;
   spec.threads = 16;
   spec.perturb = "periodic:period=8;k=2;epochs=3";
   const std::string text = spec.to_canonical_string();
@@ -40,7 +39,6 @@ TEST(SessionCodecTest, RoundTripsThroughParse) {
   EXPECT_EQ(parsed.seed, spec.seed);
   EXPECT_EQ(parsed.max_steps, spec.max_steps);
   EXPECT_EQ(parsed.engine, spec.engine);
-  EXPECT_EQ(parsed.layout, spec.layout);
   EXPECT_EQ(parsed.threads, spec.threads);
   // The fault text canonicalizes (start default spelled out).
   EXPECT_EQ(parsed.perturb, "periodic:period=8;k=2;epochs=3;start=8");
@@ -54,7 +52,7 @@ TEST(SessionCodecTest, ParseAcceptsAnyFieldOrderAndSubsets) {
   EXPECT_EQ(shuffled.seed, 9u);
   EXPECT_EQ(shuffled.engine, EngineKind::kIncremental);
   // Unspecified fields keep their defaults.
-  EXPECT_EQ(shuffled.layout, ConfigLayout::kAuto);
+  EXPECT_EQ(shuffled.init, "");
   EXPECT_EQ(shuffled.max_steps, 0);
 
   const SessionSpec empty = SessionSpec::parse("");
@@ -84,8 +82,9 @@ TEST(SessionCodecTest, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)SessionSpec::parse("threads=9999"),
                std::invalid_argument);
   EXPECT_THROW((void)SessionSpec::parse("engine=warp"), std::invalid_argument);
-  EXPECT_THROW((void)SessionSpec::parse("layout=rowwise"),
-               std::invalid_argument);
+  // The storage layout is a property of the state type, not a session
+  // field; the removed key is refused like any unknown one.
+  EXPECT_THROW((void)SessionSpec::parse("layout=soa"), std::invalid_argument);
   EXPECT_THROW((void)SessionSpec::parse("max_steps=-1"),
                std::invalid_argument);
   EXPECT_THROW((void)SessionSpec::parse("perturb=sometimes"),
@@ -104,13 +103,13 @@ TEST(SessionCodecTest, PerturbCanonicalizesThroughFaultSpec) {
 // change (and accept that committed serve caches go stale).
 TEST(SessionCodecTest, CacheKeyIsStablePinned) {
   EXPECT_EQ(session_cache_key("ssme", "ring 8", SessionSpec{}),
-            4865572124009062971ull);
+            7098568067532207565ull);
   // "engine=vector" canonicalizes to "engine=incremental".
   const SessionSpec spec = SessionSpec::parse(
       "seed=7,daemon=central-rr,engine=vector,"
       "perturb=periodic:period=8;k=2;epochs=3");
   EXPECT_EQ(session_cache_key("coloring", "torus 3 4", spec),
-            2913159567866232269ull);
+            11127894416822057579ull);
 }
 
 TEST(SessionCodecTest, CacheKeyDiscriminatesEveryComponent) {

@@ -71,9 +71,9 @@ std::vector<std::vector<VertexId>> range_splits(VertexId n) {
 }
 
 /// Runs P's kernel (both entry points when it has a scored one) over
-/// every split of `init` under both layouts and checks the contract.
-/// `expected_score` is the from-scratch violation total a scored kernel
-/// must reproduce (ignored for unscored kernels).
+/// every split of `init`, read through the engine's ConfigStore, and
+/// checks the contract.  `expected_score` is the from-scratch violation
+/// total a scored kernel must reproduce (ignored for unscored kernels).
 template <class P>
 void expect_contract(const Graph& g, const P& proto,
                      const Config<typename P::State>& init,
@@ -83,50 +83,47 @@ void expect_contract(const Graph& g, const P& proto,
   const auto n = static_cast<std::size_t>(g.n());
   ASSERT_EQ(init.size(), n) << ctx;
   const auto kernel_ctx = SimdEval<P>::make_context(g, proto);
-  for (const ConfigLayout layout : {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
-    const ConfigStore<State> store(init, layout);
-    const ConfigView<State> cfg = store.view();
-    // The synchronous successor of every vertex, from the scalar code.
-    std::vector<bool> enabled(n);
-    std::vector<State> successor(n);
-    for (VertexId v = 0; v < g.n(); ++v) {
-      const auto i = static_cast<std::size_t>(v);
-      enabled[i] = proto.enabled(g, cfg, v);
-      successor[i] = enabled[i] ? proto.apply(g, cfg, v) : cfg[i];
-    }
-    for (const auto& bounds : range_splits(g.n())) {
-      for (const bool scored : {false, true}) {
-        if (scored && !HasScoredSimdEval<P>) continue;
-        const std::string where =
-            ctx + " layout=" + std::string(config_layout_name(layout)) +
-            " shards=" + std::to_string(bounds.size() - 1) +
-            (scored ? " scored" : "");
-        // Poisoned outputs: an entry the kernel fails to write cannot
-        // pass for a correct one.
-        std::vector<std::uint8_t> out(n, 0xAB);
-        std::vector<State> next(n);
-        std::memset(static_cast<void*>(next.data()), 0xA5, n * sizeof(State));
-        std::int64_t total = 0;
-        for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-          if constexpr (HasScoredSimdEval<P>) {
-            if (scored) {
-              total += SimdEval<P>::enabled_bytes_scored(
-                  kernel_ctx, proto, cfg, out.data(), next.data(), bounds[k],
-                  bounds[k + 1]);
-              continue;
-            }
+  const ConfigStore<State> store(init);
+  const ConfigView<State> cfg = store.view();
+  // The synchronous successor of every vertex, from the scalar code.
+  std::vector<bool> enabled(n);
+  std::vector<State> successor(n);
+  for (VertexId v = 0; v < g.n(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    enabled[i] = proto.enabled(g, cfg, v);
+    successor[i] = enabled[i] ? proto.apply(g, cfg, v) : cfg[i];
+  }
+  for (const auto& bounds : range_splits(g.n())) {
+    for (const bool scored : {false, true}) {
+      if (scored && !HasScoredSimdEval<P>) continue;
+      const std::string where = ctx + " shards=" +
+                                std::to_string(bounds.size() - 1) +
+                                (scored ? " scored" : "");
+      // Poisoned outputs: an entry the kernel fails to write cannot
+      // pass for a correct one.
+      std::vector<std::uint8_t> out(n, 0xAB);
+      std::vector<State> next(n);
+      std::memset(static_cast<void*>(next.data()), 0xA5, n * sizeof(State));
+      std::int64_t total = 0;
+      for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+        if constexpr (HasScoredSimdEval<P>) {
+          if (scored) {
+            total += SimdEval<P>::enabled_bytes_scored(
+                kernel_ctx, proto, cfg, out.data(), next.data(), bounds[k],
+                bounds[k + 1]);
+            continue;
           }
-          SimdEval<P>::enabled_bytes(kernel_ctx, proto, cfg, out.data(),
-                                     next.data(), bounds[k], bounds[k + 1]);
         }
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(out[i], enabled[i] ? 1 : 0) << where << " v=" << i;
-          ASSERT_TRUE(next[i] == successor[i])
-              << where << " v=" << i << (enabled[i] ? " enabled" : "");
-        }
-        if (scored) {
-          EXPECT_EQ(total, expected_score) << where;
-        }
+        SimdEval<P>::enabled_bytes(kernel_ctx, proto, cfg, out.data(),
+                                   next.data(), bounds[k], bounds[k + 1]);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], enabled[i] ? 1 : 0) << where << " v=" << i;
+        ASSERT_TRUE(next[i] == successor[i])
+            << where << " v=" << i << (enabled[i] ? " enabled" : "");
+      }
+      if (scored) {
+        EXPECT_EQ(total, expected_score) << where;
       }
     }
   }

@@ -11,10 +11,11 @@
 // fault epoch, sparse, dense — once with sparse epochs and once with
 // dense ones (a plan corrupts the same number of vertices every epoch).
 // The production engine must match the reference engine byte for byte at
-// 1, 2 and 8 threads under both layouts (a synchronous step swaps a fresh
-// column in only where the store keeps one full-state vector: not under
-// leader election's SoA columns), and a counting protocol shows which
-// dense installs called apply().
+// 1, 2 and 8 threads.  A synchronous step swaps a fresh column in only
+// when the state is stored as one full-state vector, so ssme covers the
+// swap-in and leader election, whose state is stored as columns, the
+// column fill.  A counting protocol shows which dense installs called
+// apply().
 //
 // This file carries the `parallel` ctest label, so the TSan CI job runs
 // it: the column is written by one phase's shards and read by the next
@@ -102,8 +103,7 @@ template <class P, class MakeChecker, class Pool>
 RunResult<typename P::State> run_mixed(
     const Graph& g, const P& proto, const Config<typename P::State>& init,
     MakeChecker make_checker, Pool pool, std::int64_t victims,
-    EngineKind engine, unsigned threads, ConfigLayout layout,
-    std::vector<std::size_t>& sizes,
+    EngineKind engine, unsigned threads, std::vector<std::size_t>& sizes,
     const StepObserver<typename P::State>& also = nullptr) {
   using State = typename P::State;
   ScheduledDaemon daemon(mixed_schedule(g.n()));
@@ -113,7 +113,6 @@ RunResult<typename P::State> run_mixed(
   opt.max_steps = kSteps;
   opt.engine = engine;
   opt.threads = threads;
-  opt.layout = layout;
   opt.record_trace = true;
   sizes.clear();
   const StepObserver<State> observer =
@@ -150,22 +149,15 @@ void expect_mixed_runs_match_reference(const Graph& g, const P& proto,
     ASSERT_EQ(is_dense_update(victims, radius, g), victims == g.n());
     const std::string ctx = name + " epoch-victims=" + std::to_string(victims);
     std::vector<std::size_t> sizes;
-    const auto base =
-        run_mixed(g, proto, init, make_checker, pool, victims,
-                  EngineKind::kReference, 1, ConfigLayout::kAuto, sizes);
+    const auto base = run_mixed(g, proto, init, make_checker, pool, victims,
+                                EngineKind::kReference, 1, sizes);
     expect_pattern(g, radius, sizes, ctx);
     ASSERT_EQ(base.perturb.epochs_fired, kEpochs) << ctx;
-    for (const ConfigLayout layout : {ConfigLayout::kAoS, ConfigLayout::kSoA}) {
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        const auto got =
-            run_mixed(g, proto, init, make_checker, pool, victims,
-                      EngineKind::kIncremental, threads, layout, sizes);
-        expect_same_run(base, got,
-                        ctx + " layout=" +
-                            std::string(config_layout_name(layout)) +
-                            " threads=" + std::to_string(threads));
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const auto got = run_mixed(g, proto, init, make_checker, pool, victims,
+                                 EngineKind::kIncremental, threads, sizes);
+      expect_same_run(base, got, ctx + " threads=" + std::to_string(threads));
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -183,8 +175,8 @@ TEST(SuccessorFreshness, SsmeMixedStepsMatchReference) {
 }
 
 TEST(SuccessorFreshness, LeaderMixedStepsMatchReference) {
-  // Struct states through the unscored kernel and the checker's bulk
-  // pass, under both layouts' dense install.
+  // Struct states through the unscored kernel, the checker's bulk pass
+  // and the column fill of the dense install.
   const Graph g = make_torus(12, 12);
   const LeaderElectionProtocol proto(g);
   expect_mixed_runs_match_reference(
@@ -212,9 +204,8 @@ TEST(SuccessorFreshness, DenseInstallCallsApplyOnlyOnStaleSteps) {
   for (const std::int64_t victims : {std::int64_t{2}, std::int64_t{g.n()}}) {
     const bool dense_epochs = is_dense_update(victims, 1, g);
     std::vector<std::size_t> sizes;
-    const auto base =
-        run_mixed(g, proto, init, make_checker, random_clocks, victims,
-                  EngineKind::kReference, 1, ConfigLayout::kAuto, sizes);
+    const auto base = run_mixed(g, proto, init, make_checker, random_clocks,
+                                victims, EngineKind::kReference, 1, sizes);
     for (const unsigned threads : {1u, 2u, 8u}) {
       const std::string ctx = "epoch-victims=" + std::to_string(victims) +
                               " threads=" + std::to_string(threads);
@@ -225,7 +216,7 @@ TEST(SuccessorFreshness, DenseInstallCallsApplyOnlyOnStaleSteps) {
       applies = 0;
       const auto got = run_mixed(
           g, proto, init, make_checker, random_clocks, victims,
-          EngineKind::kIncremental, threads, ConfigLayout::kAuto, sizes,
+          EngineKind::kIncremental, threads, sizes,
           [&](StepIndex, const ConfigView<std::int64_t>&,
               const std::vector<VertexId>&) { before.push_back(applies); });
       before.push_back(applies);
