@@ -15,7 +15,8 @@
 // the core library (plain chrono timing), so it builds everywhere and CI
 // can always record the perf trajectory.  Results land in
 // BENCH_engine.json (deterministic key order; timings are wall clock and
-// naturally vary between hosts).
+// naturally vary between hosts, so the snapshot records its host: core
+// count, CPU model, compiler and build type).
 //
 //   bench_engine [--smoke] [--json PATH] [--threads T] [--repeats R]
 //                [--scaling-check]
@@ -27,18 +28,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/dijkstra_ring.hpp"
 #include "baselines/matching.hpp"
 #include "baselines/unbounded_unison.hpp"
-#include "extensions/leader_election.hpp"
-#include "unison/unison.hpp"
 #include "campaign/artifacts.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/runner.hpp"
@@ -46,11 +47,13 @@
 #include "core/incremental_legitimacy.hpp"
 #include "core/ssme.hpp"
 #include "extensions/coloring.hpp"
+#include "extensions/leader_election.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_engine.hpp"
+#include "unison/unison.hpp"
 
 namespace {
 
@@ -596,6 +599,34 @@ CampaignTiming run_campaign_comparison(bool smoke, unsigned threads,
   return timing;
 }
 
+/// The measuring host as a JSON object: core count, CPU model, compiler
+/// and build type.  Speedups are only comparable between like hosts.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(colon + 1);
+      cpu.erase(0, cpu.find_first_not_of(' '));
+      break;
+    }
+  }
+#if defined(__clang__)
+  std::string compiler = std::string("clang ") + __clang_version__;
+#else
+  std::string compiler = std::string("g++ ") + __VERSION__;
+#endif
+  for (std::string* text : {&cpu, &compiler}) {
+    std::erase_if(*text, [](char ch) { return ch == '"' || ch == '\\'; });
+  }
+  std::ostringstream os;
+  os << "{\"nproc\": " << std::max(1u, std::thread::hardware_concurrency());
+  os << ", \"cpu\": \"" << cpu << "\", \"compiler\": \"" << compiler;
+  os << "\", \"build_type\": \"" << SPECSTAB_BUILD_TYPE << "\"}";
+  return os.str();
+}
+
 std::string to_json(bool smoke, unsigned threads, int repeats,
                     const CampaignTiming& campaign_timing,
                     const std::vector<MicroRow>& micros) {
@@ -605,6 +636,7 @@ std::string to_json(bool smoke, unsigned threads, int repeats,
      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
      << "  \"threads\": " << threads << ",\n"
      << "  \"repeats\": " << repeats << ",\n"
+     << "  \"host\": " << host_json() << ",\n"
      << "  \"campaign\": {\"preset\": \"thm3\", \"scenarios\": "
      << campaign_timing.scenarios
      << ", \"reference_ms\": " << fmt(campaign_timing.reference_ms)

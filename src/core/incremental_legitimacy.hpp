@@ -311,8 +311,8 @@ class ClosureCounting {
     return unison.locally_legitimate(g, cfg, v) ? 0 : 1;
   };
   auto verdict = [](std::int64_t total) { return total == 0; };
-  // One pass over the raw clock column with the ring arithmetic inlined
-  // (same int64 formulation as SimdEval<UnisonProtocol>) instead of a
+  // One pass over the raw clock column with the ring arithmetic of
+  // CherryClock::ring_distance inlined in int64, instead of a
   // locally_legitimate() call chain per vertex.
   auto bulk = [&unison](const Graph& g,
                         const ConfigView<ClockValue>& cfg) -> std::int64_t {

@@ -29,7 +29,8 @@ thread_local ShardPool* tl_engine_pool = nullptr;
   std::size_t pos = 0;
   while (pos < canonical.size()) {
     const std::size_t space = canonical.find(' ', pos);
-    const std::size_t end = space == std::string::npos ? canonical.size() : space;
+    const std::size_t end =
+        space == std::string::npos ? canonical.size() : space;
     tokens.push_back(canonical.substr(pos, end - pos));
     pos = end + 1;
   }
@@ -165,6 +166,7 @@ void SessionServer::wait() {
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     readers.swap(readers_);
+    finished_readers_.clear();
   }
   for (auto& reader : readers) {
     if (reader.joinable()) reader.join();
@@ -223,6 +225,7 @@ void SessionServer::acceptor_loop() {
     auto conn = std::make_shared<Connection>(std::move(conn_fd));
     connections_accepted_.fetch_add(1);
     active_connections_.fetch_add(1);
+    reap_finished_readers();
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     connections_.push_back(conn);
     readers_.emplace_back([this, conn] { reader_loop(conn); });
@@ -268,6 +271,26 @@ void SessionServer::reader_loop(ConnectionPtr conn) {
   connections_.erase(
       std::remove(connections_.begin(), connections_.end(), conn),
       connections_.end());
+  // The acceptor joins this thread before it starts the next reader.
+  finished_readers_.push_back(std::this_thread::get_id());
+}
+
+void SessionServer::reap_finished_readers() {
+  std::vector<std::thread> finished;
+  {
+    const std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (const std::thread::id id : finished_readers_) {
+      for (auto it = readers_.begin(); it != readers_.end(); ++it) {
+        if (it->get_id() == id) {
+          finished.push_back(std::move(*it));
+          readers_.erase(it);
+          break;
+        }
+      }
+    }
+    finished_readers_.clear();
+  }
+  for (auto& reader : finished) reader.join();
 }
 
 void SessionServer::worker_loop() {

@@ -125,6 +125,9 @@ class SessionServer {
 
   void acceptor_loop();
   void reader_loop(ConnectionPtr conn);
+  /// Joins and drops the readers listed in finished_readers_, joining
+  /// outside connections_mutex_.  Acceptor thread only.
+  void reap_finished_readers();
   void worker_loop();
   void handle_line(const ConnectionPtr& conn, const std::string& line);
   void handle_session_method(const ConnectionPtr& conn, const Request& req);
@@ -160,6 +163,9 @@ class SessionServer {
   std::mutex connections_mutex_;
   std::vector<ConnectionPtr> connections_;
   std::vector<std::thread> readers_;
+  /// Readers that returned from reader_loop() and await their join, so a
+  /// churned connection does not keep its thread's stack mapped.
+  std::vector<std::thread::id> finished_readers_;
 
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;

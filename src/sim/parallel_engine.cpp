@@ -64,6 +64,52 @@ FlatAdjacency flatten_adjacency(const Graph& g) {
   return adj;
 }
 
+namespace {
+
+// True iff a and b have the same neighbour offsets: equal degrees and
+// nbrs(a)[j] - a == nbrs(b)[j] - b for every j.
+bool same_offsets(const Graph& g, VertexId a, VertexId b) {
+  const NeighborSpan na = g.neighbors(a);
+  const NeighborSpan nb = g.neighbors(b);
+  if (na.size() != nb.size()) return false;
+  for (std::size_t j = 0; j < na.size(); ++j) {
+    if (na[j] - a != nb[j] - b) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+LatticeStencil lattice_stencil(const Graph& g) {
+  // Boyer-Moore vote: a list shared by more than half the vertices
+  // survives as the candidate.
+  VertexId candidate = 0;
+  VertexId votes = 0;
+  for (VertexId v = 0; v < g.n(); ++v) {
+    if (votes == 0) {
+      candidate = v;
+      votes = 1;
+    } else {
+      votes += same_offsets(g, candidate, v) ? 1 : -1;
+    }
+  }
+  LatticeStencil out;
+  if (g.n() == 0 || g.degree(candidate) == 0) return out;
+  std::int64_t shared = 0;
+  for (VertexId v = 0; v < g.n(); ++v) {
+    shared += same_offsets(g, candidate, v) ? 1 : 0;
+  }
+  if (2 * shared < g.n()) return out;
+  for (const VertexId u : g.neighbors(candidate)) {
+    out.offsets.push_back(u - candidate);
+  }
+  out.irregular.reserve(static_cast<std::size_t>(g.n() - shared));
+  for (VertexId v = 0; v < g.n(); ++v) {
+    if (!same_offsets(g, candidate, v)) out.irregular.push_back(v);
+  }
+  return out;
+}
+
 ShardPool::ShardPool(unsigned extra_workers) {
   if (extra_workers == 0) return;  // inline-only: nothing to spawn or tune
   // Spinning assumes the peer making progress owns another core.  When

@@ -37,11 +37,22 @@
 // the shard fan-out (disjoint ranges touch disjoint out and next
 // entries, so shards write concurrently without synchronization); one
 // shard passes [0, n).
-// Kernels are written as branch-light per-column loops over the
-// ConfigStore columns (the one vector *is* the column for arithmetic
-// states) so the compiler can auto-vectorize them; the engine packs the
-// verdict bytes into 64-bit words (pack_verdict_word()) and feeds them to
-// EnabledSet::fill_words().
+// Kernels are branch-light loops over the ConfigStore columns (the one
+// vector *is* the column for arithmetic states) and the flattened CSR
+// adjacency.  A CSR neighbour loop has a data-dependent trip count, so
+// the compiler evaluates one vertex at a time there rather than
+// vectorizing across vertices.  The unison kernel (which ssme forwards
+// to) therefore adds a lattice path: on runs of vertices whose
+// neighbours are v + delta for the graph's stencil (lattice_stencil()
+// below: ring, path, grid and torus interiors), it loads the neighbour
+// registers as shifted slices of the column and evaluates four vertices
+// per step in int32 lanes.  The lanes are GCC/Clang vector extensions
+// (__attribute__((vector_size(16))): one SSE2 register on x86-64,
+// lowered by the compiler elsewhere), so one source serves every target
+// without intrinsics, architecture flags or CPU dispatch.  Its int32
+// arithmetic is exact for every register: see unison.cpp.  The engine
+// packs the verdict bytes into 64-bit words (pack_verdict_word()) and
+// feeds them to EnabledSet::fill_words().
 //
 // A specialization may additionally fuse the legitimacy scan into the
 // guard pass: declare a ScoreKind tag plus enabled_bytes_scored(), which
@@ -91,6 +102,26 @@ struct FlatAdjacency {
 
 /// One-pass flattening of g's adjacency lists.
 [[nodiscard]] FlatAdjacency flatten_adjacency(const Graph& g);
+
+/// The neighbour offsets most vertices of g share.  A vertex v follows
+/// the stencil when its sorted neighbour list is exactly v + offsets[j]
+/// (so every v + offsets[j] lies in [0, n)) and its degree is at least
+/// 1.  Rings and paths have {-1, 1}, a rows x cols grid or torus
+/// {-cols, -1, 1, cols}; the vertices that do not follow it (the ends of
+/// a path, the wrap of a ring, the border of a grid or torus) are listed
+/// in `irregular`.  A kernel can then read the neighbours of a run of
+/// regular vertices as shifted slices of a state column.  When fewer
+/// than half the vertices share one offset list, or the shared list is
+/// empty, the graph has no stencil and both vectors are empty.
+struct LatticeStencil {
+  std::vector<std::int32_t> offsets;  ///< ascending; empty: no stencil
+  std::vector<VertexId> irregular;    ///< ascending vertices off the stencil
+};
+
+/// g's stencil in O(n + m): a majority vote over the vertices' offset
+/// lists compared in place, a pass counting the winner's vertices and,
+/// when they are at least half, a pass listing the others.
+[[nodiscard]] LatticeStencil lattice_stencil(const Graph& g);
 
 /// 64 verdict bytes -> one bitmask word, bit b = (bytes[b] != 0).  The
 /// caller guarantees 64 readable bytes (the engine pads its verdict

@@ -2,8 +2,10 @@
 // against an in-process SessionServer: malformed-input fuzzing (every
 // bad line gets a structured error, the connection and the server
 // survive), oversized-line resync, partial writes, pipelining, busy
-// backpressure, abrupt disconnect mid-stream, drain-on-shutdown, and a
-// bounded thread count whatever a request's `threads` asks for.
+// backpressure, abrupt disconnect mid-stream, drain-on-shutdown, a
+// bounded thread count whatever a request's `threads` asks for, and
+// reader threads released as connections churn.
+#include <pthread.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -12,7 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -407,6 +411,44 @@ TEST(ServeProtocolTest, RequestThreadsAreClampedToTheWorkerPool) {
     ASSERT_NE(b.find(key), nullptr) << key;
     EXPECT_EQ(a.find(key)->dump(), b.find(key)->dump()) << key;
   }
+}
+
+/// VmSize of this process in KiB, from /proc/self/status (-1 if absent).
+[[nodiscard]] std::int64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(ServeProtocolTest, ChurnedConnectionsReleaseTheirReaderThreads) {
+  // Every connection gets a reader thread, and an exited thread keeps its
+  // stack mapped until it is joined.  The acceptor joins finished readers
+  // before it starts the next one, so 200 sequential short connections
+  // must not leave 200 stacks behind.
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const auto stack_kib = static_cast<std::int64_t>(stack_bytes / 1024);
+
+  ServerHarness harness;
+  const std::string list = "{\"id\":1,\"method\":\"list\"}";
+  {
+    LineClient warm = harness.connect();
+    ASSERT_TRUE(is_result(warm.roundtrip(list)));
+  }
+  const std::int64_t before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 200; ++i) {
+    LineClient client = harness.connect();
+    ASSERT_TRUE(is_result(client.roundtrip(list))) << "connection " << i;
+  }
+  const std::int64_t grown = vm_size_kib() - before;
+  EXPECT_LT(grown, 25 * stack_kib) << "VmSize grew by " << grown << " KiB";
 }
 
 }  // namespace

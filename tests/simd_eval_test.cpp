@@ -11,11 +11,14 @@
 // wrong successor of a rarely enabled vertex can stay hidden; here each
 // protocol meets random, legitimate and corrupted configurations
 // (registers outside the cherry, stem values, K - 1, and INT32 extremes
-// wherever the scalar code defines them) on ring, path, star, torus,
-// random and single-vertex graphs, called over the whole range and over
-// the word-aligned shard splits the engine uses.
+// wherever the scalar code defines them) on ring, path, star, grid,
+// torus, random, hypercube and single-vertex graphs, called over the
+// whole range and over the word-aligned shard splits the engine uses.
+// The lattice stencil that routes ring, path, grid and torus interiors
+// onto the unison kernel's four-lane path is pinned per graph as well.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -56,6 +59,8 @@ std::vector<NamedGraph> topologies() {
   out.push_back({"torus-9x11", make_torus(9, 11)});
   out.push_back({"random-150", make_random_connected(150, 0.03, 11)});
   out.push_back({"single", make_path(1)});
+  out.push_back({"grid-7x13", make_grid(7, 13)});
+  out.push_back({"hypercube-7", make_hypercube(7)});
   return out;
 }
 
@@ -185,6 +190,60 @@ std::vector<std::pair<std::string, Config<ClockValue>>> clock_configs(
     out.emplace_back("corrupted#" + std::to_string(s), corrupted);
   }
   return out;
+}
+
+/// The border vertices of a rows x cols grid or torus, ascending.
+std::vector<VertexId> border(VertexId rows, VertexId cols) {
+  std::vector<VertexId> out;
+  for (VertexId r = 0; r < rows; ++r) {
+    for (VertexId c = 0; c < cols; ++c) {
+      if (r == 0 || r == rows - 1 || c == 0 || c == cols - 1) {
+        out.push_back(r * cols + c);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SimdEvalTest, LatticeStencilFollowsTheGraph) {
+  struct Expected {
+    std::string name;
+    Graph g;
+    std::vector<std::int32_t> offsets;
+    std::vector<VertexId> irregular;
+  };
+  const std::vector<Expected> cases = {
+      {"ring-130", make_ring(130), {-1, 1}, {0, 129}},
+      {"path-97", make_path(97), {-1, 1}, {0, 96}},
+      {"grid-7x13", make_grid(7, 13), {-13, -1, 1, 13}, border(7, 13)},
+      {"torus-9x11", make_torus(9, 11), {-11, -1, 1, 11}, border(9, 11)},
+      {"star-70", make_star(70), {}, {}},
+      {"random-150", make_random_connected(150, 0.03, 11), {}, {}},
+      {"hypercube-7", make_hypercube(7), {}, {}},
+      {"single", make_path(1), {}, {}},
+  };
+  for (const auto& [name, g, offsets, irregular] : cases) {
+    const LatticeStencil lattice = lattice_stencil(g);
+    EXPECT_EQ(lattice.offsets, offsets) << name;
+    EXPECT_EQ(lattice.irregular, irregular) << name;
+  }
+  EXPECT_EQ(border(7, 13).size(), 36u);
+  EXPECT_EQ(border(9, 11).size(), 36u);
+  // On every kernel input, a vertex is off the list iff its neighbours
+  // are exactly v + offsets[j].
+  for (const auto& [name, g] : topologies()) {
+    const LatticeStencil lattice = lattice_stencil(g);
+    if (lattice.offsets.empty()) continue;
+    for (VertexId v = 0; v < g.n(); ++v) {
+      std::vector<VertexId> shifted;
+      for (const std::int32_t delta : lattice.offsets) {
+        shifted.push_back(v + delta);
+      }
+      const auto& irr = lattice.irregular;
+      const bool listed = std::binary_search(irr.begin(), irr.end(), v);
+      EXPECT_EQ(!(g.neighbors(v) == shifted), listed) << name << " v=" << v;
+    }
+  }
 }
 
 TEST(KernelContract, Unison) {
