@@ -197,11 +197,9 @@ std::vector<MicroRow> run_micros(bool smoke, int repeats) {
         repeats));
   }
   {
-    // Multi-field state at scale: the engine stores LeaderState as
-    // columns (leader and dist apart) and the reference engine as one
-    // vector, and this row is what guards the split — guard scans over a
-    // large random graph are exactly the memory-bound path the columns
-    // target.
+    // Struct state at scale: guard scans over a large random graph read
+    // both fields of every neighbour's state, the memory-bound path of
+    // the leader kernel.
     const Graph g =
         make_random_connected(smoke ? 48 : 4096, smoke ? 0.15 : 0.0025, 7);
     const LeaderElectionProtocol proto(g);

@@ -439,41 +439,24 @@ class ClosureCounting {
 [[nodiscard]] inline auto make_leader_election_checker(
     const LeaderElectionProtocol& proto, const Graph& g) {
   Config<LeaderState> elected = proto.elected_config(g);
-  // Split the elected configuration into per-field columns so the bulk
-  // scan is two contiguous compares over the engine's columns.
-  std::vector<std::int32_t> el_lead(elected.size());
-  std::vector<std::int32_t> el_dist(elected.size());
-  for (std::size_t i = 0; i < elected.size(); ++i) {
-    el_lead[i] = elected[i].leader;
-    el_dist[i] = elected[i].dist;
-  }
-  auto score = [elected = std::move(elected)](
-                   const Graph&, const ConfigView<LeaderState>& cfg,
-                   VertexId v) -> std::int32_t {
+  auto score = [elected](const Graph&, const ConfigView<LeaderState>& cfg,
+                         VertexId v) -> std::int32_t {
     return cfg[static_cast<std::size_t>(v)] ==
                    elected[static_cast<std::size_t>(v)]
                ? 0
                : 1;
   };
   auto verdict = [](std::int64_t total) { return total == 0; };
-  auto bulk = [el_lead = std::move(el_lead), el_dist = std::move(el_dist)](
+  auto bulk = [elected = std::move(elected)](
                   const Graph&,
                   const ConfigView<LeaderState>& cfg) -> std::int64_t {
-    const std::int32_t* lead = cfg.column<kLeaderField>();
-    const std::int32_t* dst = cfg.column<kDistField>();
+    const LeaderState* s = cfg.column();
+    const LeaderState* el = elected.data();
     std::int64_t total = 0;
-    if (lead != nullptr && dst != nullptr) {
-      for (std::size_t i = 0; i < cfg.size(); ++i) {
-        total += static_cast<std::int64_t>(
-            static_cast<unsigned>(lead[i] != el_lead[i]) |
-            static_cast<unsigned>(dst[i] != el_dist[i]));
-      }
-    } else {
-      // A plain vector (the reference engine's configuration) has no
-      // columns.
-      for (std::size_t i = 0; i < cfg.size(); ++i) {
-        total += cfg[i] == LeaderState{el_lead[i], el_dist[i]} ? 0 : 1;
-      }
+    for (std::size_t i = 0; i < cfg.size(); ++i) {
+      total += static_cast<std::int64_t>(
+          static_cast<unsigned>(s[i].leader != el[i].leader) |
+          static_cast<unsigned>(s[i].dist != el[i].dist));
     }
     return total;
   };

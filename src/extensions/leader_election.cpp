@@ -1,7 +1,6 @@
 #include "extensions/leader_election.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <random>
 #include <stdexcept>
 #include <unordered_set>
@@ -50,16 +49,12 @@ LeaderState LeaderElectionProtocol::best_candidate(const Graph& g,
   LeaderState best{id_of(v), 0};
   const auto bound = static_cast<std::int32_t>(g.n());
   for (VertexId u : g.neighbors(v)) {
-    const auto i = static_cast<std::size_t>(u);
+    const LeaderState su = cfg[static_cast<std::size_t>(u)];
     // Discard corrupted or overflowing distances: the candidate would sit
     // at distance dist_u + 1, which must stay below n in any real
-    // configuration.  This is the ghost-flushing bound.  Reading the
-    // dist column first keeps the discard off the leader column — in the
-    // engine's store the scan touches one contiguous array until a
-    // candidate survives.
-    const std::int32_t du = cfg.field<kDistField>(i);
-    if (du < 0 || du + 1 >= bound) continue;
-    const LeaderState candidate{cfg.field<kLeaderField>(i), du + 1};
+    // configuration.  This is the ghost-flushing bound.
+    if (su.dist < 0 || su.dist + 1 >= bound) continue;
+    const LeaderState candidate{su.leader, su.dist + 1};
     if (candidate < best) best = candidate;
   }
   return best;
@@ -150,25 +145,19 @@ void SimdEval<LeaderElectionProtocol>::enabled_bytes(
   const std::int32_t* off = ctx.adj.offsets.data();
   const VertexId* tg = ctx.adj.targets.data();
   const auto bound = static_cast<std::int32_t>(cfg.size());
-  // Kernels only receive the engine's store view, which keeps LeaderState
-  // as columns.
-  const std::int32_t* lead = cfg.column<kLeaderField>();
-  const std::int32_t* dst = cfg.column<kDistField>();
-  assert(lead != nullptr && dst != nullptr);
+  const LeaderState* s = cfg.column();
   for (VertexId v = begin; v < end; ++v) {
     std::uint64_t best = lex_key(proto.id_of(v), 0);
     for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
-      const auto i = static_cast<std::size_t>(tg[j]);
-      const std::int32_t du = dst[i];
+      const LeaderState su = s[static_cast<std::size_t>(tg[j])];
       // Same discard as best_candidate(): corrupted or overflowing
       // distances never become candidates (the ghost-flushing bound).
-      const std::uint64_t ck = lex_key(lead[i], du + 1);
-      const bool live = du >= 0 && du + 1 < bound;
+      const std::uint64_t ck = lex_key(su.leader, su.dist + 1);
+      const bool live = su.dist >= 0 && su.dist + 1 < bound;
       best = live && ck < best ? ck : best;
     }
-    out[v] = static_cast<std::uint8_t>(
-        best != lex_key(lead[static_cast<std::size_t>(v)],
-                        dst[static_cast<std::size_t>(v)]));
+    const LeaderState sv = s[static_cast<std::size_t>(v)];
+    out[v] = static_cast<std::uint8_t>(best != lex_key(sv.leader, sv.dist));
     next[v] = lex_state(best);  // disabled: already the best candidate
   }
 }

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -52,19 +51,6 @@ struct LeaderState {
     return a.leader != b.leader ? a.leader < b.leader : a.dist < b.dist;
   }
 };
-
-/// Column split: the guard reads both fields of every neighbour, but the
-/// distance bound discards most candidates before their leader identity
-/// matters, so `dist` scans profit from its own contiguous column.
-template <>
-struct SoaFields<LeaderState> {
-  static constexpr auto members =
-      std::make_tuple(&LeaderState::leader, &LeaderState::dist);
-};
-
-/// Column indices for ConfigView<LeaderState>::field<I>().
-inline constexpr std::size_t kLeaderField = 0;
-inline constexpr std::size_t kDistField = 1;
 
 class LeaderElectionProtocol {
  public:
@@ -123,12 +109,11 @@ class LeaderElectionProtocol {
   VertexId min_vertex_ = 0;
 };
 
-/// Vectorized guard kernel over both columns.  The lexicographic
-/// candidate order (leader, then dist) is folded into one order-preserving
-/// unsigned 64-bit key — sign-flip each int32 field and concatenate — so
-/// the best candidate is a plain min-reduction over packed keys streamed
-/// from the leader and dist columns, and the successor is that key
-/// decoded.  Requires a view with columns (the engine's store view).
+/// Guard kernel over the state column.  The lexicographic candidate
+/// order (leader, then dist) is folded into one order-preserving unsigned
+/// 64-bit key — sign-flip each int32 field and concatenate — so the best
+/// candidate is a plain min-reduction over packed keys of the neighbours'
+/// states, and the successor is that key decoded.
 template <>
 struct SimdEval<LeaderElectionProtocol> {
   struct Context {

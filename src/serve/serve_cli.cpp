@@ -16,8 +16,8 @@ namespace specstab::serve {
 namespace {
 
 // SIGTERM/SIGINT self-pipe: the handler only writes one byte (the sole
-// async-signal-safe thing to do); the server's stop watcher turns the
-// readable fd into an orderly drain.
+// async-signal-safe thing to do); the server's acceptor polls the
+// readable fd and turns it into an orderly drain.
 int g_signal_pipe[2] = {-1, -1};
 
 extern "C" void on_stop_signal(int) {

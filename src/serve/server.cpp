@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -195,31 +194,11 @@ SessionServer::Stats SessionServer::stats() const {
 }
 
 void SessionServer::acceptor_loop() {
-  // One poll target only, so the external stop fd (the CLI's signal
-  // pipe) is watched by a tiny side loop that folds it into the same
-  // initiate_shutdown() path.
-  std::thread stop_watcher;
-  if (options_.stop_fd >= 0) {
-    stop_watcher = std::thread([this] {
-      pollfd fds[2];
-      fds[0].fd = options_.stop_fd;
-      fds[0].events = POLLIN;
-      fds[1].fd = wake_read_.get();
-      fds[1].events = POLLIN;
-      for (;;) {
-        fds[0].revents = 0;
-        fds[1].revents = 0;
-        const int rc = ::poll(fds, 2, -1);
-        if (rc == -1 && errno == EINTR) continue;
-        break;
-      }
-      if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-        initiate_shutdown();
-      }
-    });
-  }
+  // One poll() watches the listener, the wake pipe and the external stop
+  // fd (the CLI's signal pipe); a byte on either wake source ends the
+  // loop.
   for (;;) {
-    Fd conn_fd = listener_->accept_next(wake_read_.get());
+    Fd conn_fd = listener_->accept_next(wake_read_.get(), options_.stop_fd);
     if (!conn_fd.valid()) break;
     if (draining_.load()) break;  // raced a late connection past the wake
     auto conn = std::make_shared<Connection>(std::move(conn_fd));
@@ -230,10 +209,9 @@ void SessionServer::acceptor_loop() {
     connections_.push_back(conn);
     readers_.emplace_back([this, conn] { reader_loop(conn); });
   }
-  // Shutdown first (idempotent; also covers listener failure paths): the
-  // wake byte it writes is what unparks the watcher for the join below.
+  // A stop byte, a listener failure or a requested shutdown all end up
+  // here; initiate_shutdown() is idempotent.
   initiate_shutdown();
-  if (stop_watcher.joinable()) stop_watcher.join();
 }
 
 void SessionServer::reader_loop(ConnectionPtr conn) {

@@ -3,7 +3,7 @@
 // unix-domain sockets.
 //
 // Thread structure:
-//   - one acceptor thread parked in poll(listen_fd, wake_pipe);
+//   - one acceptor thread parked in poll(listen_fd, wake_pipe, stop_fd);
 //   - one reader thread per connection, parsing/validating request
 //     lines and enqueueing session jobs;
 //   - a persistent worker pool draining the bounded work queue

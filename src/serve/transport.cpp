@@ -96,22 +96,20 @@ Listener::~Listener() {
   }
 }
 
-Fd Listener::accept_next(int wake_fd) {
+Fd Listener::accept_next(int wake_fd, int stop_fd) {
   for (;;) {
-    pollfd fds[2];
-    fds[0].fd = fd_.get();
-    fds[0].events = POLLIN;
-    fds[0].revents = 0;
-    fds[1].fd = wake_fd;
-    fds[1].events = POLLIN;
-    fds[1].revents = 0;
-    const nfds_t nfds = wake_fd >= 0 ? 2 : 1;
-    const int rc = ::poll(fds, nfds, -1);
+    // poll() skips entries with a negative fd and zeroes their revents.
+    pollfd fds[3] = {};
+    fds[0] = {fd_.get(), POLLIN, 0};
+    fds[1] = {wake_fd, POLLIN, 0};
+    fds[2] = {stop_fd, POLLIN, 0};
+    const int rc = ::poll(fds, 3, -1);
     if (rc == -1) {
       if (errno == EINTR) continue;
       return Fd();
     }
-    if (nfds == 2 && (fds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
+    const int woken = fds[1].revents | fds[2].revents;
+    if ((woken & (POLLIN | POLLERR | POLLHUP)) != 0) {
       return Fd();  // woken for shutdown
     }
     if ((fds[0].revents & POLLIN) == 0) continue;

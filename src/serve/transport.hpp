@@ -80,10 +80,12 @@ class Listener {
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
-  /// Blocks in poll() until a connection arrives or `wake_fd` becomes
-  /// readable (the shutdown self-pipe); returns an invalid Fd on wake or
-  /// on a closed listener.  Transient accept errors are retried.
-  [[nodiscard]] Fd accept_next(int wake_fd);
+  /// Blocks in poll() until a connection arrives or `wake_fd` or
+  /// `stop_fd` becomes readable (the shutdown self-pipe and an external
+  /// stop pipe; a negative fd is not watched); returns an invalid Fd on
+  /// either wake or on a closed listener.  Transient accept errors are
+  /// retried.
+  [[nodiscard]] Fd accept_next(int wake_fd, int stop_fd);
 
   /// The bound port (resolves ephemeral binds); 0 for unix endpoints.
   [[nodiscard]] std::uint16_t port() const { return port_; }

@@ -134,10 +134,9 @@ template <class Traits>
 
   const FaultSpec fault = FaultSpec::parse(spec.perturb);
   if (fault.active() && spec.max_steps == 0) {
-    // Every epoch opens a fresh recovery race: extend the default cap so
-    // the last epoch still gets the protocol's own convergence budget.
-    opt.max_steps =
-        fault.start + fault.epochs * (fault.period + opt.max_steps);
+    // Extend the default cap so the last epoch still gets the protocol's
+    // own convergence budget.
+    opt.max_steps = fault.extend_step_cap(opt.max_steps);
   }
   std::optional<FaultPlan<State>> plan;
   if (fault.active()) {

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -75,6 +76,11 @@ struct FaultSpec {
 
   [[nodiscard]] bool active() const { return kind != FaultKind::kNone; }
   [[nodiscard]] std::string format() const;
+  /// The default step cap of a run under this spec, given the protocol's
+  /// own cap: every epoch opens a fresh recovery race, so each gets the
+  /// period plus `cap` steps.  start + epochs * (period + cap), saturated
+  /// at INT64_MAX instead of wrapping.
+  [[nodiscard]] StepIndex extend_step_cap(StepIndex cap) const;
   /// Throws std::invalid_argument on malformed text.  "" and "none" both
   /// parse to an inactive spec.
   static FaultSpec parse(const std::string& text);
@@ -90,6 +96,15 @@ inline std::string FaultSpec::format() const {
   out += ";epochs=" + std::to_string(epochs);
   out += ";start=" + std::to_string(start);
   return out;
+}
+
+inline StepIndex FaultSpec::extend_step_cap(StepIndex cap) const {
+  // Exact in 128 bits: every operand is below 2^63, so the total stays
+  // below 2^127.
+  const __int128 total =
+      __int128{start} + __int128{epochs} * (__int128{period} + cap);
+  constexpr StepIndex kMax = std::numeric_limits<StepIndex>::max();
+  return total > kMax ? kMax : static_cast<StepIndex>(total);
 }
 
 inline FaultSpec FaultSpec::parse(const std::string& text) {

@@ -26,13 +26,12 @@
 //   1. *install* — shard k takes the successor states of the targets in
 //      its range (read from the kernel's successor column when it is
 //      fresh, computed with apply() otherwise; see below) and merges them
-//      straight into the ConfigStore's inactive double buffers over its
+//      straight into the ConfigStore's inactive double buffer over its
 //      own segment (dense_fill_range); a sequential O(1) buffer swap
 //      (dense_commit) then publishes the new configuration.  A step
 //      that activates every enabled vertex while the column is fresh
 //      skips the phase: the column is the next configuration, swapped
-//      in whole (ConfigStore::swap_in) when the state type is stored as
-//      one full-state vector;
+//      in whole (ConfigStore::swap_in);
 //   2. *fused guard rescan* — shard k evaluates its range through the
 //      protocol's SimdEval kernel (simd_eval.hpp; a scalar sweep for
 //      protocols without one), which also writes every vertex's
@@ -307,8 +306,8 @@ RunResult<typename P::State> run_execution_parallel(
 
   // Dense phase 1 — install: shard k stages the successor states of its
   // target slice (the fresh kernel column, or apply()) and merges its
-  // segment of the inactive double buffers.  No cross-shard reads: the
-  // live buffers are immutable until dense_commit().
+  // segment of the inactive double buffer.  No cross-shard reads: the
+  // live buffer is immutable until dense_commit().
   const std::function<void(std::size_t)> dense_install_phase =
       [&](std::size_t k) {
         const std::vector<VertexId>& t = *targets;
@@ -382,7 +381,7 @@ RunResult<typename P::State> run_execution_parallel(
     given = successors;
     if (successors == nullptr) staged.resize(step_targets.size());
     bool swapped = false;
-    if constexpr (HasSimdEval<P> && ConfigStore<State>::kOneVector) {
+    if constexpr (HasSimdEval<P>) {
       // A fresh column is the synchronous successor configuration, so a
       // step that activates every enabled vertex (targets are a subset
       // of equal size) installs it whole with a buffer swap.

@@ -24,12 +24,11 @@
 namespace specstab {
 
 // Protocols consume configurations through the ConfigView proxy
-// (config_store.hpp), never a concrete vector: the same guard code runs
-// over the reference engine's plain vector and over the production
-// engine's store, which keeps a split state as member columns.
+// (config_store.hpp): the same guard code runs over the reference
+// engine's plain vector and over the production engine's store.
 // Protocols written against `const Config<State>&` still satisfy the
-// concept for states without a struct split (the view converts back to
-// its backing vector), so test doubles need no migration.
+// concept (the view converts back to its backing vector), so test
+// doubles need no migration.
 template <class P>
 concept ProtocolConcept = requires(const P& p, const Graph& g,
                                    ConfigView<typename P::State> cfg,

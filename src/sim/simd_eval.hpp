@@ -4,8 +4,7 @@
 // A dense step (parallel_engine.hpp; synchronous and dense distributed
 // daemons) re-evaluates all n guards, sharded: each worker evaluates one
 // contiguous vertex range.  A protocol opts into the kernel rescan by
-// specializing SimdEval<P> — the guard analogue of declaring a SoaFields
-// split next to the state (config_store.hpp):
+// specializing SimdEval<P> next to the protocol:
 //
 //   template <>
 //   struct SimdEval<MyProtocol> {
@@ -29,19 +28,18 @@
 // already knows which rule fired; the engine's next dense install reads
 // it instead of calling apply() once per target, and a step that
 // activates every enabled vertex installs the whole column with a
-// buffer swap when the state is stored as one vector (see "Successor
-// freshness" in parallel_engine.hpp).  The
+// buffer swap (see "Successor freshness" in parallel_engine.hpp).  The
 // differential harness holds the engine to byte-identical RunResults
 // against the reference engine, and tests/simd_eval_test.cpp holds every
 // kernel to both equalities directly.  The range parameters exist for
 // the shard fan-out (disjoint ranges touch disjoint out and next
 // entries, so shards write concurrently without synchronization); one
 // shard passes [0, n).
-// Kernels are branch-light loops over the ConfigStore columns (the one
-// vector *is* the column for arithmetic states) and the flattened CSR
-// adjacency.  A CSR neighbour loop has a data-dependent trip count, so
-// the compiler evaluates one vertex at a time there rather than
-// vectorizing across vertices.  The unison kernel (which ssme forwards
+// Kernels are branch-light loops over the state column (cfg.column(),
+// the store's one vector) and the flattened CSR adjacency.  A CSR
+// neighbour loop has a data-dependent trip count, so the compiler
+// evaluates one vertex at a time there rather than vectorizing across
+// vertices.  The unison kernel (which ssme forwards
 // to) therefore adds a lattice path: on runs of vertices whose
 // neighbours are v + delta for the graph's stencil (lattice_stencil()
 // below: ring, path, grid and torus interiors), it loads the neighbour
@@ -65,7 +63,7 @@
 // ScoreKind, the engine calls the scored kernel once per dense step and
 // hands the total straight to the checker
 // (LocalScoreChecker::accept_total), skipping a separate legitimacy
-// scan — one pass over the columns instead of two.  With any other
+// scan — one pass over the column instead of two.  With any other
 // checker the engine uses enabled_bytes() plus the checker's own scan,
 // so the fusion is pay-as-you-match.
 //

@@ -22,8 +22,8 @@ using StepIndex = std::int64_t;
 /// VertexId.  This is the boundary type — initial configurations, final
 /// configurations, trace snapshots — and the reference engine's live
 /// configuration.  The production engine stores the live configuration
-/// in a ConfigStore (member columns for states that declare a split);
-/// both hand consumers a ConfigView proxy (see sim/config_store.hpp).
+/// in a ConfigStore; both hand consumers a ConfigView proxy (see
+/// sim/config_store.hpp).
 template <class State>
 using Config = std::vector<State>;
 

@@ -87,14 +87,14 @@ class UnisonProtocol {
   CherryClock clock_;
 };
 
-/// Vectorized guard kernel (dense-rescan opt-in, the guard analogue of
-/// a SoaFields split): NA / CA / RA evaluated in one branch-free pass
-/// over the clock column in int32 mask arithmetic, with the cherry
-/// clock's ring projection reduced to one conditional +K.  Runs of
-/// vertices on the graph's lattice stencil (ring, path, grid and torus
-/// interiors) are evaluated four at a time, their neighbours loaded as
-/// shifted slices of the column; the other vertices walk the flattened
-/// adjacency one at a time through the same rule code.  The rule that
+/// Vectorized guard kernel (dense-rescan opt-in): NA / CA / RA evaluated
+/// in one branch-free pass over the clock column in int32 mask
+/// arithmetic, with the cherry clock's ring projection reduced to one
+/// conditional +K.  Runs of vertices on the graph's lattice stencil
+/// (ring, path, grid and torus interiors) are evaluated four at a time,
+/// their neighbours loaded as shifted slices of the column; the other
+/// vertices walk the flattened adjacency one at a time through the same
+/// rule code.  The rule that
 /// fired selects the successor in the same pass: phi(r_v) for NA and CA,
 /// -alpha for RA.  The pass also yields the Gamma_1 violation count for
 /// free — the allCorrect fold is exactly local legitimacy — so the scored

@@ -1,19 +1,24 @@
 // ConfigStore suite: the production engine's configuration storage.
 //
-// The state type decides the layout: LeaderState declares a column split
-// and is stored as member columns, every other state (here std::int32_t)
-// as one vector.  The reference engine keeps a plain vector whatever the
-// state, so every typed differential below compares the engine's columns
-// against the oracle's vector — printed final states, every meter and
-// the complete delta trace must match:
-//   - the sharded column fill of dense installs (dense_fill_range) on a
-//     word-misaligned thread grid;
+// Every state is stored as one vector, in the engine and in the reference
+// engine alike, so the typed differentials below hold leader election's
+// struct states in the engine's store against the oracle's vector —
+// printed final states, every meter and the complete delta trace must
+// match:
+//   - the sharded segment fill of dense installs (dense_fill_range) and
+//     the whole-column swap-in of synchronous steps on a word-misaligned
+//     thread grid;
 //   - leader election end to end, traces included;
-//   - ConfigStore unit semantics (set/get round trips, the ranged dense
-//     install vs a naive apply, take()/materialize()) on both layouts.
+//   - ConfigStore unit semantics (set/get round trips, swap_in, the
+//     ranged dense install vs a naive apply, take()/materialize()) on a
+//     struct state and an arithmetic one.
+// The test names keep the words "layouts" and "columns" from when
+// LeaderState was stored as member columns; the layout axis now has one
+// value.
 #include <cstdint>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,27 +31,11 @@
 #include "sim/parallel_engine.hpp"
 
 namespace specstab {
-
-/// A split that leaves `cold` out: ConfigStore<PartialState> would drop
-/// it on every round trip, so the columns refuse to build for it.
-struct PartialState {
-  std::int32_t hot = 0;
-  std::int32_t cold = 0;
-};
-
-template <>
-struct SoaFields<PartialState> {
-  static constexpr auto members = std::make_tuple(&PartialState::hot);
-};
-
 namespace {
 
-static_assert(detail::split_member_bytes<LeaderState>() ==
-              sizeof(LeaderState));
-static_assert(detail::split_member_bytes<PartialState>() <
-              sizeof(PartialState));
-static_assert(!ConfigStore<LeaderState>::kOneVector);
-static_assert(ConfigStore<std::int32_t>::kOneVector);
+// A view is one pointer, cheap to pass and copy.
+static_assert(std::is_trivially_copyable_v<ConfigView<LeaderState>>);
+static_assert(sizeof(ConfigView<LeaderState>) == sizeof(void*));
 
 template <class State>
 void expect_same_run(const RunResult<State>& a, const RunResult<State>& b,
@@ -81,14 +70,15 @@ RunResult<LeaderState> run_leader(const Graph& g,
                          checker);
 }
 
-// --- Typed differential: engine columns vs the oracle's vector --------
+// --- Typed differential: the engine's store vs the oracle's vector ----
 
 TEST(LayoutAgreement, FusedParallelThreadGridAgreesAcrossLayouts) {
-  // The fused dense path fills column segments per shard
-  // (dense_fill_range) — a torn column segment shows up as a
-  // final-config or trace mismatch against the oracle's vector.  Graph
-  // sizes straddle the 64-vertex word boundary (97, 130) so shards get
-  // unequal word counts at every thread value.
+  // Synchronous steps swap the kernel's fresh successor column in whole;
+  // Bernoulli steps fill segments per shard (dense_fill_range) — a torn
+  // segment or a stale swapped column shows up as a final-config or
+  // trace mismatch against the oracle's vector.  Graph sizes straddle
+  // the 64-vertex word boundary (97, 130) so shards get unequal word
+  // counts at every thread value.
   for (const Graph& g :
        {make_ring(130), make_random_connected(97, 0.05, 13)}) {
     const LeaderElectionProtocol proto(g);
@@ -141,55 +131,41 @@ Config<std::int32_t> random_ints(const Graph& g, std::uint64_t seed) {
   return cfg;
 }
 
+/// Store round trips for one state type: reads through the store's view
+/// and a plain vector's view, set(), swap_in() and take().  `other` is a
+/// state the initial configuration does not hold at vertex 2.
+template <class State>
+void expect_round_trips(const Config<State>& init, const State& other) {
+  ConfigStore<State> store(init);
+  const ConfigView<State> view = store.view();
+  // A plain vector (the oracle's configuration) reads the same states.
+  const ConfigView<State> vec_view(init);
+  ASSERT_EQ(view.size(), init.size());
+  for (std::size_t i = 0; i < init.size(); ++i) {
+    EXPECT_TRUE(view.get(i) == init[i]);
+    EXPECT_TRUE(view.column()[i] == init[i]);
+    EXPECT_TRUE(vec_view.column()[i] == init[i]);
+  }
+  EXPECT_EQ(vec_view.column(), init.data());
+  store.set(2, other);
+  EXPECT_TRUE(store.get(2) == other);
+  EXPECT_TRUE(view.column()[2] == other);
+  EXPECT_TRUE(store.materialize() != init);
+  Config<State> expected = init;
+  expected[2] = other;
+  EXPECT_TRUE(store.materialize() == expected);
+  // swap_in installs a whole configuration; the view follows it.
+  Config<State> next(init.size(), other);
+  store.swap_in(next);
+  EXPECT_TRUE(next == expected);  // the previous configuration comes back
+  EXPECT_TRUE(view.get(0) == other);
+  EXPECT_TRUE(store.take() == Config<State>(init.size(), other));
+}
+
 TEST(ConfigStore, RoundTripsAndFieldAccessAcrossLayouts) {
   const Graph g = make_ring(6);
-  {
-    // Columns.
-    const Config<LeaderState> init = random_leader_config(g, 3);
-    ConfigStore<LeaderState> store(init);
-    const ConfigView<LeaderState> view = store.view();
-    EXPECT_NE(view.column<kLeaderField>(), nullptr);
-    EXPECT_NE(view.column<kDistField>(), nullptr);
-    // A plain vector (the oracle's configuration) has no columns, and
-    // reads the same states member by member.
-    const ConfigView<LeaderState> vec_view(init);
-    EXPECT_EQ(vec_view.column<kLeaderField>(), nullptr);
-    for (std::size_t i = 0; i < init.size(); ++i) {
-      EXPECT_TRUE(view.get(i) == init[i]);
-      EXPECT_EQ(view.field<kLeaderField>(i), init[i].leader);
-      EXPECT_EQ(view.field<kDistField>(i), init[i].dist);
-      EXPECT_EQ(view.column<kDistField>()[i], init[i].dist);
-      EXPECT_EQ(vec_view.field<kDistField>(i), init[i].dist);
-    }
-    store.set(2, LeaderState{-5, 9});
-    EXPECT_TRUE(store.get(2) == (LeaderState{-5, 9}));
-    EXPECT_EQ(store.view().field<kDistField>(2), 9);
-    EXPECT_TRUE(store.materialize() != init);
-    Config<LeaderState> expected = init;
-    expected[2] = LeaderState{-5, 9};
-    EXPECT_TRUE(store.take() == expected);
-  }
-  {
-    // One vector: the vector is the single column and swaps in whole.
-    const Config<std::int32_t> init = random_ints(g, 3);
-    ConfigStore<std::int32_t> store(init);
-    const ConfigView<std::int32_t> view = store.view();
-    for (std::size_t i = 0; i < init.size(); ++i) {
-      EXPECT_EQ(view.get(i), init[i]);
-      EXPECT_EQ(view.field(i), init[i]);
-      EXPECT_EQ(view.column()[i], init[i]);
-    }
-    store.set(2, -5);
-    EXPECT_EQ(store.get(2), -5);
-    Config<std::int32_t> expected = init;
-    expected[2] = -5;
-    EXPECT_EQ(store.materialize(), expected);
-    Config<std::int32_t> next(init.size(), 11);
-    store.swap_in(next);
-    EXPECT_EQ(next, expected);  // the previous configuration comes back
-    EXPECT_EQ(view.get(0), 11);  // the view reads the swapped-in vector
-    EXPECT_EQ(store.take(), Config<std::int32_t>(init.size(), 11));
-  }
+  expect_round_trips(random_leader_config(g, 3), LeaderState{-5, 9});
+  expect_round_trips(random_ints(g, 3), std::int32_t{-5});
 }
 
 /// The engine's dense install against a naive apply of `successor`

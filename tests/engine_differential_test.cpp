@@ -358,7 +358,7 @@ TEST(EngineDifferentialTest, RegistrySessionsAgreeByteForByteIncludingTraces) {
   // every meter and the complete delta trace through the erased session
   // boundary must match the reference engine at 1, 2 and 8 threads.
   // The reference engine keeps a plain vector, the production engine
-  // stores split states (leader election) as columns.
+  // its ConfigStore.
   const auto& registry = ProtocolRegistry::instance();
   const Graph ring = make_ring(9);
   const Graph torus = make_torus(3, 3);

@@ -1,14 +1,16 @@
 // Tests for the fault-injection subsystem (sim/fault_plan.hpp): spec
-// parsing, plan determinism and victim-selection properties, the
-// recovery meter, service-stall windows, and a hand-computable min+1
-// fixture whose corruption epochs and steps-to-legitimacy are known
-// exactly and must agree across both engines and every thread count.
+// parsing and the saturating step cap, plan determinism and
+// victim-selection properties, the recovery meter, service-stall
+// windows, and a hand-computable min+1 fixture whose corruption epochs
+// and steps-to-legitimacy are known exactly and must agree across both
+// engines and every thread count.
 #include "sim/fault_plan.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,6 +69,20 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)FaultSpec::parse("periodic:start=-1"),
                std::invalid_argument);
+}
+
+TEST(FaultSpecTest, ExtendedStepCapSaturates) {
+  constexpr StepIndex kMax = std::numeric_limits<StepIndex>::max();
+  const FaultSpec defaults = FaultSpec::parse("periodic");
+  // 64 + 4 * (64 + 1000).
+  EXPECT_EQ(defaults.extend_step_cap(1000), 4320);
+  // A saturated protocol cap (ssme on torus 450 450) stays saturated
+  // instead of wrapping to a small cap.
+  EXPECT_EQ(defaults.extend_step_cap(kMax), kMax);
+  // A huge period overflows even a small cap.
+  EXPECT_EQ(FaultSpec::parse("periodic:period=4611686018427387904;epochs=4")
+                .extend_step_cap(100),
+            kMax);
 }
 
 /// Deterministic scalar pool for plan unit tests: every entry is a

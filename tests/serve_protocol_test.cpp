@@ -2,9 +2,10 @@
 // against an in-process SessionServer: malformed-input fuzzing (every
 // bad line gets a structured error, the connection and the server
 // survive), oversized-line resync, partial writes, pipelining, busy
-// backpressure, abrupt disconnect mid-stream, drain-on-shutdown, a
-// bounded thread count whatever a request's `threads` asks for, and
-// reader threads released as connections churn.
+// backpressure, abrupt disconnect mid-stream, drain-on-shutdown (by
+// request and by the stop fd), a bounded thread count whatever a
+// request's `threads` asks for, and reader threads released as
+// connections churn.
 #include <pthread.h>
 #include <unistd.h>
 
@@ -449,6 +450,35 @@ TEST(ServeProtocolTest, ChurnedConnectionsReleaseTheirReaderThreads) {
   }
   const std::int64_t grown = vm_size_kib() - before;
   EXPECT_LT(grown, 25 * stack_kib) << "VmSize grew by " << grown << " KiB";
+}
+
+TEST(ServeProtocolTest, StopFdDrainsWithoutAWatcherThread) {
+  // The acceptor polls the stop fd (the CLI's signal pipe) beside the
+  // listener and its wake pipe, so a server with one worker and
+  // single-participant engine pools runs exactly three threads once a
+  // client is connected: acceptor, worker and that client's reader.
+  int stop_pipe[2];
+  ASSERT_EQ(::pipe(stop_pipe), 0);
+  const std::size_t before = thread_count();
+  ServeOptions options;
+  options.threads = 1;
+  options.engine_threads = 1;
+  options.stop_fd = stop_pipe[0];
+  options.endpoint = Endpoint::unix_path(next_socket_path());
+  {
+    SessionServer server(options);
+    server.start();
+    LineClient client(server.endpoint());
+    ASSERT_TRUE(is_result(client.roundtrip("{\"id\":1,\"method\":\"list\"}")));
+    EXPECT_EQ(thread_count() - before, 3u);
+    // One byte on the stop fd drains the server without any other call.
+    const char byte = 1;
+    ASSERT_EQ(::write(stop_pipe[1], &byte, 1), 1);
+    server.wait();
+    EXPECT_FALSE(client.read_line().has_value());  // connection closed
+  }
+  ::close(stop_pipe[0]);
+  ::close(stop_pipe[1]);
 }
 
 }  // namespace

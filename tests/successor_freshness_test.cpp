@@ -11,11 +11,13 @@
 // fault epoch, sparse, dense — once with sparse epochs and once with
 // dense ones (a plan corrupts the same number of vertices every epoch).
 // The production engine must match the reference engine byte for byte at
-// 1, 2 and 8 threads.  A synchronous step swaps a fresh column in only
-// when the state is stored as one full-state vector, so ssme covers the
-// swap-in and leader election, whose state is stored as columns, the
-// column fill.  A counting protocol shows which dense installs called
-// apply().
+// 1, 2 and 8 threads.  A fresh dense step that activates every enabled
+// vertex swaps the column in whole; the second dense step after the
+// first epoch names only every other vertex, so its fresh install
+// activates a strict subset of the enabled set and fills segments from
+// the column instead.  Each protocol below (ssme, leader election and a
+// counting protocol that shows which dense installs called apply())
+// takes both installs.
 //
 // This file carries the `parallel` ctest label, so the TSan CI job runs
 // it: the column is written by one phase's shards and read by the next
@@ -53,23 +55,41 @@ bool epoch_before(StepIndex action) {
   return action == kFirstEpoch || action == kFirstEpoch + kEpochPeriod;
 }
 
-/// Whether action i is scheduled dense: D S D D D S D, then the
+/// Whether action i is scheduled dense: D S D D H S D, then the
 /// synchronous fallback.
 bool scheduled_dense(StepIndex action) { return action != 1 && action != 5; }
 
+/// The dense action H that names every other vertex.  It follows a dense
+/// action, so its install always reads a fresh column.
+constexpr StepIndex kHalfAction = 4;
+
 /// Dense entries name every vertex (the daemon intersects them with the
-/// enabled set); sparse entries a handful of spread-out vertices.
+/// enabled set), except the entry of kHalfAction, which names every other
+/// vertex; sparse entries name a handful of spread-out vertices.
 std::vector<std::vector<VertexId>> mixed_schedule(VertexId n) {
   std::vector<VertexId> all(static_cast<std::size_t>(n));
   std::iota(all.begin(), all.end(), VertexId{0});
+  std::vector<VertexId> half;
+  for (VertexId v = 0; v < n; v += 2) half.push_back(v);
   std::vector<VertexId> few;
   for (VertexId v = 3; v < n; v += n / 8) few.push_back(v);
   std::vector<std::vector<VertexId>> schedule;
   for (StepIndex i = 0; i < 7; ++i) {
-    schedule.push_back(scheduled_dense(i) ? all : few);
+    if (i == kHalfAction) {
+      schedule.push_back(half);
+    } else {
+      schedule.push_back(scheduled_dense(i) ? all : few);
+    }
   }
   return schedule;
 }
+
+/// What one action did: the vertices it activated, out of the enabled
+/// vertices of its pre-configuration.
+struct ActionSize {
+  std::size_t moved = 0;
+  std::size_t enabled = 0;
+};
 
 FaultSpec epoch_spec(std::int64_t victims) {
   FaultSpec spec;
@@ -98,12 +118,12 @@ void expect_same_run(const RunResult<State>& a, const RunResult<State>& b,
 }
 
 /// Runs the mixed schedule with epochs of `victims` vertices on `engine`
-/// and returns the result; `sizes` receives every action's target count.
+/// and returns the result; `sizes` receives every action's size.
 template <class P, class MakeChecker, class Pool>
 RunResult<typename P::State> run_mixed(
     const Graph& g, const P& proto, const Config<typename P::State>& init,
     MakeChecker make_checker, Pool pool, std::int64_t victims,
-    EngineKind engine, unsigned threads, std::vector<std::size_t>& sizes,
+    EngineKind engine, unsigned threads, std::vector<ActionSize>& sizes,
     const StepObserver<typename P::State>& also = nullptr) {
   using State = typename P::State;
   ScheduledDaemon daemon(mixed_schedule(g.n()));
@@ -118,7 +138,11 @@ RunResult<typename P::State> run_mixed(
   const StepObserver<State> observer =
       [&](StepIndex step, const ConfigView<State>& cfg,
           const std::vector<VertexId>& activated) {
-        sizes.push_back(activated.size());
+        ActionSize size{activated.size(), 0};
+        for (VertexId v = 0; v < g.n(); ++v) {
+          if (proto.enabled(g, cfg, v)) ++size.enabled;
+        }
+        sizes.push_back(size);
         if (also) also(step, cfg, activated);
       };
   auto checker = make_checker();
@@ -126,16 +150,28 @@ RunResult<typename P::State> run_mixed(
                          &plan);
 }
 
-/// Asserts the run realized the intended dense/sparse pattern, so a
-/// schedule entry the daemon skipped cannot weaken the test silently.
+/// Asserts the run realized the intended pattern, so a schedule entry
+/// the daemon skipped cannot weaken the test silently: the scheduled
+/// dense/sparse split, every dense action but kHalfAction activating the
+/// whole enabled set, and kHalfAction a strict subset of it.
 void expect_pattern(const Graph& g, VertexId radius,
-                    const std::vector<std::size_t>& sizes,
+                    const std::vector<ActionSize>& sizes,
                     const std::string& ctx) {
   ASSERT_EQ(sizes.size(), static_cast<std::size_t>(kSteps)) << ctx;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_EQ(is_dense_update(static_cast<std::int64_t>(sizes[i]), radius, g),
-              scheduled_dense(static_cast<StepIndex>(i)))
-        << ctx << " action " << i << " moved " << sizes[i];
+    const auto action = static_cast<StepIndex>(i);
+    const std::string where = ctx + " action " + std::to_string(i) +
+                              " moved " + std::to_string(sizes[i].moved) +
+                              " of " + std::to_string(sizes[i].enabled);
+    EXPECT_EQ(is_dense_update(static_cast<std::int64_t>(sizes[i].moved),
+                              radius, g),
+              scheduled_dense(action))
+        << where;
+    if (action == kHalfAction) {
+      EXPECT_LT(sizes[i].moved, sizes[i].enabled) << where;
+    } else if (scheduled_dense(action)) {
+      EXPECT_EQ(sizes[i].moved, sizes[i].enabled) << where;
+    }
   }
 }
 
@@ -148,7 +184,7 @@ void expect_mixed_runs_match_reference(const Graph& g, const P& proto,
   for (const std::int64_t victims : {std::int64_t{2}, std::int64_t{g.n()}}) {
     ASSERT_EQ(is_dense_update(victims, radius, g), victims == g.n());
     const std::string ctx = name + " epoch-victims=" + std::to_string(victims);
-    std::vector<std::size_t> sizes;
+    std::vector<ActionSize> sizes;
     const auto base = run_mixed(g, proto, init, make_checker, pool, victims,
                                 EngineKind::kReference, 1, sizes);
     expect_pattern(g, radius, sizes, ctx);
@@ -175,8 +211,8 @@ TEST(SuccessorFreshness, SsmeMixedStepsMatchReference) {
 }
 
 TEST(SuccessorFreshness, LeaderMixedStepsMatchReference) {
-  // Struct states through the unscored kernel, the checker's bulk pass
-  // and the column fill of the dense install.
+  // Struct states through the unscored kernel and the checker's bulk
+  // pass.
   const Graph g = make_torus(12, 12);
   const LeaderElectionProtocol proto(g);
   expect_mixed_runs_match_reference(
@@ -203,7 +239,7 @@ TEST(SuccessorFreshness, DenseInstallCallsApplyOnlyOnStaleSteps) {
   };
   for (const std::int64_t victims : {std::int64_t{2}, std::int64_t{g.n()}}) {
     const bool dense_epochs = is_dense_update(victims, 1, g);
-    std::vector<std::size_t> sizes;
+    std::vector<ActionSize> sizes;
     const auto base = run_mixed(g, proto, init, make_checker, random_clocks,
                                 victims, EngineKind::kReference, 1, sizes);
     for (const unsigned threads : {1u, 2u, 8u}) {
@@ -235,7 +271,8 @@ TEST(SuccessorFreshness, DenseInstallCallsApplyOnlyOnStaleSteps) {
         const bool dense = scheduled_dense(i);
         const std::int64_t calls = before[a + 1] - before[a];
         const bool reads_column = dense && fresh;
-        EXPECT_EQ(calls, reads_column ? 0 : static_cast<std::int64_t>(sizes[a]))
+        EXPECT_EQ(calls,
+                  reads_column ? 0 : static_cast<std::int64_t>(sizes[a].moved))
             << ctx << " action " << i << (dense ? " dense" : " sparse")
             << (fresh ? " fresh" : " stale");
         if (dense) (fresh ? fresh_dense : stale_dense) += 1;
