@@ -1,7 +1,8 @@
 // Minimal blocking client for the serve wire protocol — the test
 // suites' and the load generator's side of the socket.  Deliberately
-// dumb: one fd, one LineReader, no retries, so tests exercise the
-// server, not a clever client.
+// dumb: one fd, one LineReader looping fill() and take_line() through
+// read_line(), no retries, so tests exercise the server, not a clever
+// client.
 #ifndef SPECSTAB_SERVE_CLIENT_HPP
 #define SPECSTAB_SERVE_CLIENT_HPP
 
@@ -56,7 +57,7 @@ class LineClient {
     return *reply;
   }
 
-  /// Half-closes the write side (the server's reader sees EOF) while
+  /// Half-closes the write side (the server's event loop sees EOF) while
   /// keeping the read side drainable.
   void finish_writes() {
     if (fd_.valid()) ::shutdown(fd_.get(), SHUT_WR);

@@ -1,9 +1,9 @@
-// Bounded MPMC work queue between connection readers and the session
-// worker pool.
+// Bounded work queue between the serve event loop, which parses every
+// connection's requests, and the session worker pool.
 //
 // Backpressure is explicit and synchronous: try_push() never blocks and
 // returns false when the queue is at capacity (or closed), at which
-// point the reader replies `busy` to the client on the spot — a request
+// point the event loop replies `busy` to the client on the spot — a request
 // is either queued and will be answered, or rejected and the client is
 // told, never silently dropped.  close() seals the producer side while
 // letting consumers drain what was accepted: pop() keeps returning

@@ -16,7 +16,7 @@ namespace specstab::serve {
 namespace {
 
 // SIGTERM/SIGINT self-pipe: the handler only writes one byte (the sole
-// async-signal-safe thing to do); the server's acceptor polls the
+// async-signal-safe thing to do); the server's event loop polls the
 // readable fd and turns it into an orderly drain.
 int g_signal_pipe[2] = {-1, -1};
 
@@ -142,10 +142,12 @@ int serve_main(const std::vector<std::string>& args) {
   try {
     SessionServer server(options);
     server.start();
-    std::printf("serve: listening on %s (threads %u, cache %zu MiB, queue %zu)\n",
-                server.endpoint().describe().c_str(),
-                options.threads, options.cache_bytes >> 20,
-                options.queue_capacity);
+    std::printf(
+        "serve: listening on %s (threads %u, engine threads %u, cache %zu "
+        "MiB, queue %zu)\n",
+        server.endpoint().describe().c_str(), server.worker_threads(),
+        server.engine_threads(), options.cache_bytes >> 20,
+        options.queue_capacity);
     std::fflush(stdout);
     server.wait();
     const SessionServer::Stats stats = server.stats();

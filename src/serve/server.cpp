@@ -1,9 +1,12 @@
 #include "serve/server.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -20,6 +23,20 @@ namespace {
 /// The executing worker's persistent engine pool (set by
 /// worker_loop for its lifetime); sessions attach it to their spec.
 thread_local ShardPool* tl_engine_pool = nullptr;
+
+/// How long a server whose accept() failed (out of fds, typically) stops
+/// watching its listener before it tries again: long enough that the
+/// loop never spins on a pending connection it cannot take, short
+/// enough that the client is served soon after an fd frees up.
+constexpr std::chrono::milliseconds kAcceptRetry{100};
+
+/// One byte on the event loop's wake pipe.  The pipe never holds more
+/// than the two wakes, so the write neither blocks nor is interrupted.
+void wake(const Fd& pipe_write) {
+  if (pipe_write.valid()) {
+    [[maybe_unused]] const ssize_t rc = ::write(pipe_write.get(), "", 1);
+  }
+}
 
 /// Splits a canonical topology spelling back into CLI tokens.
 [[nodiscard]] std::vector<std::string> topology_tokens(
@@ -47,18 +64,21 @@ VertexId SessionServer::instance_diameter(const TopologyInstance& topo) {
   return topo.diameter;
 }
 
-/// Per-connection state shared between its reader thread and the
-/// workers serving its queued requests.  Replies from concurrent
-/// workers interleave at line granularity only (write_mutex); `alive`
-/// flips false on the first failed write or reader exit, after which
-/// every further write is a cheap no-op — a half-streamed trace to a
-/// vanished client stops without tearing anything down.
+/// Per-connection state shared between the event loop and the workers
+/// serving its queued requests.  Only the loop touches `reader`.
+/// Replies from the loop and concurrent workers interleave at line
+/// granularity only (write_mutex); `alive` flips false on the first
+/// failed write or read, after which every further write is a cheap
+/// no-op — a half-streamed trace to a vanished client stops without
+/// tearing anything down.
 struct SessionServer::Connection {
   Fd fd;
+  LineReader reader;
   std::mutex write_mutex;
   std::atomic<bool> alive{true};
 
-  explicit Connection(Fd fd_in) : fd(std::move(fd_in)) {}
+  Connection(Fd fd_in, std::size_t max_line_bytes)
+      : fd(std::move(fd_in)), reader(fd.get(), max_line_bytes) {}
 
   bool write_line(const std::string& line) {
     const std::lock_guard<std::mutex> lock(write_mutex);
@@ -107,7 +127,7 @@ void SessionServer::start() {
   for (unsigned t = 0; t < threads; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  acceptor_ = std::thread([this] { acceptor_loop(); });
+  loop_ = std::thread([this] { event_loop(); });
   started_ = true;
 }
 
@@ -122,58 +142,33 @@ const Endpoint& SessionServer::endpoint() const {
 void SessionServer::initiate_shutdown() {
   {
     const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    if (shutdown_requested_) return;
-    shutdown_requested_ = true;
     // From this moment no new session is accepted; already-queued jobs
     // still drain and answer.
-    draining_.store(true);
+    if (draining_.exchange(true)) return;
   }
   shutdown_cv_.notify_all();
-  if (wake_write_.valid()) {
-    const char byte = 1;
-    ssize_t rc;
-    do {
-      rc = ::write(wake_write_.get(), &byte, 1);
-    } while (rc == -1 && errno == EINTR);
-  }
+  wake(wake_write_);  // the loop stops accepting
 }
 
 void SessionServer::wait() {
   {
     std::unique_lock<std::mutex> lock(shutdown_mutex_);
-    shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
+    shutdown_cv_.wait(lock, [this] { return draining_.load(); });
     if (drained_) return;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   // Seal the queue, then let the workers finish every accepted job —
   // clients whose requests were queued before the drain began still get
-  // their replies.
+  // their replies.  Meanwhile the loop keeps reading and answers new
+  // session requests `shutting-down`.
   queue_.close();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  // Only now unblock readers parked in recv(); their connections carry
-  // no pending replies anymore.
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const auto& conn : connections_) {
-      conn->alive.store(false);
-      shutdown_fd(conn->fd.get());
-    }
-  }
-  std::vector<std::thread> readers;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    readers.swap(readers_);
-    finished_readers_.clear();
-  }
-  for (auto& reader : readers) {
-    if (reader.joinable()) reader.join();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.clear();
-  }
+  // Only now stop the loop; the connections it drops carry no pending
+  // replies anymore, so each closes with its last reference.
+  loop_exit_.store(true);
+  wake(wake_write_);
+  if (loop_.joinable()) loop_.join();
   listener_.reset();  // closes and, for unix endpoints, unlinks the path
   const std::lock_guard<std::mutex> lock(shutdown_mutex_);
   drained_ = true;
@@ -193,82 +188,95 @@ SessionServer::Stats SessionServer::stats() const {
   return out;
 }
 
-void SessionServer::acceptor_loop() {
-  // One poll() watches the listener, the wake pipe and the external stop
-  // fd (the CLI's signal pipe); a byte on either wake source ends the
-  // loop.
-  for (;;) {
-    Fd conn_fd = listener_->accept_next(wake_read_.get(), options_.stop_fd);
-    if (!conn_fd.valid()) break;
-    if (draining_.load()) break;  // raced a late connection past the wake
-    auto conn = std::make_shared<Connection>(std::move(conn_fd));
-    connections_accepted_.fetch_add(1);
-    active_connections_.fetch_add(1);
-    reap_finished_readers();
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(conn);
-    readers_.emplace_back([this, conn] { reader_loop(conn); });
+void SessionServer::event_loop() {
+  // Slots 0-2 watch the wake pipe, the stop fd (the CLI's signal pipe)
+  // and the listener; slot 3 + i watches open[i].  poll() skips
+  // negative fds, which is how the listener and the stop fd drop out.
+  using Clock = std::chrono::steady_clock;
+  std::vector<ConnectionPtr> open;
+  std::vector<pollfd> fds;
+  Clock::time_point accept_resume;
+  while (!loop_exit_.load()) {
+    const bool draining = draining_.load();
+    const bool accepting = !draining && Clock::now() >= accept_resume;
+    fds.clear();
+    fds.push_back({wake_read_.get(), POLLIN, 0});
+    fds.push_back({draining ? -1 : options_.stop_fd, POLLIN, 0});
+    fds.push_back({accepting ? listener_->fd() : -1, POLLIN, 0});
+    for (const ConnectionPtr& conn : open) {
+      fds.push_back({conn->fd.get(), POLLIN, 0});
+    }
+    const int timeout_ms =
+        draining || accepting ? -1 : static_cast<int>(kAcceptRetry.count());
+    if (::poll(fds.data(), fds.size(), timeout_ms) == -1) {
+      // EINTR, or the kernel is short of memory: poll again, not in a spin.
+      if (errno != EINTR) std::this_thread::sleep_for(kAcceptRetry);
+      continue;
+    }
+    if (fds[0].revents != 0) {
+      char bytes[8];
+      [[maybe_unused]] const ssize_t rc =
+          ::read(wake_read_.get(), bytes, sizeof(bytes));
+    }
+    if (fds[1].revents != 0) initiate_shutdown();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      if (fds[3 + i].revents != 0 && !read_connection(open[i])) {
+        // Queued jobs for this connection keep it (and the fd) alive
+        // through their own shared_ptr.
+        active_connections_.fetch_sub(1);
+        continue;
+      }
+      open[kept++] = std::move(open[i]);
+    }
+    open.resize(kept);
+    if (fds[2].revents == 0) continue;
+    // Linux does not pass the listener's O_NONBLOCK on to the accepted
+    // socket, so replies use blocking writes.
+    const int fd = ::accept(listener_->fd(), nullptr, nullptr);
+    if (fd >= 0) {
+      open.push_back(
+          std::make_shared<Connection>(Fd(fd), options_.max_line_bytes));
+      connections_accepted_.fetch_add(1);
+      active_connections_.fetch_add(1);
+    } else if (errno != EINTR && errno != ECONNABORTED && errno != EAGAIN) {
+      // EMFILE, ENFILE, ENOBUFS or ENOMEM leave the client pending and
+      // the listener readable: keep serving the open connections and
+      // try again after the pause instead of spinning (or draining).
+      accept_resume = Clock::now() + kAcceptRetry;
+    }
   }
-  // A stop byte, a listener failure or a requested shutdown all end up
-  // here; initiate_shutdown() is idempotent.
-  initiate_shutdown();
+  // The workers are joined: these are the last references.
+  active_connections_.fetch_sub(open.size());
 }
 
-void SessionServer::reader_loop(ConnectionPtr conn) {
-  LineReader reader(conn->fd.get(), options_.max_line_bytes);
+bool SessionServer::read_connection(const ConnectionPtr& conn) {
+  const LineReader::Status filled = conn->reader.fill();
+  if (filled != LineReader::Status::kPartial) {
+    // EOF is a polite half-close — the client may still be reading, so
+    // queued jobs keep writing their replies (the fd closes when the
+    // last job's shared_ptr drops).  A read *error* is a dead peer: flag
+    // it so in-flight trace streams stop early.
+    if (filled == LineReader::Status::kError) conn->alive.store(false);
+    return false;
+  }
   std::string line;
-  for (;;) {
-    const LineReader::Status status = reader.read_line(line);
-    if (status == LineReader::Status::kEof ||
-        status == LineReader::Status::kError) {
-      // EOF is a polite half-close — the client may still be reading,
-      // so queued jobs keep writing their replies (the fd closes when
-      // the last job's shared_ptr drops).  A read *error* is a dead
-      // peer: flag it so in-flight trace streams stop early.
-      if (status == LineReader::Status::kError) conn->alive.store(false);
-      break;
-    }
-    if (!conn->alive.load()) break;
+  while (conn->alive.load()) {
+    const LineReader::Status status = conn->reader.take_line(line);
+    if (status == LineReader::Status::kPartial) return true;
     if (status == LineReader::Status::kOversized) {
       protocol_errors_.fetch_add(1);
       conn->write_line(render_error_line(
           JsonValue(), kErrOversized,
           "request line exceeds " + std::to_string(options_.max_line_bytes) +
               " bytes"));
-      continue;
+    } else if (!line.empty()) {  // blank keep-alive lines are ignored
+      handle_line(conn, line);
     }
-    if (line.empty()) continue;  // blank keep-alive lines are ignored
-    handle_line(conn, line);
   }
-  active_connections_.fetch_sub(1);
-  // Drop the registry's reference; queued jobs for this connection keep
-  // it (and the fd) alive via their own shared_ptr.  Writes to a
-  // vanished client fail in write_line (MSG_NOSIGNAL -> EPIPE), which
-  // flips `alive` and no-ops the rest.
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  connections_.erase(
-      std::remove(connections_.begin(), connections_.end(), conn),
-      connections_.end());
-  // The acceptor joins this thread before it starts the next reader.
-  finished_readers_.push_back(std::this_thread::get_id());
-}
-
-void SessionServer::reap_finished_readers() {
-  std::vector<std::thread> finished;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const std::thread::id id : finished_readers_) {
-      for (auto it = readers_.begin(); it != readers_.end(); ++it) {
-        if (it->get_id() == id) {
-          finished.push_back(std::move(*it));
-          readers_.erase(it);
-          break;
-        }
-      }
-    }
-    finished_readers_.clear();
-  }
-  for (auto& reader : finished) reader.join();
+  // A write failed: the peer is gone.  Writes to a vanished client fail
+  // in write_line (MSG_NOSIGNAL -> EPIPE), which flips `alive`.
+  return false;
 }
 
 void SessionServer::worker_loop() {
@@ -324,7 +332,7 @@ void SessionServer::handle_session_method(const ConnectionPtr& conn,
   SessionRequest sreq;
   try {
     sreq = decode_session_params(req.params);
-    // Cheap semantic validation on the reader thread, so garbage never
+    // Cheap semantic validation on the event loop, so garbage never
     // occupies a queue slot: protocol exists, init family is supported,
     // the daemon name constructs.  Topology/ring constraints surface
     // from the session itself, as `invalid` replies.

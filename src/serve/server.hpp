@@ -2,23 +2,28 @@
 // line-delimited JSON-RPC (serve/wire.hpp) over TCP-loopback or
 // unix-domain sockets.
 //
-// Thread structure:
-//   - one acceptor thread parked in poll(listen_fd, wake_pipe, stop_fd);
-//   - one reader thread per connection, parsing/validating request
-//     lines and enqueueing session jobs;
+// Thread structure, whatever the number of connections:
+//   - one event-loop thread whose poll() watches the wake pipe, the stop
+//     fd, the listener and every open connection; it accepts, reads and
+//     parses/validates request lines, answers `list`/`stats`/errors
+//     inline and enqueues session jobs;
 //   - a persistent worker pool draining the bounded work queue
 //     (serve/queue.hpp) — the campaign runner's pool idiom with a queue
 //     instead of a precomputed scenario list, because requests arrive
 //     over time.
 //
 // Backpressure: a full queue turns into an immediate `busy` error reply
-// from the reader thread; nothing blocks, nothing is dropped silently.
+// from the event loop; nothing blocks, nothing is dropped silently.  A
+// server out of fds stops watching the listener for a short pause and
+// keeps serving its open connections, so a pending client is accepted
+// once an fd frees up.
 //
 // Shutdown (SIGTERM via ServeOptions::stop_fd, or the `shutdown`
-// method) drains gracefully: stop accepting, seal the queue, let the
-// workers finish every accepted job (each client still gets its reply),
-// then unblock and join the readers.  The CI serve job asserts this
-// sequencing end to end.
+// method) drains gracefully: the loop stops accepting but keeps reading
+// (session requests get `shutting-down`), wait() seals the queue and
+// lets the workers finish every accepted job (each client still gets
+// its reply), then stops the loop, which drops the connections.  The
+// CI serve job asserts this sequencing end to end.
 //
 // Results are served from a byte-LRU cache (serve/cache.hpp) keyed on
 // the canonical session tuple; topology instances (the graph plus its
@@ -77,7 +82,7 @@ class SessionServer {
   SessionServer(const SessionServer&) = delete;
   SessionServer& operator=(const SessionServer&) = delete;
 
-  /// Binds the endpoint and starts the worker pool and acceptor;
+  /// Binds the endpoint and starts the worker pool and event loop;
   /// returns once the server is reachable.  Throws std::runtime_error
   /// when the endpoint cannot be bound.
   void start();
@@ -85,14 +90,21 @@ class SessionServer {
   /// The bound TCP port (after start(); resolves `--port 0`).
   [[nodiscard]] std::uint16_t port() const;
   [[nodiscard]] const Endpoint& endpoint() const;
+  /// Session workers started (after start(); resolves `threads` 0).
+  [[nodiscard]] unsigned worker_threads() const {
+    return static_cast<unsigned>(workers_.size());
+  }
+  /// Engine-pool participants per worker (after start(); resolves
+  /// `engine_threads` 0).
+  [[nodiscard]] unsigned engine_threads() const { return engine_threads_; }
 
   /// Requests shutdown (idempotent, safe from any thread); wait()
   /// performs the drain.
   void initiate_shutdown();
 
-  /// Blocks until shutdown is requested, then drains: joins the
-  /// acceptor, seals the queue, joins the workers (finishing every
-  /// accepted job), closes the connections and joins the readers.
+  /// Blocks until shutdown is requested, then drains: seals the queue,
+  /// joins the workers (finishing every accepted job), then stops and
+  /// joins the event loop, which closes the connections.
   void wait();
 
   struct Stats {
@@ -123,11 +135,10 @@ class SessionServer {
   };
   using ConnectionPtr = std::shared_ptr<Connection>;
 
-  void acceptor_loop();
-  void reader_loop(ConnectionPtr conn);
-  /// Joins and drops the readers listed in finished_readers_, joining
-  /// outside connections_mutex_.  Acceptor thread only.
-  void reap_finished_readers();
+  void event_loop();
+  /// One recv() on a readable connection, then every complete line to
+  /// handle_line(); false once the connection is finished with.
+  bool read_connection(const ConnectionPtr& conn);
   void worker_loop();
   void handle_line(const ConnectionPtr& conn, const std::string& line);
   void handle_session_method(const ConnectionPtr& conn, const Request& req);
@@ -154,23 +165,19 @@ class SessionServer {
   BoundedWorkQueue queue_;
   ResultCache cache_;
 
-  // Acceptor wake self-pipe (initiate_shutdown writes, acceptor polls).
+  // Event-loop wake self-pipe: initiate_shutdown() writes when the drain
+  // begins and wait() writes when the loop should exit.
   Fd wake_read_;
   Fd wake_write_;
 
-  std::thread acceptor_;
+  std::thread loop_;
   std::vector<std::thread> workers_;
-  std::mutex connections_mutex_;
-  std::vector<ConnectionPtr> connections_;
-  std::vector<std::thread> readers_;
-  /// Readers that returned from reader_loop() and await their join, so a
-  /// churned connection does not keep its thread's stack mapped.
-  std::vector<std::thread::id> finished_readers_;
 
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
+  /// Set once by initiate_shutdown(), under shutdown_mutex_.
   std::atomic<bool> draining_{false};
+  std::atomic<bool> loop_exit_{false};
   bool started_ = false;
   bool drained_ = false;
 

@@ -1,7 +1,6 @@
 #include "serve/transport.hpp"
 
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -56,7 +55,7 @@ std::string Endpoint::describe() const {
 
 Listener::Listener(const Endpoint& endpoint) : endpoint_(endpoint) {
   const int domain = endpoint.kind == Endpoint::Kind::kUnix ? AF_UNIX : AF_INET;
-  fd_ = Fd(::socket(domain, SOCK_STREAM, 0));
+  fd_ = Fd(::socket(domain, SOCK_STREAM | SOCK_NONBLOCK, 0));
   if (!fd_.valid()) fail_errno("socket(" + endpoint.describe() + ")");
   if (endpoint.kind == Endpoint::Kind::kUnix) {
     // A stale path from a crashed predecessor blocks bind(); remove it.
@@ -96,32 +95,6 @@ Listener::~Listener() {
   }
 }
 
-Fd Listener::accept_next(int wake_fd, int stop_fd) {
-  for (;;) {
-    // poll() skips entries with a negative fd and zeroes their revents.
-    pollfd fds[3] = {};
-    fds[0] = {fd_.get(), POLLIN, 0};
-    fds[1] = {wake_fd, POLLIN, 0};
-    fds[2] = {stop_fd, POLLIN, 0};
-    const int rc = ::poll(fds, 3, -1);
-    if (rc == -1) {
-      if (errno == EINTR) continue;
-      return Fd();
-    }
-    const int woken = fds[1].revents | fds[2].revents;
-    if ((woken & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      return Fd();  // woken for shutdown
-    }
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = ::accept(fd_.get(), nullptr, nullptr);
-    if (conn == -1) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
-      return Fd();
-    }
-    return Fd(conn);
-  }
-}
-
 Fd connect_endpoint(const Endpoint& endpoint) {
   const int domain = endpoint.kind == Endpoint::Kind::kUnix ? AF_UNIX : AF_INET;
   Fd fd(::socket(domain, SOCK_STREAM, 0));
@@ -144,28 +117,10 @@ Fd connect_endpoint(const Endpoint& endpoint) {
   return fd;
 }
 
-LineReader::Status LineReader::read_line(std::string& out) {
+LineReader::Status LineReader::take_line(std::string& out) {
   out.clear();
-  for (;;) {
-    // Drain what is already buffered before touching the socket.
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      if (discarding_) {
-        buffer_.erase(0, newline + 1);
-        discarding_ = false;
-        return Status::kOversized;
-      }
-      if (newline > max_line_bytes_) {
-        // The whole line arrived in one gulp but still breaks the
-        // limit: drop it, keep the framing.
-        buffer_.erase(0, newline + 1);
-        return Status::kOversized;
-      }
-      out.assign(buffer_, 0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!out.empty() && out.back() == '\r') out.pop_back();
-      return Status::kLine;
-    }
+  const std::size_t newline = buffer_.find('\n');
+  if (newline == std::string::npos) {
     if (discarding_) {
       buffer_.clear();
     } else if (buffer_.size() > max_line_bytes_) {
@@ -174,14 +129,43 @@ LineReader::Status LineReader::read_line(std::string& out) {
       discarding_ = true;
       buffer_.clear();
     }
-    char chunk[4096];
-    ssize_t got;
-    do {
-      got = ::recv(fd_, chunk, sizeof(chunk), 0);
-    } while (got == -1 && errno == EINTR);
-    if (got == 0) return Status::kEof;
-    if (got < 0) return Status::kError;
-    buffer_.append(chunk, static_cast<std::size_t>(got));
+    return Status::kPartial;
+  }
+  if (discarding_) {
+    buffer_.erase(0, newline + 1);
+    discarding_ = false;
+    return Status::kOversized;
+  }
+  if (newline > max_line_bytes_) {
+    // The whole line arrived in one gulp but still breaks the limit:
+    // drop it, keep the framing.
+    buffer_.erase(0, newline + 1);
+    return Status::kOversized;
+  }
+  out.assign(buffer_, 0, newline);
+  buffer_.erase(0, newline + 1);
+  if (!out.empty() && out.back() == '\r') out.pop_back();
+  return Status::kLine;
+}
+
+LineReader::Status LineReader::fill() {
+  char chunk[4096];
+  ssize_t got;
+  do {
+    got = ::recv(fd_, chunk, sizeof(chunk), 0);
+  } while (got == -1 && errno == EINTR);
+  if (got == 0) return Status::kEof;
+  if (got < 0) return Status::kError;
+  buffer_.append(chunk, static_cast<std::size_t>(got));
+  return Status::kPartial;
+}
+
+LineReader::Status LineReader::read_line(std::string& out) {
+  for (;;) {
+    const Status taken = take_line(out);
+    if (taken != Status::kPartial) return taken;
+    const Status filled = fill();
+    if (filled != Status::kPartial) return filled;
   }
 }
 
@@ -195,10 +179,6 @@ bool write_all(int fd, std::string_view data) {
     data.remove_prefix(static_cast<std::size_t>(sent));
   }
   return true;
-}
-
-void shutdown_fd(int fd) {
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 }  // namespace specstab::serve

@@ -1,6 +1,6 @@
 // POSIX socket transport for `specstab serve`: listeners (TCP loopback
-// and unix-domain), an interruptible accept loop, line framing with an
-// oversized-line resync path, and partial-write-safe output.
+// and unix-domain), line framing with an oversized-line resync path, and
+// partial-write-safe output.
 //
 // Framing is '\n'-delimited (a trailing '\r' is stripped, so telnet-ish
 // clients work).  A line longer than the configured maximum is *not* a
@@ -67,8 +67,10 @@ struct Endpoint {
   [[nodiscard]] std::string describe() const;  ///< "tcp 127.0.0.1:P" / "unix PATH"
 };
 
-/// Bound, listening socket.  The destructor closes the socket and, for
-/// unix endpoints, unlinks the path this listener created.
+/// Bound, listening, non-blocking socket, so a pending connection that
+/// vanishes before accept() costs an EAGAIN, not a parked server.  The
+/// destructor closes the socket and, for unix endpoints, unlinks the
+/// path this listener created.
 class Listener {
  public:
   /// Binds and listens; throws std::runtime_error (with errno text) on
@@ -80,13 +82,7 @@ class Listener {
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
-  /// Blocks in poll() until a connection arrives or `wake_fd` or
-  /// `stop_fd` becomes readable (the shutdown self-pipe and an external
-  /// stop pipe; a negative fd is not watched); returns an invalid Fd on
-  /// either wake or on a closed listener.  Transient accept errors are
-  /// retried.
-  [[nodiscard]] Fd accept_next(int wake_fd, int stop_fd);
-
+  [[nodiscard]] int fd() const { return fd_.get(); }
   /// The bound port (resolves ephemeral binds); 0 for unix endpoints.
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] const Endpoint& endpoint() const { return endpoint_; }
@@ -100,12 +96,15 @@ class Listener {
 /// Connects to an endpoint; throws std::runtime_error on failure.
 [[nodiscard]] Fd connect_endpoint(const Endpoint& endpoint);
 
-/// Buffered '\n'-delimited reader over a socket.
+/// Buffered '\n'-delimited reader over a socket.  fill() makes one recv()
+/// and take_line() takes one buffered line, so a server can read a
+/// connection only when poll() says it is readable; read_line() blocks.
 class LineReader {
  public:
   enum class Status {
     kLine,       ///< `out` holds one complete line (delimiter stripped)
     kOversized,  ///< a too-long line was discarded; framing is resynced
+    kPartial,    ///< no complete line is buffered; fill() for more
     kEof,        ///< orderly close (or close mid-line / mid-discard)
     kError,      ///< read error; connection is unusable
   };
@@ -113,7 +112,14 @@ class LineReader {
   LineReader(int fd, std::size_t max_line_bytes)
       : fd_(fd), max_line_bytes_(max_line_bytes) {}
 
-  /// Blocks for the next line.  EINTR is retried.
+  /// Takes the next buffered line: kLine, kOversized or kPartial.
+  [[nodiscard]] Status take_line(std::string& out);
+
+  /// One recv() appended to the buffer (EINTR is retried): kPartial
+  /// when bytes arrived, otherwise kEof or kError.
+  [[nodiscard]] Status fill();
+
+  /// Blocks for the next line.
   [[nodiscard]] Status read_line(std::string& out);
 
  private:
@@ -126,11 +132,6 @@ class LineReader {
 /// Writes the whole buffer (partial writes and EINTR handled, SIGPIPE
 /// suppressed via MSG_NOSIGNAL); false when the peer is gone.
 [[nodiscard]] bool write_all(int fd, std::string_view data);
-
-/// Half-closes both directions, unblocking any reader parked on the fd —
-/// the shutdown path's lever against connections waiting for client
-/// input.  Safe on already-dead fds.
-void shutdown_fd(int fd);
 
 }  // namespace specstab::serve
 

@@ -4,15 +4,20 @@
 // survive), oversized-line resync, partial writes, pipelining, busy
 // backpressure, abrupt disconnect mid-stream, drain-on-shutdown (by
 // request and by the stop fd), a bounded thread count whatever a
-// request's `threads` asks for, and reader threads released as
-// connections churn.
+// request's `threads` asks for or however many clients connect, bounded
+// VmSize as connections churn, and a server out of fds that keeps
+// serving instead of draining.
 #include <pthread.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -425,10 +430,9 @@ TEST(ServeProtocolTest, RequestThreadsAreClampedToTheWorkerPool) {
 }
 
 TEST(ServeProtocolTest, ChurnedConnectionsReleaseTheirReaderThreads) {
-  // Every connection gets a reader thread, and an exited thread keeps its
-  // stack mapped until it is joined.  The acceptor joins finished readers
-  // before it starts the next one, so 200 sequential short connections
-  // must not leave 200 stacks behind.
+  // One event loop reads every connection, so a connection owns no
+  // thread, and 200 sequential short connections must not leave
+  // anything the size of a thread stack behind.
   pthread_attr_t attr;
   ASSERT_EQ(pthread_attr_init(&attr), 0);
   std::size_t stack_bytes = 0;
@@ -453,12 +457,15 @@ TEST(ServeProtocolTest, ChurnedConnectionsReleaseTheirReaderThreads) {
 }
 
 TEST(ServeProtocolTest, StopFdDrainsWithoutAWatcherThread) {
-  // The acceptor polls the stop fd (the CLI's signal pipe) beside the
-  // listener and its wake pipe, so a server with one worker and
-  // single-participant engine pools runs exactly three threads once a
-  // client is connected: acceptor, worker and that client's reader.
+  // The event loop polls the stop fd (the CLI's signal pipe) beside the
+  // listener, its wake pipe and every connection, so a server with one
+  // worker and single-participant engine pools runs exactly two threads
+  // once a client is connected: the loop and the worker.
   int stop_pipe[2];
   ASSERT_EQ(::pipe(stop_pipe), 0);
+  // ThreadSanitizer starts a helper thread with the process's first
+  // pthread_create; start and join one here so `before` counts it.
+  std::thread([] {}).join();
   const std::size_t before = thread_count();
   ServeOptions options;
   options.threads = 1;
@@ -470,7 +477,7 @@ TEST(ServeProtocolTest, StopFdDrainsWithoutAWatcherThread) {
     server.start();
     LineClient client(server.endpoint());
     ASSERT_TRUE(is_result(client.roundtrip("{\"id\":1,\"method\":\"list\"}")));
-    EXPECT_EQ(thread_count() - before, 3u);
+    EXPECT_EQ(thread_count() - before, 2u);
     // One byte on the stop fd drains the server without any other call.
     const char byte = 1;
     ASSERT_EQ(::write(stop_pipe[1], &byte, 1), 1);
@@ -479,6 +486,138 @@ TEST(ServeProtocolTest, StopFdDrainsWithoutAWatcherThread) {
   }
   ::close(stop_pipe[0]);
   ::close(stop_pipe[1]);
+}
+
+TEST(ServeProtocolTest, DefaultThreadCountsResolveAgainstTheHardware) {
+  // `threads` 0 starts one worker per hardware thread, and the engine
+  // pools split the hardware between the workers; the `listening`
+  // banner prints both resolved counts.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  {
+    ServerHarness harness;
+    EXPECT_EQ(harness.server().worker_threads(), hardware);
+    EXPECT_EQ(harness.server().engine_threads(), 1u);
+  }
+  ServeOptions options;
+  options.threads = 2;
+  ServerHarness harness(options);
+  EXPECT_EQ(harness.server().worker_threads(), 2u);
+  EXPECT_EQ(harness.server().engine_threads(), std::max(1u, hardware / 2));
+}
+
+TEST(ServeProtocolTest, ConcurrentConnectionsAddNoThreads) {
+  // A connection costs the server an fd and a buffer, not a thread: 64
+  // clients held open at once run on the threads one client needs, and
+  // VmSize stays below the churn test's bound of 25 default stacks.
+  // Kept at 64: a server with a thread per connection would start them.
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const auto stack_kib = static_cast<std::int64_t>(stack_bytes / 1024);
+
+  ServerHarness harness;
+  const std::string list = "{\"id\":1,\"method\":\"list\"}";
+  std::vector<LineClient> clients;
+  clients.reserve(64);
+  clients.push_back(harness.connect());
+  ASSERT_TRUE(is_result(clients.back().roundtrip(list)));
+  const std::size_t threads = thread_count();
+  const std::int64_t before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 1; i < 64; ++i) {
+    clients.push_back(harness.connect());
+    ASSERT_TRUE(is_result(clients.back().roundtrip(list))) << "client " << i;
+  }
+  EXPECT_EQ(harness.server().stats().active_connections, 64u);
+  EXPECT_EQ(thread_count(), threads);
+  const std::int64_t grown = vm_size_kib() - before;
+  EXPECT_LT(grown, 25 * stack_kib) << "VmSize grew by " << grown << " KiB";
+}
+
+/// The highest fd this process holds open, from /proc/self/fd.
+[[nodiscard]] int highest_open_fd() {
+  int highest = -1;
+  const std::filesystem::directory_iterator fds("/proc/self/fd");
+  for (const auto& entry : fds) {
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  }
+  return highest;
+}
+
+/// CPU time this process has used, all threads, in seconds.
+[[nodiscard]] double cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ServeProtocolTest, FdExhaustionDoesNotDrainTheServer) {
+  // A server whose accept() fails for want of an fd keeps serving its
+  // open connections and accepts the waiting client once an fd frees up;
+  // it must neither take the failure for a shutdown nor spin on it.
+  ServeOptions options;
+  options.threads = 1;
+  ServerHarness harness(options);
+  LineClient a = harness.connect();
+  ASSERT_TRUE(is_result(a.roundtrip("{\"id\":1,\"method\":\"list\"}")));
+
+  // Fill every fd below a lowered soft limit, then free exactly one for
+  // client B's socket: the server's accept() of B hits EMFILE.  Nothing
+  // in the window may return early, or the test would leave the process
+  // short of fds.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(highest_open_fd() + 16);
+  ASSERT_LE(lowered.rlim_cur, saved.rlim_cur);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> fillers;
+  for (int fd = ::dup(a.fd()); fd != -1; fd = ::dup(a.fd())) {
+    fillers.push_back(fd);
+  }
+  const int filled_errno = errno;
+  if (!fillers.empty()) {
+    ::close(fillers.back());
+    fillers.pop_back();
+  }
+  std::optional<LineClient> b;
+  try {
+    b.emplace(harness.server().endpoint());
+  } catch (const std::runtime_error&) {
+  }
+  const double cpu_before = cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double cpu_used = cpu_seconds() - cpu_before;
+  const std::uint64_t accepted = harness.server().stats().connections_accepted;
+  for (const int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(filled_errno, EMFILE);
+  ASSERT_FALSE(fillers.empty());
+  ASSERT_TRUE(b.has_value()) << "client B could not connect";
+  ASSERT_EQ(accepted, 1u) << "B was accepted with no fd to spare";
+  // The loop waits between accept() attempts instead of spinning on the
+  // pending connection.
+  EXPECT_LT(cpu_used, 0.1) << "CPU seconds while B was pending";
+
+  // A is served throughout; a drained server would answer it
+  // `shutting-down`.
+  const std::string reply = a.roundtrip(run_request(2, "ssme", "ring 8"));
+  EXPECT_TRUE(is_result(reply)) << reply;
+  // B is accepted once an fd is free.  The receive timeout keeps the test
+  // from hanging on a server that never accepts it.
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(b->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  ASSERT_TRUE(b->send_line(run_request(3, "ssme", "ring 8")));
+  const std::optional<std::string> served = b->read_line();
+  ASSERT_TRUE(served.has_value()) << "client B was never served";
+  EXPECT_TRUE(is_result(*served)) << *served;
 }
 
 }  // namespace
