@@ -155,6 +155,17 @@ Config<MatchingProtocol::State> random_matching_config(const Graph& g,
   return cfg;
 }
 
+/// Arbitrary unbounded-unison clocks in [-5, 20], the init of the
+/// parallel scaling and perturbed rows.
+Config<UnboundedUnisonProtocol::State> arbitrary_clocks(const Graph& g,
+                                                        std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::int64_t> pick(-5, 20);
+  Config<UnboundedUnisonProtocol::State> cfg(static_cast<std::size_t>(g.n()));
+  for (auto& s : cfg) s = pick(rng);
+  return cfg;
+}
+
 std::vector<MicroRow> run_micros(bool smoke, int repeats) {
   std::vector<MicroRow> rows;
   const std::size_t batch = smoke ? 8 : 48;
@@ -277,11 +288,7 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
                "SIMD shards) --\n";
   for (const auto& topo : topos) {
     const Graph& g = topo.g;
-    Config<UnboundedUnisonProtocol::State> init(
-        static_cast<std::size_t>(g.n()));
-    std::mt19937_64 rng(99);
-    std::uniform_int_distribution<std::int64_t> pick(-5, 20);
-    for (auto& s : init) s = pick(rng);
+    const auto init = arbitrary_clocks(g, 99);
 
     RunOptions opt;
     opt.max_steps = max_steps;
@@ -348,6 +355,51 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
   return rows;
 }
 
+/// Checker-on twins of the ring rows at t1 and t8: the same dense sync
+/// unison runs under make_unbounded_unison_checker (the checker `specstab
+/// run --protocol unbounded-unison` uses) instead of AlwaysLegitimate,
+/// so the gate also times the dense legitimacy route: per-shard
+/// score_range() sums merged into one accept_total().  The reference
+/// baseline pays the checker's from-scratch full() once per step.
+std::vector<MicroRow> checked_scaling_rows(bool smoke) {
+  const Graph g = make_ring(smoke ? 20000 : 1000000);
+  const std::string label = smoke ? "ring-20k" : "ring-1M";
+  const UnboundedUnisonProtocol proto;
+  const auto init = arbitrary_clocks(g, 99);
+  const auto timed = [&](EngineKind kind, unsigned threads,
+                         std::int64_t& steps) {
+    RunOptions opt;
+    opt.max_steps = smoke ? 40 : 520;
+    opt.engine = kind;
+    opt.threads = threads;
+    auto daemon = make_daemon("synchronous", 1);
+    auto checker = make_unbounded_unison_checker(proto);
+    return best_of(1, [&] {
+      const auto res = run_with_engine(g, proto, *daemon, init, opt, checker);
+      steps = res.steps;
+    });
+  };
+  std::int64_t base_steps = 0;
+  const double base_ms = timed(EngineKind::kReference, 1, base_steps);
+  std::vector<MicroRow> rows;
+  for (const unsigned threads : {1u, 8u}) {
+    MicroRow row;
+    row.name = "parallel/unison-checked/" + label + "/sync/t" +
+               std::to_string(threads);
+    row.steps = base_steps;
+    row.reference_ms = base_ms;
+    std::int64_t steps = 0;
+    row.incremental_ms = timed(EngineKind::kIncremental, threads, steps);
+    if (steps != base_steps) {
+      std::cerr << "!! ENGINE MISMATCH in '" << row.name
+                << "': " << base_steps << " vs " << steps << " steps\n";
+      std::exit(2);
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 /// `--scaling-check`: the CI multi-core smoke.  Runs the dense sync 1M
 /// ring workload on the production engine at t1 and t8 and requires
 /// t8 throughput to be at least 90% of t1 (one-sided: t8 may be faster
@@ -357,10 +409,7 @@ std::vector<MicroRow> parallel_scaling_rows(bool smoke) {
 int run_scaling_check() {
   const Graph g = make_ring(1000000);
   const UnboundedUnisonProtocol proto;
-  Config<UnboundedUnisonProtocol::State> init(static_cast<std::size_t>(g.n()));
-  std::mt19937_64 rng(99);
-  std::uniform_int_distribution<std::int64_t> pick(-5, 20);
-  for (auto& s : init) s = pick(rng);
+  const auto init = arbitrary_clocks(g, 99);
 
   RunOptions opt;
   opt.max_steps = 120;
@@ -473,12 +522,7 @@ std::vector<MicroRow> perturbed_recovery_rows(bool smoke) {
     const std::string label = smoke ? "torus-64" : "torus-40k";
     const UnboundedUnisonProtocol proto;
     const auto arbitrary = [&g](std::uint64_t s) {
-      std::mt19937_64 rng(s);
-      std::uniform_int_distribution<std::int64_t> pick(-5, 20);
-      Config<UnboundedUnisonProtocol::State> c(
-          static_cast<std::size_t>(g.n()));
-      for (auto& x : c) x = pick(rng);
-      return c;
+      return arbitrary_clocks(g, s);
     };
     const std::string fault = smoke ? "periodic:period=8;k=16;epochs=4"
                                     : "periodic:period=64;k=400;epochs=8";
@@ -704,6 +748,9 @@ int main(int argc, char** argv) {
   auto micros = run_micros(smoke, repeats);
   micros.push_back(sweep_cross_protocol_row(smoke, threads, repeats));
   for (auto& row : parallel_scaling_rows(smoke)) {
+    micros.push_back(std::move(row));
+  }
+  for (auto& row : checked_scaling_rows(smoke)) {
     micros.push_back(std::move(row));
   }
   for (auto& row : perturbed_recovery_rows(smoke)) {

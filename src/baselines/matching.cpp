@@ -113,8 +113,11 @@ bool MatchingProtocol::is_maximal_matching(const Graph& g,
                                            const ConfigView<State>& cfg) const {
   // Matching property is structural (mutual pointers are one-to-one).
   // Maximality: no edge between two unmarried vertices.
-  for (const auto& [u, v] : g.edges()) {
-    if (!married(g, cfg, u) && !married(g, cfg, v)) return false;
+  for (VertexId u = 0; u < g.n(); ++u) {
+    if (married(g, cfg, u)) continue;
+    for (VertexId v : g.neighbors(u)) {
+      if (u < v && !married(g, cfg, v)) return false;
+    }
   }
   return true;
 }

@@ -26,10 +26,12 @@ std::string_view UnboundedUnisonProtocol::rule_name(
 
 bool UnboundedUnisonProtocol::legitimate(const Graph& g,
                                          const ConfigView<State>& cfg) const {
-  for (const auto& [u, v] : g.edges()) {
-    const State du = cfg[static_cast<std::size_t>(u)] -
-                     cfg[static_cast<std::size_t>(v)];
-    if (du > 1 || du < -1) return false;
+  for (VertexId u = 0; u < g.n(); ++u) {
+    const State cu = cfg[static_cast<std::size_t>(u)];
+    for (VertexId v : g.neighbors(u)) {
+      const State du = cu - cfg[static_cast<std::size_t>(v)];
+      if (u < v && (du > 1 || du < -1)) return false;
+    }
   }
   return true;
 }

@@ -17,10 +17,16 @@
 // LocalScoreChecker caches the per-vertex scores and the total; after an
 // action it rescores only the radius-ball around the touched vertices and
 // adjusts the cached total — the legitimacy verdict is a function of the
-// total (== 0, <= 1, == 1).  The property harness
+// total (== 0, <= 1, == 1).  Each factory states its score once: the
+// from-scratch oracle full(), the caches and the ranged sum
+// score_range() all evaluate that one per-vertex function.  On a dense
+// step the production engine takes the total from per-shard partial
+// sums (score_range(), or a guard kernel with the same ScoreKind) merged
+// in shard order, and hands it to accept_total().  The property harness
 // (tests/legitimacy_closure_test.cpp) asserts the cached verdict equals a
 // from-scratch evaluation after every enabled move, including the
-// re-convergence path.
+// re-convergence path, and that ranged sums over any split of [0, n)
+// add up to the cached total.
 //
 // The factories capture the protocol objects by reference: the protocol
 // must outlive the checker (true everywhere in this repo — checkers are
@@ -28,11 +34,9 @@
 #ifndef SPECSTAB_CORE_INCREMENTAL_LEGITIMACY_HPP
 #define SPECSTAB_CORE_INCREMENTAL_LEGITIMACY_HPP
 
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,30 +56,16 @@
 
 namespace specstab {
 
-/// Tag: no bulk total available — full() falls back to summing the
-/// vertex-local score over every vertex.
-struct NoBulkTotal {};
-
 /// Incremental counter over a vertex-local violation score.  `Score` is
 /// (const Graph&, const ConfigView<State>&, VertexId) -> std::int32_t and may
 /// read only states within `radius` hops of the scored vertex; `Verdict`
 /// is (std::int64_t total) -> bool.
 ///
-/// `Bulk`, when provided, is (const Graph&, const ConfigView<State>&) ->
-/// std::int64_t computing the SAME total as summing `Score` over all
-/// vertices, but as one pass over the configuration — typically a
-/// contiguous column scan the compiler can vectorize.  full() (the
-/// reference engine's per-step oracle) and bulk_update() (the production
-/// engine's dense steps) use it; the incremental path never does, so the
-/// cached per-vertex scores stay the source of truth for on_update().
-/// tests/legitimacy_closure_test.cpp asserts bulk and per-vertex totals
-/// agree move-by-move.
-///
 /// `Kind`, when not void, is a score-kind tag (sim/simd_eval.hpp) naming
-/// the score definition; a guard kernel advertising the same tag may hand
-/// a precomputed total to accept_total() instead.
-template <class State, class Score, class Verdict, class Bulk = NoBulkTotal,
-          class Kind = void>
+/// the score definition; a guard kernel advertising the same tag may
+/// compute the partial totals of a dense step in its guard pass instead
+/// of score_range().
+template <class State, class Score, class Verdict, class Kind = void>
 class LocalScoreChecker {
  public:
   using ScoreKind = Kind;
@@ -85,31 +75,18 @@ class LocalScoreChecker {
         verdict_(std::move(verdict)),
         radius_(radius) {}
 
-  LocalScoreChecker(Score score, Verdict verdict, VertexId radius, Bulk bulk)
-      : score_(std::move(score)),
-        verdict_(std::move(verdict)),
-        bulk_(std::move(bulk)),
-        radius_(radius) {}
-
   bool init(const Graph& g, const ConfigView<State>& cfg) {
     cached_.assign(static_cast<std::size_t>(g.n()), 0);
-    total_ = 0;
-    cached_stale_ = false;
-    for (VertexId v = 0; v < g.n(); ++v) {
-      const std::int32_t s = score_(g, cfg, v);
-      cached_[static_cast<std::size_t>(v)] = s;
-      total_ += s;
-    }
     // Rebuilt every init: a checker instance may be reused across runs on
     // graphs of different sizes (measure_convergence does).
     if (radius_ > 0) expander_.emplace(g.n());
-    return verdict_(total_);
+    return refresh_all(g, cfg);
   }
 
   bool on_update(const Graph& g, const ConfigView<State>& cfg,
                  const std::vector<VertexId>& touched) {
-    // Dense actions (synchronous steps) dirty most of the graph; rescore
-    // everything linearly instead of expanding balls.
+    // An update touching most of the graph rescores everything linearly
+    // instead of expanding balls.
     if (radius_ > 0 &&
         is_dense_update(static_cast<std::int64_t>(touched.size()), radius_,
                         g)) {
@@ -122,32 +99,30 @@ class LocalScoreChecker {
     return verdict_(total_);
   }
 
-  /// Verdict from a total computed elsewhere (a fused guard kernel with
-  /// the matching ScoreKind).  The per-vertex caches go stale; the next
-  /// incremental update rebuilds them, so accept_total() and on_update()
-  /// may interleave freely.
+  /// Verdict from a total computed elsewhere: the shard-ordered sum of a
+  /// dense step's partial totals (score_range() or a fused guard kernel
+  /// with the matching ScoreKind).  The per-vertex caches go stale; the
+  /// next incremental update rebuilds them, so accept_total() and
+  /// on_update() may interleave freely.
   bool accept_total(std::int64_t total) {
     total_ = total;
     cached_stale_ = true;
     return verdict_(total);
   }
 
-  /// Verdict from one bulk pass over the configuration.  Like
-  /// accept_total(), it leaves the per-vertex caches stale.
-  bool bulk_update(const Graph& g, const ConfigView<State>& cfg)
-    requires(!std::is_same_v<Bulk, NoBulkTotal>)
-  {
-    return accept_total(bulk_(g, cfg));
+  /// Sum of the per-vertex scores over [lo, hi) of `cfg`.  Reads only the
+  /// configuration, never the caches, so the engine's shards call it
+  /// concurrently on their ranges of one post-step configuration.
+  [[nodiscard]] std::int64_t score_range(const Graph& g,
+                                         const ConfigView<State>& cfg,
+                                         VertexId lo, VertexId hi) const {
+    std::int64_t total = 0;
+    for (VertexId v = lo; v < hi; ++v) total += score_(g, cfg, v);
+    return total;
   }
 
   bool full(const Graph& g, const ConfigView<State>& cfg) {
-    if constexpr (!std::is_same_v<Bulk, NoBulkTotal>) {
-      return verdict_(bulk_(g, cfg));
-    } else {
-      std::int64_t total = 0;
-      for (VertexId v = 0; v < g.n(); ++v) total += score_(g, cfg, v);
-      return verdict_(total);
-    }
+    return verdict_(score_range(g, cfg, 0, g.n()));
   }
 
   // --- Shared-ball fast path (see HasBallUpdate in sim/enabled_set.hpp):
@@ -170,7 +145,7 @@ class LocalScoreChecker {
   /// From-scratch rebuild of every cached score and the total, returning
   /// the fresh verdict.  The delta arithmetic of rescore() is only sound
   /// against fresh caches, so this is the recovery path after
-  /// accept_total() or bulk_update() marked them stale.
+  /// accept_total() marked them stale.
   bool refresh_all(const Graph& g, const ConfigView<State>& cfg) {
     total_ = 0;
     for (VertexId v = 0; v < g.n(); ++v) {
@@ -191,7 +166,6 @@ class LocalScoreChecker {
 
   Score score_;
   Verdict verdict_;
-  [[no_unique_address]] Bulk bulk_{};
   VertexId radius_;
   std::vector<std::int32_t> cached_;
   std::int64_t total_ = 0;
@@ -255,21 +229,20 @@ class ClosureCounting {
     return note(inner_.full(g, cfg));
   }
 
-  // Forward the fused-kernel total path when the wrapped checker has one.
+  // Forward the dense-step total path when the wrapped checker has one.
+  // score_range() decides no verdict, so it counts nothing; the merged
+  // total's accept_total() does.
   bool accept_total(std::int64_t total)
     requires requires(C& c) { c.accept_total(total); }
   {
     return note(inner_.accept_total(total));
   }
-
-  // Forward the bulk-total path when the wrapped checker has one.
   template <class Cfg>
-  bool bulk_update(const Graph& g, const Cfg& cfg)
-    requires requires(C& c) {
-      { c.bulk_update(g, cfg) } -> std::same_as<bool>;
-    }
+  [[nodiscard]] std::int64_t score_range(const Graph& g, const Cfg& cfg,
+                                         VertexId lo, VertexId hi) const
+    requires requires(const C& c) { c.score_range(g, cfg, lo, hi); }
   {
-    return note(inner_.bulk_update(g, cfg));
+    return inner_.score_range(g, cfg, lo, hi);
   }
 
   // Forward the shared-ball fast path when the wrapped checker has one.
@@ -311,32 +284,8 @@ class ClosureCounting {
     return unison.locally_legitimate(g, cfg, v) ? 0 : 1;
   };
   auto verdict = [](std::int64_t total) { return total == 0; };
-  // One pass over the raw clock column with the ring arithmetic of
-  // CherryClock::ring_distance inlined in int64, instead of a
-  // locally_legitimate() call chain per vertex.
-  auto bulk = [&unison](const Graph& g,
-                        const ConfigView<ClockValue>& cfg) -> std::int64_t {
-    const ClockValue* c = cfg.column();
-    const std::int64_t k = unison.clock().k();
-    std::int64_t total = 0;
-    for (VertexId v = 0; v < g.n(); ++v) {
-      const std::int64_t rv = c[static_cast<std::size_t>(v)];
-      auto ok = static_cast<unsigned>(rv >= 0 && rv < k);
-      for (VertexId u : g.neighbors(v)) {
-        const std::int64_t ru = c[static_cast<std::size_t>(u)];
-        std::int64_t d = ru - rv;
-        if (d >= k || d <= -k) d %= k;
-        if (d < 0) d += k;
-        const std::int64_t dist = d <= k - d ? d : k - d;
-        ok &= static_cast<unsigned>(ru >= 0 && ru < k && dist <= 1);
-      }
-      total += ok ^ 1u;
-    }
-    return total;
-  };
   return LocalScoreChecker<ClockValue, decltype(score), decltype(verdict),
-                           decltype(bulk), Gamma1ScoreKind>(score, verdict, 1,
-                                                            bulk);
+                           Gamma1ScoreKind>(score, verdict, 1);
 }
 
 /// Gamma_1 membership of the SSME substrate.
@@ -351,20 +300,8 @@ class ClosureCounting {
     return proto.privileged(cfg, v) ? 1 : 0;
   };
   auto verdict = [](std::int64_t total) { return total <= 1; };
-  // Column scan comparing each register against its unique privileged
-  // value 2n + 2 diam id.
-  auto bulk = [&proto](const Graph& g,
-                       const ConfigView<ClockValue>& cfg) -> std::int64_t {
-    const ClockValue* c = cfg.column();
-    const SsmeParams& p = proto.params();
-    std::int64_t total = 0;
-    for (VertexId v = 0; v < g.n(); ++v) {
-      total += c[static_cast<std::size_t>(v)] == p.privileged_value(v) ? 1 : 0;
-    }
-    return total;
-  };
-  return LocalScoreChecker<ClockValue, decltype(score), decltype(verdict),
-                           decltype(bulk)>(score, verdict, 0, bulk);
+  return LocalScoreChecker<ClockValue, decltype(score),
+                           decltype(verdict)>(score, verdict, 0);
 }
 
 /// Dijkstra's ring: exactly one token (privilege == enabledness).
@@ -376,21 +313,8 @@ class ClosureCounting {
     return proto.privileged(cfg, v) ? 1 : 0;
   };
   auto verdict = [](std::int64_t total) { return total == 1; };
-  // Token count is a shifted compare along the counter column: vertex 0
-  // holds a token iff c_0 = c_{n-1}, every other v iff c_v != c_{v-1}.
-  auto bulk = [](const Graph& g,
-                 const ConfigView<DijkstraRingProtocol::State>& cfg)
-      -> std::int64_t {
-    const auto* c = cfg.column();
-    const auto n = static_cast<std::size_t>(g.n());
-    if (n == 0) return 0;
-    std::int64_t total = c[0] == c[n - 1] ? 1 : 0;
-    for (std::size_t v = 1; v < n; ++v) total += c[v] != c[v - 1] ? 1 : 0;
-    return total;
-  };
   return LocalScoreChecker<DijkstraRingProtocol::State, decltype(score),
-                           decltype(verdict), decltype(bulk)>(score, verdict,
-                                                              1, bulk);
+                           decltype(verdict)>(score, verdict, 1);
 }
 
 /// Stable maximal matching: terminal, i.e. no rule enabled anywhere.
@@ -417,21 +341,8 @@ class ClosureCounting {
                : 1;
   };
   auto verdict = [](std::int64_t total) { return total == 0; };
-  // Columnar compare against the precomputed exact BFS levels.
-  auto bulk = [&proto](const Graph&,
-                       const ConfigView<MinPlusOneProtocol::State>& cfg)
-      -> std::int64_t {
-    const auto* c = cfg.column();
-    const auto& exact = proto.exact_levels();
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < cfg.size(); ++i) {
-      total += c[i] != exact[i] ? 1 : 0;
-    }
-    return total;
-  };
   return LocalScoreChecker<MinPlusOneProtocol::State, decltype(score),
-                           decltype(verdict), decltype(bulk)>(score, verdict,
-                                                              0, bulk);
+                           decltype(verdict)>(score, verdict, 0);
 }
 
 /// Leader election: the unique terminal configuration (min identity
@@ -447,21 +358,8 @@ class ClosureCounting {
                : 1;
   };
   auto verdict = [](std::int64_t total) { return total == 0; };
-  auto bulk = [elected = std::move(elected)](
-                  const Graph&,
-                  const ConfigView<LeaderState>& cfg) -> std::int64_t {
-    const LeaderState* s = cfg.column();
-    const LeaderState* el = elected.data();
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < cfg.size(); ++i) {
-      total += static_cast<std::int64_t>(
-          static_cast<unsigned>(s[i].leader != el[i].leader) |
-          static_cast<unsigned>(s[i].dist != el[i].dist));
-    }
-    return total;
-  };
-  return LocalScoreChecker<LeaderState, decltype(score), decltype(verdict),
-                           decltype(bulk)>(score, verdict, 0, bulk);
+  return LocalScoreChecker<LeaderState, decltype(score),
+                           decltype(verdict)>(score, verdict, 0);
 }
 
 /// Proper (Delta+1)-coloring: no out-of-palette color, no monochromatic
@@ -500,24 +398,8 @@ class ClosureCounting {
     return s;
   };
   auto verdict = [](std::int64_t total) { return total == 0; };
-  // Each drifted pair is scored from both endpoints, so the bulk total is
-  // twice the count of drifted edges — one pass over the edge list
-  // against the raw clock column.
-  auto bulk = [](const Graph& g,
-                 const ConfigView<UnboundedUnisonProtocol::State>& cfg)
-      -> std::int64_t {
-    const auto* c = cfg.column();
-    std::int64_t total = 0;
-    for (const auto& [u, v] : g.edges()) {
-      const auto d = c[static_cast<std::size_t>(u)] -
-                     c[static_cast<std::size_t>(v)];
-      total += (d > 1 || d < -1) ? 2 : 0;
-    }
-    return total;
-  };
   return LocalScoreChecker<UnboundedUnisonProtocol::State, decltype(score),
-                           decltype(verdict), decltype(bulk)>(score, verdict,
-                                                              1, bulk);
+                           decltype(verdict)>(score, verdict, 1);
 }
 
 }  // namespace specstab

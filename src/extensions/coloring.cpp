@@ -73,9 +73,10 @@ bool ColoringProtocol::legitimate(const Graph& g,
 std::int64_t ColoringProtocol::conflict_count(
     const Graph& g, const ConfigView<State>& cfg) const {
   std::int64_t conflicts = 0;
-  for (const auto& [u, v] : g.edges()) {
-    if (cfg[static_cast<std::size_t>(u)] == cfg[static_cast<std::size_t>(v)]) {
-      ++conflicts;
+  for (VertexId u = 0; u < g.n(); ++u) {
+    const State cu = cfg[static_cast<std::size_t>(u)];
+    for (VertexId v : g.neighbors(u)) {
+      if (u < v && cu == cfg[static_cast<std::size_t>(v)]) ++conflicts;
     }
   }
   return conflicts;

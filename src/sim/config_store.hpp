@@ -10,7 +10,7 @@
 //
 // Consumers never touch the backing vectors.  They read through
 // ConfigView<State>, a one-pointer proxy offering get()/operator[],
-// column() (the raw vector data, for guard kernels and bulk scans) and
+// column() (the raw vector data, for guard kernels) and
 // materialize(); engines mutate through ConfigStore::set() and the
 // dense_begin()/dense_fill_range()/dense_commit() buffer-swap path.
 #ifndef SPECSTAB_SIM_CONFIG_STORE_HPP
@@ -62,7 +62,7 @@ class ConfigView {
   [[nodiscard]] State operator[](std::size_t i) const { return get(i); }
 
   /// Pointer to the contiguous states — the access pattern the guard
-  /// kernels (sim/simd_eval.hpp) and bulk legitimacy scans want.
+  /// kernels (sim/simd_eval.hpp) want.
   [[nodiscard]] const State* column() const { return vec_->data(); }
 
   /// Full vector copy of the viewed configuration.

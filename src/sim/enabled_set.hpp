@@ -6,9 +6,11 @@
 // Sparse steps edit it by staged per-vertex flips (note()/commit());
 // dense steps rebuild it from packed guard-verdict words, one shard at a
 // time (fill_words()/scatter_words()).  The IncrementalLegitimacy,
-// HasBallUpdate and HasBulkUpdate concepts describe the checker objects
+// HasBallUpdate and HasScoreRange concepts describe the checker objects
 // the engine drives (see core/incremental_legitimacy.hpp for the
-// concrete checkers).
+// concrete checkers): a dense step's verdict is one accept_total() of
+// the shards' partial score totals for a HasScoreRange checker, and the
+// checker's own on_update() for any other.
 #ifndef SPECSTAB_SIM_ENABLED_SET_HPP
 #define SPECSTAB_SIM_ENABLED_SET_HPP
 
@@ -56,14 +58,19 @@ concept HasBallUpdate =
       { c.on_update_ball(g, cfg, ball) } -> std::same_as<bool>;
     };
 
-/// Optional checker extension: a checker with a bulk total can re-derive
-/// its verdict in one pass over the configuration (typically a column
-/// scan), leaving any per-vertex caches stale.  The engine uses it on
-/// dense steps whose guard kernel cannot hand it a fused total.
+/// Optional checker extension: a checker whose verdict is a function of
+/// a sum of per-vertex scores exposes score_range(), the sum over
+/// [lo, hi) of a configuration (const, so shards call it concurrently),
+/// and accept_total(), the verdict of a total computed elsewhere.  The
+/// engine's dense steps sum each shard's range inside the rescan and
+/// hand the shard-ordered total to accept_total().
 template <class C, class State>
-concept HasBulkUpdate =
-    requires(C& c, const Graph& g, ConfigView<State> cfg) {
-      { c.bulk_update(g, cfg) } -> std::same_as<bool>;
+concept HasScoreRange =
+    requires(C& c, const Graph& g, ConfigView<State> cfg, VertexId v) {
+      {
+        std::as_const(c).score_range(g, cfg, v, v)
+      } -> std::same_as<std::int64_t>;
+      { c.accept_total(std::int64_t{}) } -> std::same_as<bool>;
     };
 
 /// Trivial checker for runs without a legitimacy predicate (mirrors the

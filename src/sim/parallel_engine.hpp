@@ -36,13 +36,18 @@
 //      protocol's SimdEval kernel (simd_eval.hpp; a scalar sweep for
 //      protocols without one), which also writes every vertex's
 //      synchronous successor, and packs the verdict bytes into its own
-//      mask words (fill_words).  When the kernel and the checker share a
-//      ScoreKind, the same pass accumulates a partial violation total and
-//      the totals merge into one checker.accept_total() call; otherwise a
-//      checker with a bulk total makes one bulk_update() pass;
+//      mask words (fill_words).  A checker with a per-vertex score
+//      (HasScoreRange) gets its shard's partial violation total here:
+//      from the same kernel pass when kernel and checker share a
+//      ScoreKind, from checker.score_range() over the range otherwise;
 //   3. *scatter* — after a prefix sum over the per-shard enabled counts
 //      (prepare_scatter), shard k decodes its words into its slice of
 //      the sorted enabled vector (scatter_words).
+//
+//   The verdict of a dense step is then one checker.accept_total() of the
+//   partial totals summed in shard order — int64 addition, so bit-exactly
+//   the full-scan total at every thread count.  Only checkers without a
+//   per-vertex score (RescanChecker, AlwaysLegitimate) take on_update().
 //
 //   *sparse steps* (central and sparse distributed daemons) run on the
 //   calling thread as one batched dirty-set update: successors are
@@ -261,17 +266,17 @@ RunResult<typename P::State> run_execution_parallel(
     pool->run(shards, fn);
   };
 
-  // Whether the guard kernel can hand its fused violation total straight
-  // to this run's checker on dense steps: kernel and checker must name
-  // the same (non-void) score definition.  See simd_eval.hpp.
+  // Whether this run's checker sums a per-vertex score, so that a dense
+  // step's verdict is one accept_total() of the shards' partial totals.
+  constexpr bool kScored = HasScoreRange<C, State>;
+  // Whether the guard kernel computes those partial totals in its own
+  // pass: kernel and checker must name the same (non-void) score
+  // definition.  See simd_eval.hpp.
   constexpr bool kFusedScore = [] {
-    if constexpr (HasScoredSimdEval<P>) {
+    if constexpr (HasScoreRange<C, State> && HasScoredSimdEval<P>) {
       using KernelKind = typename SimdEval<P>::ScoreKind;
       return !std::is_void_v<KernelKind> &&
-             std::is_same_v<KernelKind, typename ScoreKindOf<C>::type> &&
-             requires(C& c) {
-               { c.accept_total(std::int64_t{}) } -> std::same_as<bool>;
-             };
+             std::is_same_v<KernelKind, typename ScoreKindOf<C>::type>;
     } else {
       return false;
     }
@@ -337,8 +342,10 @@ RunResult<typename P::State> run_execution_parallel(
 
   // Dense phase 2 — fused guard rescan over the shard's vertex range:
   // SimdEval kernel (or scalar sweep) into the shared verdict buffer and
-  // successor column, packed into the shard's own mask words, partial
-  // score total kept.
+  // successor column, packed into the shard's own mask words, and the
+  // checker's partial score total of the range kept (fused or ranged).
+  // The live configuration is read-only here, so score_range() may read
+  // across the shard's bounds.
   const std::function<void(std::size_t)> dense_rescan_phase =
       [&](std::size_t k) {
         const VertexId lo = bounds[k];
@@ -346,6 +353,9 @@ RunResult<typename P::State> run_execution_parallel(
         shard_scores[k] =
             fill_verdicts<kFusedScore>(*kernel, g, proto, live, lo, hi);
         shard_counts[k] = enabled.fill_words(lo, hi, kernel->verdicts.data());
+        if constexpr (kScored && !kFusedScore) {
+          shard_scores[k] = checker.score_range(g, live, lo, hi);
+        }
       };
 
   // Dense phase 3 — scatter the shard's words into its slice of the
@@ -372,8 +382,8 @@ RunResult<typename P::State> run_execution_parallel(
   };
 
   // The dense half of install_and_repair below: the three sharded phases,
-  // then one verdict — the fused total, a bulk pass, or the checker's own
-  // update.
+  // then one verdict — the merged partial totals, or the checker's own
+  // update for a checker without a per-vertex score.
   const auto dense_install_and_repair =
       [&](const std::vector<VertexId>& step_targets, const State* successors,
           bool perturbation) -> bool {
@@ -414,12 +424,10 @@ RunResult<typename P::State> run_execution_parallel(
     successors_fresh = HasSimdEval<P>;
     enabled.prepare_scatter(shard_counts, shard_offsets);
     run_shards(dense_scatter_phase);
-    if constexpr (kFusedScore) {
+    if constexpr (kScored) {
       std::int64_t total = 0;
       for (std::size_t k = 0; k < shards; ++k) total += shard_scores[k];
       return checker.accept_total(total);
-    } else if constexpr (HasBulkUpdate<C, State>) {
-      return checker.bulk_update(g, live);
     } else {
       return checker.on_update(g, live, step_targets);
     }

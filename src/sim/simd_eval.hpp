@@ -52,20 +52,21 @@
 // packs the verdict bytes into 64-bit words (pack_verdict_word()) and
 // feeds them to EnabledSet::fill_words().
 //
-// A specialization may additionally fuse the legitimacy scan into the
-// guard pass: declare a ScoreKind tag plus enabled_bytes_scored(), which
-// writes the same guard bytes and successors AND returns the total
-// violation score the tag's LocalScoreChecker would compute from scratch
-// over [begin, end) (exactly the checker's bulk/score sum — same int64,
-// no early exit; per-shard partial totals summed in shard order
-// reproduce the full-scan total bit-exactly because the accumulation is
-// int64 addition).  When the run's checker advertises the matching
-// ScoreKind, the engine calls the scored kernel once per dense step and
-// hands the total straight to the checker
-// (LocalScoreChecker::accept_total), skipping a separate legitimacy
-// scan — one pass over the column instead of two.  With any other
-// checker the engine uses enabled_bytes() plus the checker's own scan,
-// so the fusion is pay-as-you-match.
+// A dense step's legitimacy verdict has one route: each shard's rescan
+// produces the partial violation total of its range, and the engine
+// hands the shard-ordered sum to the checker's accept_total().  A
+// specialization may compute that partial in the guard pass itself:
+// declare a ScoreKind tag plus enabled_bytes_scored(), which writes the
+// same guard bytes and successors AND returns the total violation score
+// the tag's LocalScoreChecker would compute over [begin, end) (exactly
+// its score_range() — same int64, no early exit; per-shard partial
+// totals summed in shard order reproduce the full-scan total
+// bit-exactly because the accumulation is int64 addition).  When the
+// run's checker advertises the matching ScoreKind, the engine calls the
+// scored kernel and skips the checker's own pass over the range — one
+// pass over the column instead of two.  With any other score checker
+// the shard calls enabled_bytes() and then the checker's score_range()
+// over the same range, so the fusion is pay-as-you-match.
 //
 // Protocols without a specialization run on the engine's scalar rescan
 // fallback (fill_verdicts() below), which writes verdicts only: their

@@ -3,10 +3,14 @@
 // equal a from-scratch evaluation of the predicate after every enabled
 // move — including the re-convergence path, where legitimacy is lost and
 // later regained and the checker's cached counts must follow both
-// transitions.
+// transitions.  A shard axis holds the ranged sums the production
+// engine's dense steps merge (score_range() per shard) to the cached
+// total after every move, for every checker factory.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "baselines/dijkstra_ring.hpp"
@@ -21,6 +25,7 @@
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace specstab {
 namespace {
@@ -38,11 +43,36 @@ std::vector<VertexId> changed_vertices(const Config<State>& before,
   return changed;
 }
 
+/// The shard axis: a dense step's verdict is the sum of score_range()
+/// over the engine's shards, so the ranged sums over every split of
+/// [0, n) must equal the checker's cached total.  The splits are the
+/// engine's word-aligned bounds at 1, 2 and 8 shards, and one that cuts
+/// inside the radius-1 balls of vertices 0 and n / 2.
+template <class State, class Checker>
+void expect_ranged_sums_match(const Graph& g, const Config<State>& cfg,
+                              const Checker& checker,
+                              const std::string& context) {
+  const VertexId n = g.n();
+  std::vector<std::vector<VertexId>> splits;
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    splits.push_back(parallel_detail::shard_bounds(n, shards));
+  }
+  splits.push_back({0, 1, n / 2, n / 2 + 1, n});
+  for (const auto& bounds : splits) {
+    std::int64_t total = 0;
+    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+      total += checker.score_range(g, cfg, bounds[k], bounds[k + 1]);
+    }
+    EXPECT_EQ(total, checker.total())
+        << context << ", split at " << testing::PrintToString(bounds);
+  }
+}
+
 /// Feeds a recorded trace through `checker` move by move and asserts the
 /// incremental verdict equals the from-scratch one (checker.full on a
-/// pristine copy) at every configuration.  `start` skips prefix configs
-/// whose updates were already fed (the corruption path re-enters with a
-/// warm checker).
+/// pristine copy), and the ranged sums equal the cached total, at every
+/// configuration.  `start` skips prefix configs whose updates were
+/// already fed (the corruption path re-enters with a warm checker).
 template <class State, class Checker>
 void walk_trace(const Graph& g, const std::vector<Config<State>>& trace,
                 Checker& checker, Checker& oracle, std::size_t start = 0) {
@@ -50,12 +80,15 @@ void walk_trace(const Graph& g, const std::vector<Config<State>>& trace,
   if (start == 0) {
     const bool legit = checker.init(g, trace[0]);
     EXPECT_EQ(legit, oracle.full(g, trace[0])) << "config 0";
+    expect_ranged_sums_match(g, trace[0], checker, "config 0");
   }
   for (std::size_t i = std::max<std::size_t>(start, 1); i < trace.size();
        ++i) {
     const auto changed = changed_vertices(trace[i - 1], trace[i]);
     const bool legit = checker.on_update(g, trace[i], changed);
     EXPECT_EQ(legit, oracle.full(g, trace[i])) << "config " << i;
+    expect_ranged_sums_match(g, trace[i], checker,
+                             "config " + std::to_string(i));
     if (::testing::Test::HasFailure()) return;
   }
 }
@@ -88,6 +121,8 @@ void closure_property(const Graph& g, const P& proto,
   cfg[static_cast<std::size_t>(victim)] = corrupt(cfg, victim, rng);
   const bool legit = checker.on_update(g, cfg, {victim});
   EXPECT_EQ(legit, oracle.full(g, cfg)) << "after corrupting " << victim;
+  expect_ranged_sums_match(g, cfg, checker,
+                           "after corrupting " + std::to_string(victim));
 
   auto daemon2 = make_daemon(daemon_name, seed + 1);
   const auto cont =
@@ -100,6 +135,9 @@ std::vector<Graph> small_topologies() {
   out.push_back(make_ring(9));
   out.push_back(make_path(8));
   out.push_back(make_grid(3, 3));
+  // Three 64-vertex words, so the shard axis's 2- and 8-shard splits
+  // are not all in one shard.
+  out.push_back(make_ring(130));
   return out;
 }
 
@@ -151,7 +189,7 @@ TEST(LegitimacyClosureTest, MutexSafetyLostAndRegained) {
 }
 
 TEST(LegitimacyClosureTest, SingleToken) {
-  for (VertexId n : {5, 9}) {
+  for (VertexId n : {5, 9, 130}) {
     const Graph g = make_ring(n);
     const DijkstraRingProtocol proto = DijkstraRingProtocol::for_ring(g);
     for (const auto& daemon : closure_daemons()) {

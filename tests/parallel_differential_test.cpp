@@ -17,15 +17,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "baselines/dijkstra_ring.hpp"
 #include "baselines/matching.hpp"
+#include "baselines/min_plus_one.hpp"
 #include "baselines/unbounded_unison.hpp"
 #include "core/adversarial_configs.hpp"
 #include "core/incremental_legitimacy.hpp"
 #include "core/ssme.hpp"
+#include "extensions/coloring.hpp"
+#include "extensions/leader_election.hpp"
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
@@ -268,25 +273,135 @@ TEST(ParallelDifferential, GraphsSmallerThanOneShard) {
   }
 }
 
+/// One row of the per-checker shard table: a checker factory with its
+/// protocol and a seeded init family, run for 300 steps on one graph
+/// under one daemon across the thread axis.
+struct ScoreCheckerRow {
+  std::string name;
+  bool ring_only = false;
+  std::function<void(const Graph&, const std::string&, std::uint64_t)> run;
+};
+
+/// Builds the row for `make_proto(g)`, `make_init(g, proto, seed)` and
+/// `make_checker(g, proto)`.
+template <class MakeProto, class MakeInit, class MakeChecker>
+ScoreCheckerRow score_checker_row(std::string name, bool ring_only,
+                                  MakeProto make_proto, MakeInit make_init,
+                                  MakeChecker make_checker) {
+  auto run = [=](const Graph& g, const std::string& daemon_name,
+                 std::uint64_t seed) {
+    std::string context = name + " n=" + std::to_string(g.n());
+    context += " daemon=" + daemon_name + " seed=" + std::to_string(seed);
+    RunOptions opt;
+    opt.max_steps = 300;
+    const auto proto = make_proto(g);
+    const auto init = make_init(g, proto, seed);
+    const auto checker = [&] { return make_checker(g, proto); };
+    expect_thread_invariant(g, proto, daemon_name, seed, init, checker, opt,
+                            context);
+  };
+  return {std::move(name), ring_only, run};
+}
+
 TEST(ParallelDifferential, ScoredKernelPartialSumsAcrossShards) {
-  // SSME's Gamma_1 checker consumes a whole-configuration score that the
-  // fused dense path computes as per-shard int64 partial sums merged at
-  // the barrier.  On graphs spanning several 64-vertex words, the
-  // shard-ordered merge must reproduce the full-scan total bit-exactly —
-  // first_legitimate / last_illegitimate hinge on it.
-  for (const Graph& g : {make_ring(200), make_torus(10, 12)}) {
-    const SsmeProtocol proto = SsmeProtocol::for_graph(g);
-    for (const std::string daemon_name :
-         {std::string("synchronous"), std::string("bernoulli-0.5")}) {
-      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        RunOptions opt;
-        opt.max_steps = 300;
-        expect_thread_invariant(
-            g, proto, daemon_name, seed, random_config(g, proto.clock(), seed),
-            [&] { return make_gamma1_checker(proto); }, opt,
-            "n=" + std::to_string(g.n()) + " daemon=" + daemon_name +
-                " seed=" + std::to_string(seed));
-        if (::testing::Test::HasFatalFailure()) return;
+  // Every score checker's dense-step verdict is one accept_total() of
+  // per-shard int64 partial totals merged at the barrier: the Gamma_1
+  // kernel's fused totals for ssme, score_range() over the shard's range
+  // for every other checker.  On graphs spanning several 64-vertex
+  // words, the shard-ordered merge must reproduce the reference oracle's
+  // full-scan total bit-exactly — first_legitimate / last_illegitimate
+  // hinge on it — and under TSan every concurrent score_range() is
+  // probed.
+  const std::vector<ScoreCheckerRow> rows = {
+      score_checker_row(
+          "ssme-gamma1", false,
+          [](const Graph& g) { return SsmeProtocol::for_graph(g); },
+          [](const Graph& g, const SsmeProtocol& p, std::uint64_t seed) {
+            return random_config(g, p.clock(), seed);
+          },
+          [](const Graph&, const SsmeProtocol& p) {
+            return make_gamma1_checker(p);
+          }),
+      score_checker_row(
+          "ssme-safety", false,
+          [](const Graph& g) { return SsmeProtocol::for_graph(g); },
+          [](const Graph& g, const SsmeProtocol& p, std::uint64_t seed) {
+            return seed % 2 == 0 ? two_gradient_config(g, p)
+                                 : random_config(g, p.clock(), seed);
+          },
+          [](const Graph&, const SsmeProtocol& p) {
+            return make_mutex_safety_checker(p);
+          }),
+      score_checker_row(
+          "dijkstra-ring", true,
+          [](const Graph& g) { return DijkstraRingProtocol::for_ring(g); },
+          [](const Graph& g, const DijkstraRingProtocol& p,
+             std::uint64_t seed) {
+            return uniform_config<DijkstraRingProtocol::State>(g, 0,
+                                                               p.k() - 1, seed);
+          },
+          [](const Graph&, const DijkstraRingProtocol& p) {
+            return make_single_token_checker(p);
+          }),
+      score_checker_row(
+          "min-plus-one", false,
+          [](const Graph& g) { return MinPlusOneProtocol(g); },
+          [](const Graph& g, const MinPlusOneProtocol& p, std::uint64_t seed) {
+            return uniform_config<MinPlusOneProtocol::State>(
+                g, 0, p.level_cap(), seed);
+          },
+          [](const Graph&, const MinPlusOneProtocol& p) {
+            return make_min_plus_one_checker(p);
+          }),
+      score_checker_row(
+          "leader", false,
+          [](const Graph& g) { return LeaderElectionProtocol(g); },
+          [](const Graph& g, const LeaderElectionProtocol&, std::uint64_t s) {
+            return random_leader_config(g, s);
+          },
+          [](const Graph& g, const LeaderElectionProtocol& p) {
+            return make_leader_election_checker(p, g);
+          }),
+      score_checker_row(
+          "matching", false, [](const Graph&) { return MatchingProtocol(); },
+          [](const Graph& g, const MatchingProtocol&, std::uint64_t seed) {
+            return uniform_config<MatchingProtocol::State>(g, -3, g.n() + 2,
+                                                           seed);
+          },
+          [](const Graph&, const MatchingProtocol& p) {
+            return make_matching_checker(p);
+          }),
+      score_checker_row(
+          "coloring", false, [](const Graph& g) { return ColoringProtocol(g); },
+          [](const Graph& g, const ColoringProtocol& p, std::uint64_t seed) {
+            return random_coloring_config(g, p.palette_size(), seed);
+          },
+          [](const Graph&, const ColoringProtocol& p) {
+            return make_coloring_checker(p);
+          }),
+      score_checker_row(
+          "unbounded-unison", false,
+          [](const Graph&) { return UnboundedUnisonProtocol(); },
+          [](const Graph& g, const UnboundedUnisonProtocol&,
+             std::uint64_t seed) {
+            return uniform_config<UnboundedUnisonProtocol::State>(g, -5, 20,
+                                                                  seed);
+          },
+          [](const Graph&, const UnboundedUnisonProtocol& p) {
+            return make_unbounded_unison_checker(p);
+          }),
+  };
+  const Graph ring = make_ring(200);
+  const Graph torus = make_torus(10, 12);
+  for (const auto& row : rows) {
+    for (const Graph* g : {&ring, &torus}) {
+      if (row.ring_only && g != &ring) continue;
+      for (const std::string daemon_name :
+           {std::string("synchronous"), std::string("bernoulli-0.5")}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+          row.run(*g, daemon_name, seed);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
       }
     }
   }

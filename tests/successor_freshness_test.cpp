@@ -211,8 +211,8 @@ TEST(SuccessorFreshness, SsmeMixedStepsMatchReference) {
 }
 
 TEST(SuccessorFreshness, LeaderMixedStepsMatchReference) {
-  // Struct states through the unscored kernel and the checker's bulk
-  // pass.
+  // Struct states through the unscored kernel and the checker's ranged
+  // score sums.
   const Graph g = make_torus(12, 12);
   const LeaderElectionProtocol proto(g);
   expect_mixed_runs_match_reference(
