@@ -18,9 +18,10 @@ void geometric_skip_sample(const EnabledView& enabled, double p,
                            std::mt19937_64& rng, std::vector<VertexId>& out) {
   out.reserve(enabled.size());  // no-op once the buffer is warm
   std::geometric_distribution<std::int64_t> skip(p);
-  const auto size = static_cast<std::int64_t>(enabled.size());
+  const std::vector<VertexId>& list = enabled.vertices();
+  const auto size = static_cast<std::int64_t>(list.size());
   for (std::int64_t pos = skip(rng); pos < size; pos += 1 + skip(rng)) {
-    out.push_back(enabled[static_cast<std::size_t>(pos)]);
+    out.push_back(list[static_cast<std::size_t>(pos)]);
   }
 }
 
@@ -53,8 +54,9 @@ void CentralRoundRobinDaemon::select_into(const Graph& g,
                                           StepIndex, ActionBuffer& out) {
   // First enabled vertex with id >= cursor, wrapping around.  The cursor
   // itself is still enabled in the common case (few guards flip per
-  // action under a central schedule), which the bitmap answers in O(1);
-  // otherwise fall back to the successor search.
+  // action under a central schedule), which contains() answers in O(1)
+  // on the engine's mask words; otherwise fall back to the successor
+  // search.
   VertexId chosen;
   if (cursor_ < g.n() && enabled.contains(cursor_)) {
     chosen = cursor_;
@@ -128,8 +130,9 @@ void LocallyCentralDaemon::select_into(const Graph& g,
   out.marks.begin(g.n());  // blocked = marked
   out.active.clear();
   out.active.reserve(enabled.size());  // no-op once the buffer is warm
-  for (std::size_t i = 0; i < enabled.size(); ++i) {
-    const VertexId v = enabled[(start + i) % enabled.size()];
+  const std::vector<VertexId>& list = enabled.vertices();
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const VertexId v = list[(start + i) % list.size()];
     if (out.marks.marked(v)) continue;
     out.active.push_back(v);
     for (VertexId u : g.neighbors(v)) out.marks.mark(u);

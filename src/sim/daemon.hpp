@@ -18,10 +18,11 @@
 // Selection API: the engine calls select_into() once per action with a
 // caller-owned ActionBuffer that lives for the whole execution, so the
 // hot path allocates nothing in steady state.  The enabled set arrives as
-// an EnabledView — always the sorted vertex vector, plus an O(1)
-// membership bitmap when the caller maintains one (the incremental
-// engine's EnabledSet does) — which gives cursor daemons constant-time
-// advance in the common case.
+// an EnabledView (enabled_view.hpp): a sorted vertex vector, or the
+// production engine's EnabledSet, whose membership test and size read its
+// mask words and count without listing the set.  A daemon that activates
+// every enabled vertex says so through selects_every_enabled(), and the
+// production engine then takes its actions without calling it.
 #ifndef SPECSTAB_SIM_DAEMON_HPP
 #define SPECSTAB_SIM_DAEMON_HPP
 
@@ -33,47 +34,10 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "sim/enabled_view.hpp"
 #include "sim/types.hpp"
 
 namespace specstab {
-
-/// Read-only view of the enabled set: the sorted vertex vector plus an
-/// optional flat membership bitmap for O(1) contains().  Non-owning; valid
-/// only for the duration of one select_into() call.
-class EnabledView {
- public:
-  /* implicit */ EnabledView(const std::vector<VertexId>& sorted)
-      : sorted_(&sorted), bits_(nullptr) {}
-  EnabledView(const std::vector<VertexId>& sorted,
-              const std::vector<char>& bits)
-      : sorted_(&sorted), bits_(&bits) {}
-
-  [[nodiscard]] const std::vector<VertexId>& vertices() const {
-    return *sorted_;
-  }
-  [[nodiscard]] std::size_t size() const { return sorted_->size(); }
-  [[nodiscard]] bool empty() const { return sorted_->empty(); }
-  [[nodiscard]] VertexId front() const { return sorted_->front(); }
-  [[nodiscard]] VertexId back() const { return sorted_->back(); }
-  [[nodiscard]] VertexId operator[](std::size_t i) const {
-    return (*sorted_)[i];
-  }
-
-  /// Membership test: O(1) via the bitmap when the caller provided one
-  /// (the production engine's EnabledSet), O(log n) binary search
-  /// otherwise.
-  [[nodiscard]] bool contains(VertexId v) const {
-    if (bits_) {
-      const auto i = static_cast<std::size_t>(v);
-      return i < bits_->size() && (*bits_)[i] != 0;
-    }
-    return std::binary_search(sorted_->begin(), sorted_->end(), v);
-  }
-
- private:
-  const std::vector<VertexId>* sorted_;
-  const std::vector<char>* bits_;  // optional O(1) membership
-};
 
 /// Per-vertex scratch flags with O(1) amortized clearing via version
 /// stamps: begin() invalidates all previous marks without touching the
@@ -118,7 +82,8 @@ class Daemon {
 
   /// Writes a non-empty subset of `enabled` (which is non-empty) into
   /// `out.active`, **sorted ascending**, replacing any previous content.
-  /// Called once per action with `step` the 0-based action index; `out`
+  /// Called once per action with `step` the 0-based action index (the
+  /// production engine skips the call when selects_every_enabled()); `out`
   /// is owned by the caller and reused across the whole execution, so
   /// implementations must not assume it starts empty and should not
   /// allocate beyond warm-up.
@@ -131,6 +96,13 @@ class Daemon {
   [[nodiscard]] std::vector<VertexId> select(
       const Graph& g, const std::vector<VertexId>& enabled, StepIndex step);
 
+  /// Whether every action activates the whole enabled set, as sd's do.
+  /// The production engine reads it once per run and then takes each
+  /// action as the enabled set itself, without calling select_into() or
+  /// listing the vertices unless a consumer reads the list.  Wrappers
+  /// keep the default, so their select_into() sees every action.
+  [[nodiscard]] virtual bool selects_every_enabled() const { return false; }
+
   /// Human-readable name for reports.
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -140,17 +112,20 @@ class Daemon {
 };
 
 /// sd: activates every enabled vertex — one synchronous step per action.
+/// The production engine does not call select_into() (see
+/// selects_every_enabled()); wrappers and select() still get the copy.
 class SynchronousDaemon final : public Daemon {
  public:
   void select_into(const Graph&, const EnabledView& e, StepIndex,
                    ActionBuffer& out) override;
+  [[nodiscard]] bool selects_every_enabled() const override { return true; }
   [[nodiscard]] std::string name() const override { return "synchronous"; }
 };
 
 /// cd variant: activates the single enabled vertex next in id order after
 /// the previously activated one (fair central schedule).  Advance is O(1)
-/// when the cursor's vertex is still enabled (bitmap hit on the
-/// incremental EnabledSet); O(log n) successor search otherwise.
+/// when the cursor's vertex is still enabled (one word bit on the
+/// production engine's EnabledSet); O(log n) successor search otherwise.
 class CentralRoundRobinDaemon final : public Daemon {
  public:
   void select_into(const Graph& g, const EnabledView& e, StepIndex,

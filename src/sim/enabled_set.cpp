@@ -40,19 +40,20 @@ const std::vector<VertexId>& NeighborhoodExpander::expand(
 }
 
 void EnabledSet::reset(VertexId n) {
-  bits_.assign(static_cast<std::size_t>(n), 0);
+  words_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  count_ = 0;
   vertices_.clear();
+  listed_ = true;
   scratch_.clear();
   added_.clear();
   removed_.clear();
   // No staged set exceeds n vertices; reserving up front keeps the
-  // staging, merge and scatter paths allocation-free for the whole run
-  // (the bitmap above is O(n) memory already).
+  // staging, merge and cache rebuild paths allocation-free for the whole
+  // run.
   vertices_.reserve(static_cast<std::size_t>(n));
   scratch_.reserve(static_cast<std::size_t>(n));
   added_.reserve(static_cast<std::size_t>(n));
   removed_.reserve(static_cast<std::size_t>(n));
-  words_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
 }
 
 std::size_t EnabledSet::fill_words(VertexId begin, VertexId end,
@@ -68,57 +69,63 @@ std::size_t EnabledSet::fill_words(VertexId begin, VertexId end,
     words_[static_cast<std::size_t>(base) / 64] = mask;
     count += static_cast<std::size_t>(std::popcount(mask));
   }
-  for (VertexId v = begin; v < end; ++v) {
-    bits_[static_cast<std::size_t>(v)] = verdicts[v] != 0;
-  }
   return count;
 }
 
-void EnabledSet::prepare_scatter(const std::vector<std::size_t>& counts,
-                                 std::vector<std::size_t>& offsets) {
-  offsets.resize(counts.size() + 1);
-  offsets[0] = 0;
-  for (std::size_t k = 0; k < counts.size(); ++k) {
-    offsets[k + 1] = offsets[k] + counts[k];
-  }
-  // Within the reset() reservation: no shard rebuild exceeds n vertices.
-  vertices_.resize(offsets.back());
-}
-
-void EnabledSet::scatter_words(VertexId begin, VertexId end,
-                               std::size_t offset) {
-  // Empty trailing shards start at n, which need not be word-aligned.
-  assert(begin <= end && (begin % 64 == 0 || begin == end));
-  VertexId* dst = vertices_.data() + offset;
-  for (VertexId base = begin; base < end; base += 64) {
-    std::uint64_t mask = words_[static_cast<std::size_t>(base) / 64];
+void EnabledSet::list() const {
+  // Within the reset() reservation: the set never exceeds n vertices.
+  vertices_.resize(count_);
+  VertexId* out = vertices_.data();
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t mask = words_[w];
+    const auto base = static_cast<VertexId>(w * 64);
+    if (mask == ~std::uint64_t{0}) {
+      // A full word is a run of 64 ids.  Synchronous runs keep most
+      // vertices enabled, and a traced or observed one lists its action
+      // on every step.
+      for (VertexId b = 0; b < 64; ++b) *out++ = base + b;
+      continue;
+    }
     while (mask != 0) {
-      const int b = std::countr_zero(mask);
+      *out++ = base + static_cast<VertexId>(std::countr_zero(mask));
       mask &= mask - 1;
-      *dst++ = base + b;
     }
   }
+  assert(out == vertices_.data() + vertices_.size());
+  listed_ = true;
+}
+
+const std::vector<VertexId>& EnabledView::vertices() const {
+  return set_ != nullptr ? set_->vertices() : *sorted_;
 }
 
 void EnabledSet::assign(const std::vector<VertexId>& sorted_enabled) {
-  std::fill(bits_.begin(), bits_.end(), 0);
-  for (VertexId v : sorted_enabled) bits_[static_cast<std::size_t>(v)] = 1;
+  std::fill(words_.begin(), words_.end(), 0);
+  for (VertexId v : sorted_enabled) {
+    const auto i = static_cast<std::size_t>(v);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  count_ = sorted_enabled.size();
   // Copy into the reserved buffer — moving the argument in would replace
   // it with a smaller allocation and re-introduce mid-run growth.
   vertices_.assign(sorted_enabled.begin(), sorted_enabled.end());
+  listed_ = true;
 }
 
 bool EnabledSet::commit() {
   if (added_.empty() && removed_.empty()) return false;
+  // The words already hold the flips; an invalid cache is rebuilt from
+  // them when next asked for.
+  if (!listed_) return true;
   if (added_.size() + removed_.size() <= 8) {
     // The common case under central daemons: a couple of flips per
     // action.  Binary search + memmove beats a full merge pass.
     //
     // The asserts hold the staging contract: removed_ must be a subset
     // of vertices_ and added_ disjoint from it (note() keeps both in
-    // lockstep with the bitmap).  A breach — e.g. a caller desyncing
-    // the bitmap from the vector — would otherwise erase the wrong
-    // vertex or end(), which is UB, not a detectable failure.
+    // lockstep with the words).  A breach — e.g. a caller rewriting the
+    // words without invalidating the cache — would otherwise erase the
+    // wrong vertex or end(), which is UB, not a detectable failure.
     for (VertexId v : removed_) {
       const auto it =
           std::lower_bound(vertices_.begin(), vertices_.end(), v);

@@ -2,15 +2,17 @@
 // the incremental-checker concepts.
 //
 // The production engine (parallel_engine.hpp) maintains the enabled set
-// behind EnabledSet (a flat membership bitmap plus a sorted vector).
-// Sparse steps edit it by staged per-vertex flips (note()/commit());
-// dense steps rebuild it from packed guard-verdict words, one shard at a
-// time (fill_words()/scatter_words()).  The IncrementalLegitimacy,
-// HasBallUpdate and HasScoreRange concepts describe the checker objects
-// the engine drives (see core/incremental_legitimacy.hpp for the
-// concrete checkers): a dense step's verdict is one accept_total() of
-// the shards' partial score totals for a HasScoreRange checker, and the
-// checker's own on_update() for any other.
+// behind EnabledSet: 64-bit mask words plus a maintained count, with a
+// sorted vertex vector kept only as a cache.  Sparse steps flip bits
+// (note()/commit(), which also keeps a valid cache current); dense steps
+// pack guard verdicts into the words, one shard at a time (fill_words()),
+// and leave the cache to be rebuilt by whichever consumer next indexes
+// it.  The IncrementalLegitimacy, HasBallUpdate and HasScoreRange
+// concepts describe the checker objects the engine drives (see
+// core/incremental_legitimacy.hpp for the concrete checkers): a dense
+// step's verdict is one accept_total() of the shards' partial score
+// totals for a HasScoreRange checker, and the checker's own on_update()
+// for any other.
 #ifndef SPECSTAB_SIM_ENABLED_SET_HPP
 #define SPECSTAB_SIM_ENABLED_SET_HPP
 
@@ -21,7 +23,7 @@
 
 #include "graph/graph.hpp"
 #include "sim/config_store.hpp"
-#include "sim/daemon.hpp"
+#include "sim/enabled_view.hpp"
 #include "sim/types.hpp"
 
 namespace specstab {
@@ -134,11 +136,20 @@ class NeighborhoodExpander {
   std::vector<VertexId> out_, frontier_, next_;
 };
 
-/// The enabled set as a flat membership bitmap plus a sorted vector.
-/// Updates are staged per dirty vertex (note(), in ascending vertex
-/// order) and applied by commit(): a handful of flips edit the sorted
-/// vector in place (binary search + memmove), larger batches take one
-/// linear merge pass.
+/// The enabled set.  Its 64-bit mask words (bit v % 64 of word v / 64
+/// set iff v is enabled) and their maintained count are the set:
+/// size(), empty() and view() (whose contains() tests one bit) read
+/// nothing else.  The sorted vertex vector is a cache for consumers that
+/// index the set (the sampling, central and locally-central daemons,
+/// trace recording, observers, round snapshots, audits, per-target
+/// installs): a dense rebuild invalidates it and vertices() rebuilds it
+/// with one ctz walk over the words the first time it is asked for.
+///
+/// Sparse updates are staged per dirty vertex (note(), in ascending
+/// vertex order, flips the bit and the count at once) and applied to a
+/// valid cache by commit(): a handful of flips edit the sorted vector in
+/// place (binary search + memmove), larger batches take one linear merge
+/// pass.
 class EnabledSet {
  public:
   void reset(VertexId n);
@@ -146,74 +157,84 @@ class EnabledSet {
   /// Installs the full enabled set (sorted), e.g. from the initial scan.
   void assign(const std::vector<VertexId>& sorted_enabled);
 
-  [[nodiscard]] bool empty() const { return vertices_.empty(); }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  /// The enabled vertices, ascending: the cache, rebuilt first if a
+  /// dense rebuild invalidated it.
   [[nodiscard]] const std::vector<VertexId>& vertices() const {
+    if (!listed_) list();
     return vertices_;
   }
-  /// Daemon-facing view: the sorted vector plus the membership bitmap,
-  /// which gives cursor daemons O(1) contains() (see EnabledView).
-  [[nodiscard]] EnabledView view() const { return {vertices_, bits_}; }
+  /// View over the words; it lists the set through vertices() only
+  /// when its reader indexes it.
+  [[nodiscard]] EnabledView view() const { return {*this, words_, count_}; }
 
   void begin_update() {
     added_.clear();
     removed_.clear();
   }
-  /// Records the fresh guard verdict of a dirty vertex.  Must be called
-  /// in ascending vertex order between begin_update() and commit().
-  /// Inline: a sparse step calls it once per vertex of its dirty ball.
+  /// Records the fresh guard verdict of a dirty vertex: flips its bit and
+  /// the count when the verdict changed.  Must be called in ascending
+  /// vertex order between begin_update() and commit().  Inline: a sparse
+  /// step calls it once per vertex of its dirty ball.
   void note(VertexId v, bool enabled_now) {
-    char& bit = bits_[static_cast<std::size_t>(v)];
-    if ((bit != 0) == enabled_now) return;
-    bit = enabled_now ? 1 : 0;
-    (enabled_now ? added_ : removed_).push_back(v);
+    const auto i = static_cast<std::size_t>(v);
+    std::uint64_t& word = words_[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if (((word & bit) != 0) == enabled_now) return;
+    word ^= bit;
+    if (enabled_now) {
+      ++count_;
+      added_.push_back(v);
+    } else {
+      --count_;
+      removed_.push_back(v);
+    }
   }
-  /// Applies the staged flips; returns whether the vector changed.
+  /// Applies the staged flips to the cache when it is valid; returns
+  /// whether the set changed.
   bool commit();
+  /// The vertices note() turned off since begin_update(), ascending.
+  [[nodiscard]] const std::vector<VertexId>& turned_off() const {
+    return removed_;
+  }
 
   // --- Sharded dense rebuild ---------------------------------------------
   //
   // When a step dirties most of the graph the flip staging above
-  // degenerates (per-vertex compare-and-stage plus a full merge), so the
-  // engine's dense path rebuilds the whole set from per-shard guard
-  // verdicts with no sequential concatenation.  Shard ranges must
-  // partition [0, n) with every interior boundary a multiple of 64, so
-  // shards touch disjoint mask words and disjoint bitmap bytes:
-  //
-  //   1. each shard calls fill_words(begin, end, verdicts) over its own
-  //      range (verdicts indexed by absolute vertex id, padded to a
-  //      64-byte multiple with zeros past the last vertex) and keeps the
-  //      returned enabled count;
-  //   2. one thread calls prepare_scatter(counts, offsets) — a prefix
-  //      sum over the shard counts plus the sorted-vector resize (within
-  //      the reset() reservation, so allocation-free);
-  //   3. each shard calls scatter_words(begin, end, offsets[k]) to
-  //      decode its words into its slice of the sorted vector.
-  //
-  // Concurrent fill/scatter calls on distinct ranges are data-race-free
-  // by construction (disjoint writes, no size changes); the resulting
-  // bitmap and sorted vector are identical to assign() of the enabled
-  // vertices in ascending order.
+  // degenerates, so the engine's dense path packs every shard's guard
+  // verdicts straight into its own words.  Shard ranges must partition
+  // [0, n) with every interior boundary a multiple of 64, so shards write
+  // disjoint words and concurrent fill_words() calls are data-race-free.
+  // One thread then publishes the sum of the shards' counts with
+  // end_fill(); the set equals assign() of the enabled vertices.
 
-  /// Packs verdicts[begin..end) into mask words and the membership
-  /// bitmap; returns the number of enabled vertices in the range.
+  /// Packs verdicts[begin..end) into mask words (verdicts indexed by
+  /// absolute vertex id, padded to a 64-byte multiple with zeros past the
+  /// last vertex); returns the number of enabled vertices in the range.
   /// `begin` must be a multiple of 64 unless the range is empty; `end`
   /// must be the next shard's begin or n.
   std::size_t fill_words(VertexId begin, VertexId end,
                          const std::uint8_t* verdicts);
 
-  /// Prefix-sums the per-shard counts into `offsets` (size counts.size()
-  /// + 1) and sizes the sorted vector for scatter_words().
-  void prepare_scatter(const std::vector<std::size_t>& counts,
-                       std::vector<std::size_t>& offsets);
-
-  /// Decodes the mask words of [begin, end) into the sorted vector
-  /// starting at `offset` (the shard's prefix sum from prepare_scatter).
-  void scatter_words(VertexId begin, VertexId end, std::size_t offset);
+  /// Ends a dense rebuild: `count` is the sum of the shards' fill_words()
+  /// results.  Invalidates the sorted cache.
+  void end_fill(std::size_t count) {
+    count_ = count;
+    listed_ = false;
+  }
 
  private:
-  std::vector<char> bits_;
-  std::vector<VertexId> vertices_, scratch_, added_, removed_;
-  std::vector<std::uint64_t> words_;  ///< sharded-rebuild mask words
+  /// Rebuilds the sorted cache from the words.
+  void list() const;
+
+  std::vector<std::uint64_t> words_;
+  std::size_t count_ = 0;
+  // The sorted cache: logically part of the words, so vertices() may
+  // rebuild it through a const reference.
+  mutable std::vector<VertexId> vertices_;
+  mutable bool listed_ = true;
+  std::vector<VertexId> scratch_, added_, removed_;
 };
 
 }  // namespace specstab

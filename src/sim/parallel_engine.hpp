@@ -21,7 +21,7 @@
 //   over a ShardPool.  The vertex range is cut into contiguous shards
 //   whose interior boundaries are multiples of 64, aligned to the
 //   EnabledSet mask words, and shard k stays pinned to worker k for the
-//   whole run.  Three barrier-separated phases:
+//   whole run.  Two barrier-separated phases:
 //
 //   1. *install* — shard k takes the successor states of the targets in
 //      its range (read from the kernel's successor column when it is
@@ -36,25 +36,39 @@
 //      protocol's SimdEval kernel (simd_eval.hpp; a scalar sweep for
 //      protocols without one), which also writes every vertex's
 //      synchronous successor, and packs the verdict bytes into its own
-//      mask words (fill_words).  A checker with a per-vertex score
-//      (HasScoreRange) gets its shard's partial violation total here:
-//      from the same kernel pass when kernel and checker share a
-//      ScoreKind, from checker.score_range() over the range otherwise;
-//   3. *scatter* — after a prefix sum over the per-shard enabled counts
-//      (prepare_scatter), shard k decodes its words into its slice of
-//      the sorted enabled vector (scatter_words).
+//      mask words of the enabled set (fill_words).  A checker with a
+//      per-vertex score (HasScoreRange) gets its shard's partial
+//      violation total here: from the same kernel pass when kernel and
+//      checker share a ScoreKind, from checker.score_range() over the
+//      range otherwise.
 //
-//   The verdict of a dense step is then one checker.accept_total() of the
-//   partial totals summed in shard order — int64 addition, so bit-exactly
-//   the full-scan total at every thread count.  Only checkers without a
-//   per-vertex score (RescanChecker, AlwaysLegitimate) take on_update().
+//   The shard-ordered sums then finish the step: the enabled counts give
+//   the set's size (EnabledSet::end_fill), and the partial totals give
+//   the verdict through one checker.accept_total() — int64 addition, so
+//   bit-exactly the full-scan total at every thread count.  Only
+//   checkers without a per-vertex score (RescanChecker, AlwaysLegitimate)
+//   take on_update().  The words are the enabled set; nothing decodes
+//   them into a sorted vector unless a consumer asks (see below).
+//
+//   *select-all steps.*  A daemon whose selects_every_enabled() is true
+//   (sd) is not asked to select: its action is the enabled set itself.
+//   The engine lists that set (EnabledSet::vertices(), a ctz walk over
+//   the words after a dense step) only for a consumer that reads the
+//   list: an observer, the trace, a sparse step, a dense install without
+//   a fresh column, or a checker without a per-vertex score.  A dense
+//   synchronous step with a fresh column is therefore swap_in, one
+//   sharded rescan phase and the shard-ordered sums: one barrier and no
+//   serial O(n) pass.
 //
 //   *sparse steps* (central and sparse distributed daemons) run on the
 //   calling thread as one batched dirty-set update: successors are
 //   computed against the pre-step configuration and installed with
 //   set(), one expand() yields the radius-r ball around all targets, the
 //   ball's guards are re-tested into EnabledSet::note()/commit(), and the
-//   same ball goes to a same-radius checker's on_update_ball().
+//   same ball goes to a same-radius checker's on_update_ball().  The
+//   round counter then neutralises only the vertices the ball turned
+//   off, so a central step costs O(ball), not O(n) (the first action
+//   after a fault epoch takes the full pass).
 //
 // A fault epoch differs from an action only in its bookkeeping: its
 // successors come from the FaultPlan, its trace record is sealed as a
@@ -182,9 +196,9 @@ namespace parallel_detail {
 
 /// Contiguous vertex shards: shard k covers [bounds[k], bounds[k+1]).
 /// Interior boundaries are rounded up to multiples of 64 so each shard
-/// owns whole EnabledSet mask words (fill_words/scatter_words write
-/// disjointly); small graphs leave trailing shards empty, which every
-/// phase tolerates.
+/// owns whole EnabledSet mask words (fill_words writes disjointly);
+/// small graphs leave trailing shards empty, which every phase
+/// tolerates.
 inline std::vector<VertexId> shard_bounds(VertexId n, std::size_t shards) {
   std::vector<VertexId> bounds(shards + 1, 0);
   for (std::size_t k = 0; k <= shards; ++k) {
@@ -293,17 +307,31 @@ RunResult<typename P::State> run_execution_parallel(
 
   NeighborhoodExpander expander(g.n());
   ActionBuffer action;
-  const std::vector<VertexId>& activated = action.active;
   std::vector<VertexId> round_base;
   std::vector<State> staged;
-  std::vector<std::size_t> shard_counts(shards, 0), shard_offsets;
+  std::vector<std::size_t> shard_counts(shards, 0);
   std::vector<std::int64_t> shard_scores(shards, 0);
+
+  // Whether every action activates the whole enabled set (see
+  // "select-all steps" above).  Read once: a daemon's class does not
+  // change within a run.
+  const bool select_all = daemon.selects_every_enabled();
+  // Whether nothing reads a select-all action's list: no observer, no
+  // trace, and a checker whose dense verdict is the shard totals.  Such
+  // an action on a dense step with a fresh successor column is
+  // swap_in_all() below.
+  constexpr bool kSwapsAll = HasSimdEval<P> && kScored;
+  const bool unlisted_select_all =
+      kSwapsAll && select_all && !observer && !opt.record_trace;
 
   // The step being installed: its sorted target set and, for a fault
   // epoch, the given successor states (nullptr: an action, whose
   // successors are computed into `staged`).
   const std::vector<VertexId>* targets = nullptr;
   const State* given = nullptr;
+  // After a sparse repair, the vertices it turned off (for the round
+  // counter); nullptr after a dense one, whose words were rewritten.
+  const std::vector<VertexId>* turned_off = nullptr;
 
   // The dense phase bodies are hoisted std::functions so the hot loop
   // never re-allocates closures; per-step state flows through the
@@ -358,13 +386,6 @@ RunResult<typename P::State> run_execution_parallel(
         }
       };
 
-  // Dense phase 3 — scatter the shard's words into its slice of the
-  // sorted enabled vector.
-  const std::function<void(std::size_t)> dense_scatter_phase =
-      [&](std::size_t k) {
-        enabled.scatter_words(bounds[k], bounds[k + 1], shard_offsets[k]);
-      };
-
   // Records one step in the trace.  The live view still reads the
   // pre-step states here (dense steps publish at dense_commit(), sparse
   // ones at set()).
@@ -381,9 +402,28 @@ RunResult<typename P::State> run_execution_parallel(
     }
   };
 
-  // The dense half of install_and_repair below: the three sharded phases,
-  // then one verdict — the merged partial totals, or the checker's own
-  // update for a checker without a per-vertex score.
+  // The tail of every dense step: the sharded rescan, then the
+  // shard-ordered sums.  Publishes the enabled count (end_fill) and
+  // returns the checker's merged partial totals.
+  const auto dense_rescan = [&]() -> std::int64_t {
+    if (!kernel) kernel.emplace(make_enabled_kernel(g, proto));
+    run_shards(dense_rescan_phase);
+    successors_fresh = HasSimdEval<P>;
+    turned_off = nullptr;
+    std::size_t enabled_count = 0;
+    std::int64_t total = 0;
+    for (std::size_t k = 0; k < shards; ++k) {
+      enabled_count += shard_counts[k];
+      total += shard_scores[k];
+    }
+    enabled.end_fill(enabled_count);
+    return total;
+  };
+
+  // The dense half of install_and_repair below: the install phase (or a
+  // buffer swap), the rescan, then one verdict — the merged partial
+  // totals, or the checker's own update for a checker without a
+  // per-vertex score.
   const auto dense_install_and_repair =
       [&](const std::vector<VertexId>& step_targets, const State* successors,
           bool perturbation) -> bool {
@@ -396,7 +436,7 @@ RunResult<typename P::State> run_execution_parallel(
       // step that activates every enabled vertex (targets are a subset
       // of equal size) installs it whole with a buffer swap.
       if (successors == nullptr && successors_fresh &&
-          step_targets.size() == enabled.vertices().size()) {
+          step_targets.size() == enabled.size()) {
         assert(step_targets == enabled.vertices());
         if (opt.record_trace) {
           for (std::size_t j = 0; j < step_targets.size(); ++j) {
@@ -419,17 +459,27 @@ RunResult<typename P::State> run_execution_parallel(
       }
       cfg.dense_commit();
     }
-    if (!kernel) kernel.emplace(make_enabled_kernel(g, proto));
-    run_shards(dense_rescan_phase);
-    successors_fresh = HasSimdEval<P>;
-    enabled.prepare_scatter(shard_counts, shard_offsets);
-    run_shards(dense_scatter_phase);
     if constexpr (kScored) {
-      std::int64_t total = 0;
-      for (std::size_t k = 0; k < shards; ++k) total += shard_scores[k];
-      return checker.accept_total(total);
+      return checker.accept_total(dense_rescan());
     } else {
-      return checker.on_update(g, live, step_targets);
+      // Before the rescan: a listed select-all action's targets are the
+      // enabled set's cache, which end_fill() invalidates.
+      const bool legit = checker.on_update(g, live, step_targets);
+      dense_rescan();
+      return legit;
+    }
+  };
+
+  // A select-all action on a dense step whose list nothing reads (see
+  // unlisted_select_all), with a fresh successor column: the column is
+  // the synchronous successor configuration, installed whole with one
+  // buffer swap, then the rescan.  No list and no serial O(n) pass.
+  const auto swap_in_all = [&]() -> bool {
+    if constexpr (kSwapsAll) {
+      cfg.swap_in(kernel->successors);
+      return checker.accept_total(dense_rescan());
+    } else {
+      return false;  // unreachable: unlisted_select_all needs kSwapsAll
     }
   };
 
@@ -474,11 +524,17 @@ RunResult<typename P::State> run_execution_parallel(
     } else {
       legit = checker.on_update(g, live, step_targets);
     }
+    // commit() edits the sorted cache in place, and a listed select-all
+    // action's targets are that cache: nothing reads them after it.
     enabled.commit();
+    turned_off = &enabled.turned_off();
     return legit;
   };
 
   StepIndex since_convergence = 0;
+  // Whether a fault epoch changed guards since the last action, which
+  // the round counter's turned-off list does not show.
+  bool epoch_since_action = false;
   while (res.steps < opt.max_steps) {
     // Fault injection: the epoch's corruption is installed and repaired
     // like an action whose successors come from the plan.  A plan also
@@ -489,6 +545,7 @@ RunResult<typename P::State> run_execution_parallel(
       note_legitimacy(res.steps,
                       install_and_repair(pert.victims, pert.values.data(),
                                          /*perturbation=*/true));
+      epoch_since_action = true;
       continue;
     }
     if (enabled.empty()) {
@@ -503,28 +560,48 @@ RunResult<typename P::State> run_execution_parallel(
       break;
     }
 
-    // The daemon writes into the loop-owned scratch buffer (sorted, per
-    // the select_into contract) — a sparse step runs without allocating
-    // once the buffers reach their high-water capacity.
-    daemon.select_into(g, enabled.view(), res.steps, action);
-    assert(std::is_sorted(activated.begin(), activated.end()));
-    if (observer) observer(res.steps, live, activated);
+    // The action.  A select-all daemon's is the enabled set: on a dense
+    // step that nothing lists it is swap_in_all(), and otherwise the
+    // set's own sorted cache, not a copy.  Any other daemon writes into
+    // the loop-owned buffer (sorted, per the select_into contract).  A
+    // sparse step runs without allocating once the buffers reach their
+    // high-water capacity.
+    const std::size_t enabled_before = enabled.size();
+    std::size_t count = enabled_before;
+    bool legit;
+    if (unlisted_select_all && successors_fresh &&
+        is_dense_update(static_cast<std::int64_t>(enabled_before), radius,
+                        g)) {
+      legit = swap_in_all();
+    } else {
+      if (!select_all) {
+        daemon.select_into(g, enabled.view(), res.steps, action);
+      }
+      const std::vector<VertexId>& activated =
+          select_all ? enabled.vertices() : action.active;
+      assert(std::is_sorted(activated.begin(), activated.end()));
+      if (observer) observer(res.steps, live, activated);
+      count = activated.size();
 
-    // The round counter reads the pre-action enabled set only when the
-    // action opens a round it does not also complete; snapshot it then
-    // (at most once per round, never on a synchronous step) so the repair
-    // can edit the sorted vector in place.
-    const std::size_t enabled_before = enabled.vertices().size();
-    if (rc.needs_enabled_before(enabled_before, activated.size())) {
-      round_base = enabled.vertices();
+      // The round counter reads the pre-action enabled set only when the
+      // action opens a round it does not also complete; snapshot it then
+      // (at most once per round, never on a select-all step) so the
+      // repair can edit the set in place.
+      if (rc.needs_enabled_before(enabled_before, count)) {
+        round_base = enabled.vertices();
+      }
+      legit = install_and_repair(activated, nullptr, /*perturbation=*/false);
     }
-
-    const bool legit =
-        install_and_repair(activated, nullptr, /*perturbation=*/false);
-    res.moves += static_cast<std::int64_t>(activated.size());
+    res.moves += static_cast<std::int64_t>(count);
     ++res.steps;
     if (res.first_legitimate >= 0) ++since_convergence;
-    rc.on_action(enabled_before, round_base, activated, enabled.vertices());
+    if (select_all) {
+      rc.on_select_all();
+    } else {
+      rc.on_action(enabled_before, round_base, action.active, enabled.view(),
+                   epoch_since_action ? nullptr : turned_off);
+    }
+    epoch_since_action = false;
     note_legitimacy(res.steps, legit);
   }
   res.hit_step_cap = !res.terminated && res.steps >= opt.max_steps;

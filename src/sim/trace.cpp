@@ -17,7 +17,8 @@ void RoundCounter::reset() {
 void RoundCounter::on_action(std::size_t enabled_before_size,
                              const std::vector<VertexId>& enabled_before,
                              const std::vector<VertexId>& activated,
-                             const std::vector<VertexId>& enabled_after) {
+                             const EnabledView& enabled_after,
+                             const std::vector<VertexId>* turned_off) {
   if (!round_open_ && activated.size() == enabled_before_size) {
     // Synchronous action at a round boundary: activated is a subset of
     // enabled_before, so equal sizes mean every vertex the round would
@@ -38,21 +39,20 @@ void RoundCounter::on_action(std::size_t enabled_before_size,
     if (!round_open_) return;
   }
   // Activated vertices are served.
-  for (VertexId v : activated) {
-    if (pending_[static_cast<std::size_t>(v)]) {
-      pending_[static_cast<std::size_t>(v)] = 0;
-      --pending_count_;
-    }
-  }
-  // Vertices that became disabled are neutralised.
+  for (VertexId v : activated) settle(v);
+  // Vertices that became disabled are neutralised.  After every action
+  // each pending vertex is enabled, so without a fault epoch in between
+  // the pending vertices this action disabled are among the ones it
+  // turned off.
   if (pending_count_ > 0) {
-    auto it = enabled_after.begin();
-    for (VertexId v = 0; v < n_ && pending_count_ > 0; ++v) {
-      if (!pending_[static_cast<std::size_t>(v)]) continue;
-      it = std::lower_bound(it, enabled_after.end(), v);
-      if (it == enabled_after.end() || *it != v) {
-        pending_[static_cast<std::size_t>(v)] = 0;
-        --pending_count_;
+    if (turned_off != nullptr) {
+      for (VertexId v : *turned_off) settle(v);
+    } else {
+      for (VertexId v = 0; v < n_ && pending_count_ > 0; ++v) {
+        if (pending_[static_cast<std::size_t>(v)] != 0 &&
+            !enabled_after.contains(v)) {
+          settle(v);
+        }
       }
     }
   }

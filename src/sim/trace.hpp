@@ -6,9 +6,18 @@
 // was enabled at the start has been activated or neutralised (became
 // disabled); subsequent rounds are defined on the remaining suffix.
 // Under the synchronous daemon, rounds and steps coincide.
+//
+// RoundCounter reads the post-action enabled set only through a
+// membership test (an EnabledView), never as a sorted vector.  A
+// synchronous action costs O(1).  Any other action costs O(|activated|)
+// to serve vertices, O(n) once per round to open it, and the
+// neutralisation pass: O(n) in general, or O(turned-off vertices) when
+// the caller lists the vertices whose guard the action switched off
+// (the production engine's sparse steps).
 #ifndef SPECSTAB_SIM_TRACE_HPP
 #define SPECSTAB_SIM_TRACE_HPP
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -17,6 +26,7 @@
 
 #include "graph/graph.hpp"
 #include "sim/config_store.hpp"
+#include "sim/enabled_view.hpp"
 #include "sim/types.hpp"
 
 namespace specstab {
@@ -223,31 +233,50 @@ class DeltaTrace {
   std::vector<std::uint8_t> perturbation_;  // one flag per record
 };
 
-/// Incremental round counter fed with (enabled-before, activated,
-/// enabled-after) triples, one per action.
+/// Incremental round counter, fed once per action.
 class RoundCounter {
  public:
   explicit RoundCounter(VertexId n);
 
   /// Accounts one action.  `enabled_before` is the enabled set in the
   /// pre-configuration, `activated` the daemon's choice, `enabled_after`
-  /// the enabled set in the post-configuration.  All sorted.
+  /// the enabled set in the post-configuration.  All sorted.  The
+  /// reference engine's form: neutralisation takes the full pass.
   void on_action(const std::vector<VertexId>& enabled_before,
                  const std::vector<VertexId>& activated,
                  const std::vector<VertexId>& enabled_after) {
     on_action(enabled_before.size(), enabled_before, activated,
-              enabled_after);
+              EnabledView(enabled_after), nullptr);
   }
 
   /// The same, for callers that repair the enabled set in place and keep
   /// no pre-action copy: `enabled_before_size` is the size of the
   /// pre-configuration enabled set, and `enabled_before` must hold that
   /// set only when needs_enabled_before() returned true for this action
-  /// (it is not read otherwise).
+  /// (it is not read otherwise).  `enabled_after` is read only through
+  /// contains().
+  ///
+  /// `turned_off`, when not null, lists ascending every vertex whose
+  /// guard this action switched from enabled to disabled, and
+  /// neutralisation visits only those.  That is exact only when the
+  /// pre-action enabled set is the one the previous on_action() saw
+  /// after its action: a fault epoch in between changes guards without
+  /// an action, so the first action after one must pass nullptr, which
+  /// tests every pending vertex against `enabled_after`.
   void on_action(std::size_t enabled_before_size,
                  const std::vector<VertexId>& enabled_before,
                  const std::vector<VertexId>& activated,
-                 const std::vector<VertexId>& enabled_after);
+                 const EnabledView& enabled_after,
+                 const std::vector<VertexId>* turned_off);
+
+  /// Accounts an action that activates every enabled vertex while no
+  /// round is open: the round opens and completes at once, and nothing
+  /// else is read.  A run whose every action activates the whole enabled
+  /// set never opens a round (fault epochs do not open one either).
+  void on_select_all() {
+    assert(!round_open_);
+    ++rounds_;
+  }
 
   /// Whether on_action() will read the pre-configuration enabled set: the
   /// action opens a round that it does not also complete.  An action at
@@ -266,6 +295,15 @@ class RoundCounter {
   void reset();
 
  private:
+  /// Clears `v` from the open round if it is still pending.
+  void settle(VertexId v) {
+    char& pending = pending_[static_cast<std::size_t>(v)];
+    if (pending != 0) {
+      pending = 0;
+      --pending_count_;
+    }
+  }
+
   VertexId n_;
   bool round_open_ = false;
   std::vector<char> pending_;  // vertices the open round still waits on

@@ -7,6 +7,7 @@
 #include "core/adversarial_configs.hpp"
 #include "core/ssme.hpp"
 #include "graph/generators.hpp"
+#include "sim/enabled_set.hpp"
 #include "sim/engine.hpp"
 
 namespace specstab {
@@ -158,10 +159,12 @@ TEST(DaemonCheckTest, AuditFlagsActivationOutsideEnabledSet) {
   ContractBreachingDaemon inner(
       ContractBreachingDaemon::Breach::kOutsideEnabled);
   DaemonAudit audit(inner, g.n());
-  // Enabled = {1, 3, 5}; the breaching daemon will choose vertex 0.
-  std::vector<VertexId> enabled_vec = {1, 3, 5};
-  std::vector<char> bits = {0, 1, 0, 1, 0, 1};
-  const EnabledView view(enabled_vec, bits);
+  // Enabled = {1, 3, 5}, viewed over the engine's mask words; the
+  // breaching daemon will choose vertex 0.
+  EnabledSet enabled;
+  enabled.reset(g.n());
+  enabled.assign({1, 3, 5});
+  const EnabledView view = enabled.view();
   ActionBuffer buf;
   audit.select_into(g, view, 0, buf);
   EXPECT_EQ(buf.active, (std::vector<VertexId>{0}));
@@ -173,9 +176,10 @@ TEST(DaemonCheckTest, AuditFlagsUnsortedSelection) {
   const Graph g = make_ring(6);
   ContractBreachingDaemon inner(ContractBreachingDaemon::Breach::kUnsorted);
   DaemonAudit audit(inner, g.n());
-  std::vector<VertexId> enabled_vec = {1, 3, 5};
-  std::vector<char> bits = {0, 1, 0, 1, 0, 1};
-  const EnabledView view(enabled_vec, bits);
+  EnabledSet enabled;
+  enabled.reset(g.n());
+  enabled.assign({1, 3, 5});
+  const EnabledView view = enabled.view();
   ActionBuffer buf;
   audit.select_into(g, view, 0, buf);
   EXPECT_EQ(buf.active, (std::vector<VertexId>{5, 1}));

@@ -10,8 +10,9 @@
 //     allocation-free for every concrete daemon, and the incremental
 //     engine's whole action loop performs a step-count-independent
 //     number of allocations (i.e. zero per action in steady state);
-//   - the EnabledView bitmap fast path chooses exactly what the
-//     binary-search fallback chooses.
+//   - a view over the engine's mask words (EnabledSet::view()) chooses
+//     exactly what the binary-search view over a sorted vector chooses,
+//     for every daemon, whether or not the set's sorted cache is built.
 //
 // The allocation guards replace the global operator new/delete of this
 // test binary with counting versions; keep gtest assertions outside the
@@ -31,6 +32,7 @@
 #include "core/ssme.hpp"
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
+#include "sim/enabled_set.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_engine.hpp"
 
@@ -160,26 +162,36 @@ TEST(DaemonScratchTest, SelectionsAreSortedNonEmptySubsets) {
 }
 
 TEST(DaemonScratchTest, BitmapAndBinarySearchViewsAgree) {
-  const Graph g = make_ring(16);
+  // The mask words are a membership bitmap: a view over them answers
+  // contains() from one bit and lists the set only for daemons that
+  // index it.  Every daemon must
+  // choose from it exactly what it chooses from the sorted vector.  The
+  // set is rebuilt from words each step (as after a dense step), so its
+  // cache starts invalid and the first daemon that indexes it builds it.
+  const Graph g = make_ring(150);
   const auto sequence = enabled_sequence(g.n(), 400, 5);
-  CentralRoundRobinDaemon with_bits, without_bits;
-  PriorityCentralDaemon prio_bits({11, 7, 2}), prio_plain({11, 7, 2});
+  auto word_daemons = all_daemons(29);
+  auto plain_daemons = all_daemons(29);
+  word_daemons.push_back(std::make_unique<CentralRoundRobinDaemon>());
+  plain_daemons.push_back(std::make_unique<CentralRoundRobinDaemon>());
   ActionBuffer a, b;
-  std::vector<char> bits(static_cast<std::size_t>(g.n()), 0);
+  EnabledSet set;
+  set.reset(g.n());
+  std::vector<std::uint8_t> verdicts(
+      (static_cast<std::size_t>(g.n()) + 63) / 64 * 64, 0);
   for (std::size_t i = 0; i < sequence.size(); ++i) {
-    std::fill(bits.begin(), bits.end(), 0);
-    for (VertexId v : sequence[i]) bits[static_cast<std::size_t>(v)] = 1;
-    const EnabledView bitmap_view(sequence[i], bits);
+    std::fill(verdicts.begin(), verdicts.end(), 0);
+    for (VertexId v : sequence[i]) verdicts[static_cast<std::size_t>(v)] = 1;
+    set.end_fill(set.fill_words(0, g.n(), verdicts.data()));
+    const EnabledView word_view = set.view();
     const EnabledView plain_view(sequence[i]);
     const auto step = static_cast<StepIndex>(i);
-
-    with_bits.select_into(g, bitmap_view, step, a);
-    without_bits.select_into(g, plain_view, step, b);
-    ASSERT_EQ(a.active, b.active) << "round-robin step " << i;
-
-    prio_bits.select_into(g, bitmap_view, step, a);
-    prio_plain.select_into(g, plain_view, step, b);
-    ASSERT_EQ(a.active, b.active) << "priority step " << i;
+    for (std::size_t d = 0; d < word_daemons.size(); ++d) {
+      word_daemons[d]->select_into(g, word_view, step, a);
+      plain_daemons[d]->select_into(g, plain_view, step, b);
+      ASSERT_EQ(a.active, b.active)
+          << word_daemons[d]->name() << " step " << i;
+    }
   }
 }
 
@@ -283,15 +295,18 @@ TEST(DaemonScratchTest, WarmedSelectIntoIsAllocationFree) {
   }
 }
 
-/// Allocations of one production-engine run at the given step budget.
+/// Allocations of one production-engine run at the given step budget and
+/// thread count.
 template <class MakeDaemon>
 long long run_allocations(const Graph& g, const SsmeProtocol& proto,
-                          MakeDaemon make, StepIndex max_steps) {
+                          MakeDaemon make, StepIndex max_steps,
+                          unsigned threads = 1) {
   auto daemon = make();
   auto checker = make_gamma1_checker(proto);
   const auto init = random_config(g, proto.clock(), 77);
   RunOptions opt;
   opt.max_steps = max_steps;
+  opt.threads = threads;
   const long long before = g_allocations.load(std::memory_order_relaxed);
   const auto res =
       run_execution_parallel(g, proto, *daemon, init, opt, checker);
@@ -304,6 +319,8 @@ TEST(DaemonScratchTest, ActionLoopAllocationCountIsStepIndependent) {
   // The zero-allocation claim, measured: growing the step budget 40x may
   // not grow the allocation count (all per-action scratch is reused;
   // only setup and a bounded number of capacity doublings allocate).
+  // The synchronous leg also runs at two threads, where its dense steps
+  // go through the shard pool.
   const Graph g = make_ring(32);
   const SsmeProtocol proto = SsmeProtocol::for_graph(g);
   const std::uint64_t seed = 3;
@@ -314,6 +331,10 @@ TEST(DaemonScratchTest, ActionLoopAllocationCountIsStepIndependent) {
     const long long long_run = run_allocations(g, proto, make, 2000);
     EXPECT_LE(long_run, short_run) << name;
   }
+  const auto make_sync = [&] { return make_daemon("synchronous", seed); };
+  const long long short_t2 = run_allocations(g, proto, make_sync, 50, 2);
+  const long long long_t2 = run_allocations(g, proto, make_sync, 2000, 2);
+  EXPECT_LE(long_t2, short_t2) << "synchronous threads=2";
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 // with -fsanitize=thread and runs exactly this suite, so every test here
 // doubles as a data-race probe.  The scenarios are therefore chosen to
 // keep many shards busy: graphs big enough for 8–16 non-empty shards,
-// dense synchronous steps (sharded apply + per-shard rescan + scatter)
+// dense synchronous steps (sharded install or column swap-in, then the
+// per-shard rescan into the enabled set's mask words)
 // interleaved with the sparse steps of central and Bernoulli daemons
 // (which run on the calling thread at every thread count), radius-2
 // guards whose balls straddle shard boundaries, and trace recording on
@@ -18,6 +19,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/protocol_registry.hpp"
 #include "test_protocols.hpp"
@@ -75,6 +78,7 @@ void expect_same_run(const RunResult<State>& a, const RunResult<State>& b,
   EXPECT_EQ(a.last_illegitimate, b.last_illegitimate) << ctx;
   EXPECT_EQ(a.moves_to_convergence, b.moves_to_convergence) << ctx;
   EXPECT_EQ(a.rounds_to_convergence, b.rounds_to_convergence) << ctx;
+  EXPECT_EQ(a.perturb, b.perturb) << ctx;
   EXPECT_TRUE(a.trace == b.trace) << ctx;
 }
 
@@ -226,8 +230,8 @@ TEST(ParallelDifferential, WordBoundaryShardMisalignment) {
   // straddling word boundaries (63/64/65/97/129/190) produce shards of
   // unequal word counts, trailing partial words, and — at high thread
   // counts — empty trailing shards.  The fused dense path (per-shard
-  // SimdEval + disjoint mask-word writes + scatter prefix sums) must be
-  // byte-identical through all of it.
+  // SimdEval + disjoint mask-word writes + shard-ordered count and score
+  // sums) must be byte-identical through all of it.
   const UnboundedUnisonProtocol proto;
   for (const VertexId n : {63, 64, 65, 97, 129, 190}) {
     const Graph g = make_ring(n);
@@ -404,6 +408,151 @@ TEST(ParallelDifferential, ScoredKernelPartialSumsAcrossShards) {
         }
       }
     }
+  }
+}
+
+/// Everything an observer saw: per action, the step index, the activated
+/// set and how many of its vertices were enabled in the pre-configuration
+/// the observer was handed.
+struct ObservedAction {
+  StepIndex step;
+  std::vector<VertexId> activated;
+  std::size_t enabled_seen;
+
+  friend bool operator==(const ObservedAction&,
+                         const ObservedAction&) = default;
+};
+
+/// Runs a select-all scenario on the reference engine and on the
+/// production engine at 1, 2 and 8 threads, with the trace on and off and
+/// with and without an observer, asserting identical RunResults (traces
+/// and recovery stats included) and identical observed actions.  A
+/// select-all daemon's action is listed only when something reads it, so
+/// each of these switches picks a different engine path.  `fault_text`
+/// (empty: none) adds a FaultPlan whose epochs fall between the
+/// synchronous steps.
+template <ProtocolConcept P, class MakeChecker>
+void expect_select_all_paths_agree(const Graph& g, const P& proto,
+                                   const std::string& daemon_name,
+                                   const Config<typename P::State>& init,
+                                   MakeChecker make_checker,
+                                   const std::string& fault_text,
+                                   RunOptions opt, const std::string& context) {
+  using State = typename P::State;
+  const std::uint64_t seed = 9;
+  const FaultSpec fault =
+      fault_text.empty() ? FaultSpec{} : FaultSpec::parse(fault_text);
+  const auto run = [&](EngineKind engine, unsigned threads, bool trace,
+                       std::vector<ObservedAction>* seen) {
+    RunOptions o = opt;
+    o.engine = engine;
+    o.threads = threads;
+    o.record_trace = trace;
+    auto daemon = make_daemon(daemon_name, seed);
+    auto checker = make_checker();
+    StepObserver<State> observer;
+    if (seen != nullptr) {
+      observer = [&g, &proto, seen](StepIndex step, ConfigView<State> cfg,
+                                    const std::vector<VertexId>& activated) {
+        std::size_t enabled_seen = 0;
+        for (const VertexId v : activated) {
+          enabled_seen += proto.enabled(g, cfg, v) ? 1 : 0;
+        }
+        seen->push_back({step, activated, enabled_seen});
+      };
+    }
+    std::optional<FaultPlan<State>> plan;
+    if (fault.active()) {
+      plan.emplace(
+          fault, seed, protocol_locality_radius(proto),
+          [&init](std::uint64_t) { return init; },
+          [&proto](const Graph& gg, const ConfigView<State>& cv, VertexId v) {
+            return proto.enabled(gg, cv, v);
+          });
+    }
+    return run_with_engine(g, proto, *daemon, init, o, checker, observer,
+                           plan ? &*plan : nullptr);
+  };
+  for (const bool trace : {false, true}) {
+    for (const bool observe : {false, true}) {
+      std::vector<ObservedAction> base_seen;
+      const auto base = run(EngineKind::kReference, 1, trace,
+                            observe ? &base_seen : nullptr);
+      if (fault.active()) {
+        ASSERT_EQ(base.perturb.epochs_fired, fault.epochs) << context;
+      }
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        const std::string ctx = context + " trace=" + std::to_string(trace) +
+                                " observer=" + std::to_string(observe) +
+                                " threads=" + std::to_string(threads);
+        std::vector<ObservedAction> seen;
+        const auto got = run(EngineKind::kIncremental, threads, trace,
+                             observe ? &seen : nullptr);
+        expect_same_run(base, got, ctx);
+        EXPECT_TRUE(seen == base_seen) << ctx;
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(ParallelDifferential, SelectAllStepsEveryFallbackMatchesReference) {
+  // The synchronous daemon's actions are the enabled set itself.  The
+  // engine lists that set only for a consumer: the trace, an observer, a
+  // dense install after a sparse fault epoch left the successor column
+  // stale, a sparse step once the run has converged far enough, a
+  // protocol without a guard kernel, and a checker without a per-vertex
+  // score.  Otherwise the step is a column swap-in plus one rescan.
+  // bernoulli-1 selects every enabled vertex through select_into(), the
+  // path of a daemon that does not declare it.
+  const Graph ring = make_ring(200);
+  const Graph grid = make_grid(12, 14);
+  const SsmeProtocol ssme = SsmeProtocol::for_graph(ring);
+  const auto gamma1 = [&] { return make_gamma1_checker(ssme); };
+  for (const std::string& daemon_name :
+       {std::string("synchronous"), std::string("bernoulli-1")}) {
+    RunOptions opt;
+    opt.max_steps = 300;
+    expect_select_all_paths_agree(ring, ssme, daemon_name,
+                                  random_config(ring, ssme.clock(), 3), gamma1,
+                                  "", opt, "ssme " + daemon_name);
+    if (::testing::Test::HasFatalFailure()) return;
+    // Two victims per epoch: sparse epochs between dense steps.
+    expect_select_all_paths_agree(
+        ring, ssme, daemon_name, random_config(ring, ssme.clock(), 4), gamma1,
+        "periodic:period=7;k=2;epochs=6;start=5", opt,
+        "ssme sparse epochs " + daemon_name);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // min+1 converges from dense steps to sparse ones and terminates.
+    const MinPlusOneProtocol mpo(grid);
+    RunOptions until_done;
+    until_done.max_steps = 2000;
+    expect_select_all_paths_agree(
+        grid, mpo, daemon_name,
+        uniform_config<MinPlusOneProtocol::State>(grid, 0, mpo.level_cap(), 5),
+        [&] { return make_min_plus_one_checker(mpo); }, "", until_done,
+        "min-plus-one " + daemon_name);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Matching has no guard kernel; it converges to a silent matching.
+    const Graph random = make_random_connected(150, 0.04, 11);
+    const MatchingProtocol matching;
+    expect_select_all_paths_agree(
+        random, matching, daemon_name,
+        uniform_config<MatchingProtocol::State>(random, -3, random.n() + 2, 6),
+        [&] { return make_matching_checker(matching); }, "", until_done,
+        "matching " + daemon_name);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // A checker without a per-vertex score takes on_update() with the
+    // step's targets.
+    const TwoHopMaxProtocol two_hop(2);
+    expect_select_all_paths_agree(
+        ring, two_hop, daemon_name,
+        uniform_config<std::int32_t>(ring, 0, 40, 7),
+        [] { return AlwaysLegitimate{}; }, "", opt, "two-hop " + daemon_name);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <random>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
@@ -51,15 +56,51 @@ TEST(RoundCounterTest, SnapshotReadOnlyWhenARoundOpensPartially) {
   // and copy the set only when needs_enabled_before() asks; the empty
   // vectors below stand in for snapshots that are never read.
   RoundCounter rc(3);
+  const std::vector<VertexId> all = {0, 1, 2};
   EXPECT_FALSE(rc.needs_enabled_before(3, 3));  // synchronous: opens and closes
-  rc.on_action(3, {}, {0, 1, 2}, {0, 1, 2});
+  rc.on_action(3, {}, all, all, nullptr);
   EXPECT_EQ(rc.completed_rounds(), 1);
   EXPECT_TRUE(rc.needs_enabled_before(3, 1));  // opens a round on {0, 1, 2}
-  rc.on_action(3, {0, 1, 2}, {0}, {0, 1, 2});
+  rc.on_action(3, all, {0}, all, nullptr);
   EXPECT_FALSE(rc.needs_enabled_before(3, 1));  // round open: size only
-  rc.on_action(3, {}, {1}, {0, 1, 2});
-  rc.on_action(3, {}, {2}, {0, 1, 2});
+  rc.on_action(3, {}, {1}, all, nullptr);
+  rc.on_action(3, {}, {2}, all, nullptr);
   EXPECT_EQ(rc.completed_rounds(), 2);
+}
+
+TEST(RoundCounterTest, TurnedOffListMatchesFullPass) {
+  // Without fault epochs every pending vertex is enabled before each
+  // action, so the pending vertices an action neutralises are among the
+  // vertices it turned off.  A counter fed only that list must count the
+  // same rounds as one that tests every vertex against the post-action
+  // set, over random enabled-set sequences and activation subsets.
+  constexpr VertexId kN = 24;
+  std::mt19937_64 rng(7);
+  std::bernoulli_distribution coin(0.5);
+  for (int trial = 0; trial < 20; ++trial) {
+    RoundCounter full(kN);
+    RoundCounter listed(kN);
+    std::vector<VertexId> before = {0, 5, 9};
+    for (int action = 0; action < 300; ++action) {
+      std::vector<VertexId> activated, after, turned_off;
+      for (VertexId v : before) {
+        if (coin(rng)) activated.push_back(v);
+      }
+      if (activated.empty()) activated.push_back(before.front());
+      for (VertexId v = 0; v < kN; ++v) {
+        if (coin(rng)) after.push_back(v);
+      }
+      if (after.empty()) after.push_back(0);
+      std::set_difference(before.begin(), before.end(), after.begin(),
+                          after.end(), std::back_inserter(turned_off));
+      full.on_action(before, activated, after);
+      listed.on_action(before.size(), before, activated, after, &turned_off);
+      ASSERT_EQ(listed.completed_rounds(), full.completed_rounds())
+          << "trial " << trial << " action " << action;
+      before = after;
+    }
+    EXPECT_GT(full.completed_rounds(), 0) << "trial " << trial;
+  }
 }
 
 TEST(RoundCounterTest, ResetClearsState) {
