@@ -16,7 +16,8 @@
 // can always record the perf trajectory.  Results land in
 // BENCH_engine.json (deterministic key order; timings are wall clock and
 // naturally vary between hosts, so the snapshot records its host: core
-// count, CPU model, compiler and build type).
+// count, CPU model, compiler, build type and the unison lattice kernel's
+// tier, 4 or 8 lanes, which the CPU's features pick).
 //
 //   bench_engine [--smoke] [--json PATH] [--threads T] [--repeats R]
 //                [--scaling-check]
@@ -665,7 +666,8 @@ std::string host_json() {
   std::ostringstream os;
   os << "{\"nproc\": " << std::max(1u, std::thread::hardware_concurrency());
   os << ", \"cpu\": \"" << cpu << "\", \"compiler\": \"" << compiler;
-  os << "\", \"build_type\": \"" << SPECSTAB_BUILD_TYPE << "\"}";
+  os << "\", \"build_type\": \"" << SPECSTAB_BUILD_TYPE;
+  os << "\", \"lattice_lanes\": " << unison_detail::lattice_lanes() << "}";
   return os.str();
 }
 

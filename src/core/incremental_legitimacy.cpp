@@ -38,6 +38,7 @@ static_assert(IncrementalLegitimacy<RescanChecker<ClockValue>, ClockValue>);
 static_assert(
     IncrementalLegitimacy<ClosureCounting<Gamma1Checker>, ClockValue>);
 static_assert(IncrementalLegitimacy<AlwaysLegitimate, ClockValue>);
+static_assert(HasScoreRange<AlwaysLegitimate, ClockValue>);
 
 }  // namespace
 }  // namespace specstab

@@ -124,7 +124,8 @@ class SsmeProtocol {
 /// Vectorized guard kernel: SSME's rules and successors *are* the
 /// unison's (the privileged predicate never interferes with the moves),
 /// so the kernel forwards to SimdEval<UnisonProtocol> on the underlying
-/// substrate.
+/// substrate, and runs the lattice tier the CPU picked there (eight
+/// lanes with AVX2, four otherwise).
 template <>
 struct SimdEval<SsmeProtocol> {
   using ScoreKind = SimdEval<UnisonProtocol>::ScoreKind;

@@ -54,11 +54,17 @@ struct DaemonAuditReport {
   }
 };
 
-/// Forwards to `inner`, auditing every selection.
+/// Forwards to `inner`, auditing every selection.  An action costs
+/// O(|enabled| + |choice| + the chosen vertices' degrees): the chosen
+/// vertices are stamped with the action's number once, and every check
+/// reads the stamps.
 class DaemonAudit final : public Daemon {
  public:
   explicit DaemonAudit(Daemon& inner, VertexId n)
-      : inner_(&inner), streak_(static_cast<std::size_t>(n), 0) {}
+      : inner_(&inner),
+        chosen_at_(static_cast<std::size_t>(n), 0),
+        bypassed_at_(static_cast<std::size_t>(n), 0),
+        streak_(static_cast<std::size_t>(n), 0) {}
 
   void select_into(const Graph& g, const EnabledView& enabled, StepIndex step,
                    ActionBuffer& out) override {
@@ -79,54 +85,73 @@ class DaemonAudit final : public Daemon {
  private:
   void audit(const Graph& g, const std::vector<VertexId>& enabled,
              const std::vector<VertexId>& choice) {
-    ++report_.actions;
+    const StepIndex action = ++report_.actions;
     if (choice.empty()) report_.nonempty = false;
     if (!std::ranges::is_sorted(choice)) report_.sorted = false;
-    if (report_.actions == 1) {
+    if (action == 1) {
       report_.min_activation = choice.size();
       report_.max_activation = choice.size();
     } else {
       report_.min_activation = std::min(report_.min_activation, choice.size());
       report_.max_activation = std::max(report_.max_activation, choice.size());
     }
-    for (VertexId v : choice) {
-      if (!std::ranges::binary_search(enabled, v)) {
-        report_.subset_of_enabled = false;
-      }
-    }
     if (choice.size() != enabled.size()) report_.always_all_enabled = false;
     if (choice.size() != 1) report_.always_singleton = false;
 
-    // Adjacent co-activation (choice is small; enabled sorted).
-    for (std::size_t i = 0; i < choice.size() && !report_.adjacent_coactivation;
-         ++i) {
-      for (std::size_t j = i + 1; j < choice.size(); ++j) {
-        if (g.has_edge(choice[i], choice[j])) {
-          report_.adjacent_coactivation = true;
-          break;
-        }
+    // Stamp the chosen vertices; an id outside the graph is outside the
+    // enabled set.
+    const auto n = static_cast<VertexId>(chosen_at_.size());
+    std::size_t distinct = 0;
+    for (VertexId v : choice) {
+      if (v < 0 || v >= n) {
+        report_.subset_of_enabled = false;
+        continue;
+      }
+      StepIndex& stamp = chosen_at_[static_cast<std::size_t>(v)];
+      if (stamp != action) {
+        stamp = action;
+        ++distinct;
       }
     }
 
-    // Bypass streaks: enabled-and-not-activated extends a vertex's
-    // streak; activation or disablement resets it.
-    for (VertexId v = 0; v < static_cast<VertexId>(streak_.size()); ++v) {
+    // One sweep of the enabled set: the choice is a subset iff every
+    // distinct chosen vertex is enabled.  An enabled vertex left out
+    // extends its bypass streak when the previous action also bypassed
+    // it and starts one otherwise; activation or disablement ends a
+    // streak, which the bypassed_at_ stamps record without a pass over
+    // every vertex.
+    std::size_t chosen_enabled = 0;
+    for (VertexId v : enabled) {
       const auto vi = static_cast<std::size_t>(v);
-      const bool is_enabled = std::ranges::binary_search(enabled, v);
-      const bool activated = std::ranges::find(choice, v) != choice.end();
-      if (is_enabled && !activated) {
-        ++streak_[vi];
-        report_.worst_bypass_streak =
-            std::max(report_.worst_bypass_streak, streak_[vi]);
-      } else {
-        streak_[vi] = 0;
+      if (chosen_at_[vi] == action) {
+        ++chosen_enabled;
+        continue;
+      }
+      streak_[vi] = bypassed_at_[vi] == action - 1 ? streak_[vi] + 1 : 1;
+      bypassed_at_[vi] = action;
+      report_.worst_bypass_streak =
+          std::max(report_.worst_bypass_streak, streak_[vi]);
+    }
+    if (chosen_enabled != distinct) report_.subset_of_enabled = false;
+
+    // Adjacent co-activation: a chosen vertex with a chosen neighbour.
+    for (VertexId v : choice) {
+      if (report_.adjacent_coactivation) break;
+      if (v < 0 || v >= n) continue;
+      for (VertexId u : g.neighbors(v)) {
+        if (chosen_at_[static_cast<std::size_t>(u)] == action) {
+          report_.adjacent_coactivation = true;
+          break;
+        }
       }
     }
   }
 
   Daemon* inner_;
   DaemonAuditReport report_;
-  std::vector<StepIndex> streak_;
+  std::vector<StepIndex> chosen_at_;    ///< action that last chose v
+  std::vector<StepIndex> bypassed_at_;  ///< action that last bypassed v
+  std::vector<StepIndex> streak_;       ///< v's streak as of bypassed_at_
 };
 
 }  // namespace specstab

@@ -77,7 +77,9 @@ concept HasScoreRange =
 
 /// Trivial checker for runs without a legitimacy predicate (mirrors the
 /// reference engine's nullptr-predicate behaviour: every configuration is
-/// legitimate).
+/// legitimate).  Its per-vertex score is 0 everywhere (HasScoreRange), so
+/// a dense synchronous step of a checker-less run is a column swap-in,
+/// like one under a score checker, and never lists the enabled set.
 struct AlwaysLegitimate {
   template <class Cfg>
   bool init(const Graph&, const Cfg&) {
@@ -91,6 +93,12 @@ struct AlwaysLegitimate {
   bool full(const Graph&, const Cfg&) {
     return true;
   }
+  template <class Cfg>
+  [[nodiscard]] std::int64_t score_range(const Graph&, const Cfg&, VertexId,
+                                         VertexId) const {
+    return 0;
+  }
+  bool accept_total(std::int64_t) { return true; }
 };
 
 /// Whether an action touching `touched_count` vertices dirties enough of

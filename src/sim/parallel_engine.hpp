@@ -46,9 +46,10 @@
 //   the set's size (EnabledSet::end_fill), and the partial totals give
 //   the verdict through one checker.accept_total() — int64 addition, so
 //   bit-exactly the full-scan total at every thread count.  Only
-//   checkers without a per-vertex score (RescanChecker, AlwaysLegitimate)
-//   take on_update().  The words are the enabled set; nothing decodes
-//   them into a sorted vector unless a consumer asks (see below).
+//   checkers without a per-vertex score (RescanChecker) take
+//   on_update(); AlwaysLegitimate's score is 0 everywhere.  The words
+//   are the enabled set; nothing decodes them into a sorted vector
+//   unless a consumer asks (see below).
 //
 //   *select-all steps.*  A daemon whose selects_every_enabled() is true
 //   (sd) is not asked to select: its action is the enabled set itself.

@@ -43,14 +43,15 @@
 // to) therefore adds a lattice path: on runs of vertices whose
 // neighbours are v + delta for the graph's stencil (lattice_stencil()
 // below: ring, path, grid and torus interiors), it loads the neighbour
-// registers as shifted slices of the column and evaluates four vertices
-// per step in int32 lanes.  The lanes are GCC/Clang vector extensions
-// (__attribute__((vector_size(16))): one SSE2 register on x86-64,
-// lowered by the compiler elsewhere), so one source serves every target
-// without intrinsics, architecture flags or CPU dispatch.  Its int32
-// arithmetic is exact for every register: see unison.cpp.  The engine
-// packs the verdict bytes into 64-bit words (pack_verdict_word()) and
-// feeds them to EnabledSet::fill_words().
+// registers as shifted slices of the column and evaluates a group of
+// vertices per step in int32 lanes: eight on an x86-64 CPU with AVX2,
+// four otherwise.  The lanes are GCC/Clang vector extensions, so one
+// source serves every target without intrinsics or architecture flags;
+// the eight-lane tier is that source instantiated inside one function
+// under target("avx2"), picked once per process from the CPU's
+// features.  Its int32 arithmetic is exact for every register: see
+// unison.cpp.  The engine packs the verdict bytes into 64-bit words
+// (pack_verdict_word()) and feeds them to EnabledSet::fill_words().
 //
 // A dense step's legitimacy verdict has one route: each shard's rescan
 // produces the partial violation total of its range, and the engine

@@ -125,12 +125,13 @@ namespace {
 
 // --- Lane arithmetic of the guard kernel ----------------------------------
 //
-// The rules are written once over a lane type L: one std::int32_t (a
-// vertex read through the flattened adjacency) or Lane4, four int32 lanes
-// in one 16-byte GCC/Clang vector (four consecutive lattice vertices; one
-// SSE2 register on x86-64, lowered by the compiler on other targets).
-// Truth values are masks, 0 or -1 per lane, so the rule select is and/or
-// arithmetic in both instantiations.
+// The rules are written once over a lane type Lanes<V>: V is one
+// std::int32_t (a vertex read through the flattened adjacency) or a
+// GCC/Clang vector of 4 or 8 int32 lanes (that many consecutive lattice
+// vertices).  Four lanes fill one SSE2 register on x86-64 and are lowered
+// by the compiler on other targets; eight fill one AVX2 register and are
+// instantiated only inside the AVX2 tier below.  Truth values are masks,
+// 0 or -1 per lane, so the rule select is and/or arithmetic at every width.
 //
 // int32 is exact for every register, without int64 and without division:
 // the ring difference bar(r_u - r_v) only matters when both registers are
@@ -144,101 +145,189 @@ namespace {
 // Comparisons are strict (x <= 1 is written x < 2) and x in [0, K) is
 // one unsigned compare: SSE2 compares with > and == only, so x >= y would
 // cost a negation per compare.
+//
+// Every helper is an always_inline template, so each tier inlines it in
+// its own instruction set.  The register sits in a struct and the
+// helpers take lanes by reference: no function signature carries a bare
+// 32-byte vector, which GCC flags (-Wpsabi) and Clang diagnoses when it
+// passes between a function built with AVX2 and one built without.
 
-using Lane4 = std::int32_t __attribute__((vector_size(16)));
-using ULane4 = std::uint32_t __attribute__((vector_size(16)));
+using Vec4 = std::int32_t __attribute__((vector_size(16)));
+using UVec4 = std::uint32_t __attribute__((vector_size(16)));
 
-/// bool -> 0 / -1; a vector comparison already yields 0 / -1 per lane.
-constexpr std::int32_t lane_mask(bool b) {
-  return -static_cast<std::int32_t>(b);
-}
-inline Lane4 lane_mask(Lane4 m) { return m; }
+template <class V>
+struct UnsignedOf {
+  using type = std::uint32_t;
+};
+template <>
+struct UnsignedOf<Vec4> {
+  using type = UVec4;
+};
 
-inline std::uint32_t as_unsigned(std::int32_t x) {
-  return static_cast<std::uint32_t>(x);
-}
-inline std::int32_t as_signed(std::uint32_t x) {
-  return static_cast<std::int32_t>(x);
-}
-inline ULane4 as_unsigned(Lane4 x) {
-  return __builtin_convertvector(x, ULane4);
-}
-inline Lane4 as_signed(ULane4 x) { return __builtin_convertvector(x, Lane4); }
+#if SPECSTAB_LATTICE_AVX2
+using Vec8 = std::int32_t __attribute__((vector_size(32)));
+using UVec8 = std::uint32_t __attribute__((vector_size(32)));
+template <>
+struct UnsignedOf<Vec8> {
+  using type = UVec8;
+};
+#endif
 
-/// Two's-complement a + b and a - b (unsigned wraparound).
-template <class L>
-L wrap_add(L a, L b) { return as_signed(as_unsigned(a) + as_unsigned(b)); }
-template <class L>
-L wrap_sub(L a, L b) { return as_signed(as_unsigned(a) - as_unsigned(b)); }
+template <class V>
+struct Lanes {
+  static constexpr int kWidth = sizeof(V) / sizeof(std::int32_t);
+  V v;
+};
 
-/// x in [0, bound) as one unsigned compare.
-template <class L>
-L below(L x, L bound) { return lane_mask(as_unsigned(x) < as_unsigned(bound)); }
-
-template <class L>
-L splat(std::int32_t x) {
-  if constexpr (std::is_same_v<L, Lane4>) {
-    return Lane4{x, x, x, x};
+/// A comparison's truth value as a mask: bool -> 0 / -1; a vector
+/// comparison already yields 0 / -1 per lane.
+template <class V, class Truth>
+[[gnu::always_inline]] inline Lanes<V> mask(const Truth& t) {
+  if constexpr (std::is_same_v<V, std::int32_t>) {
+    return {-static_cast<std::int32_t>(t)};
   } else {
-    return x;
+    return {t};
   }
 }
 
-inline Lane4 load4(const ClockValue* p) {
-  Lane4 x{};
-  std::memcpy(&x, p, sizeof x);
+/// x's lanes as uint32 (in a Lanes of the unsigned twin), and back.
+template <class V>
+[[gnu::always_inline]] inline auto as_unsigned(const Lanes<V>& x) {
+  using U = typename UnsignedOf<V>::type;
+  if constexpr (std::is_same_v<V, std::int32_t>) {
+    return Lanes<U>{static_cast<U>(x.v)};
+  } else {
+    return Lanes<U>{__builtin_convertvector(x.v, U)};
+  }
+}
+template <class V, class U>
+[[gnu::always_inline]] inline Lanes<V> as_signed(const U& x) {
+  if constexpr (std::is_same_v<V, std::int32_t>) {
+    return {static_cast<std::int32_t>(x)};
+  } else {
+    return {__builtin_convertvector(x, V)};
+  }
+}
+
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> operator&(const Lanes<V>& a,
+                                                 const Lanes<V>& b) {
+  return {a.v & b.v};
+}
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> operator|(const Lanes<V>& a,
+                                                 const Lanes<V>& b) {
+  return {a.v | b.v};
+}
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> operator~(const Lanes<V>& a) {
+  return {~a.v};
+}
+template <class V>
+[[gnu::always_inline]] inline Lanes<V>& operator&=(Lanes<V>& a,
+                                                   const Lanes<V>& b) {
+  a.v &= b.v;
+  return a;
+}
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> operator<(const Lanes<V>& a,
+                                                 const Lanes<V>& b) {
+  return mask<V>(a.v < b.v);
+}
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> operator>(const Lanes<V>& a,
+                                                 const Lanes<V>& b) {
+  return mask<V>(a.v > b.v);
+}
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> operator==(const Lanes<V>& a,
+                                                  const Lanes<V>& b) {
+  return mask<V>(a.v == b.v);
+}
+
+/// Two's-complement a + b and a - b (unsigned wraparound).
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> wrap_add(const Lanes<V>& a,
+                                                const Lanes<V>& b) {
+  return as_signed<V>(as_unsigned(a).v + as_unsigned(b).v);
+}
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> wrap_sub(const Lanes<V>& a,
+                                                const Lanes<V>& b) {
+  return as_signed<V>(as_unsigned(a).v - as_unsigned(b).v);
+}
+
+/// x in [0, bound) as one unsigned compare.
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> below(const Lanes<V>& x,
+                                             const Lanes<V>& bound) {
+  return mask<V>(as_unsigned(x).v < as_unsigned(bound).v);
+}
+
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> splat(std::int32_t x) {
+  return {V{} + x};
+}
+
+/// Lanes<V>::kWidth consecutive registers from p.
+template <class V>
+[[gnu::always_inline]] inline Lanes<V> load(const ClockValue* p) {
+  Lanes<V> x{};
+  std::memcpy(&x.v, p, sizeof x.v);
   return x;
 }
 
 /// The cherry clock's bounds as strict comparison operands, one copy per
 /// lane (alpha, K <= INT32_MAX, so none of them overflows).
-template <class L>
+template <class V>
 struct ClockLanes {
-  explicit ClockLanes(const CherryClock& clock)
-      : zero(splat<L>(0)),
-        one(splat<L>(1)),
-        two(splat<L>(2)),
-        k(splat<L>(clock.k())),
-        k_minus_2(splat<L>(clock.k() - 2)),
-        neg_alpha(splat<L>(-clock.alpha())),
-        below_stem(splat<L>(-clock.alpha() - 1)) {}
-  L zero, one, two, k, k_minus_2, neg_alpha, below_stem;
+  [[gnu::always_inline]] explicit ClockLanes(const CherryClock& clock)
+      : zero(splat<V>(0)),
+        one(splat<V>(1)),
+        two(splat<V>(2)),
+        k(splat<V>(clock.k())),
+        k_minus_2(splat<V>(clock.k() - 2)),
+        neg_alpha(splat<V>(-clock.alpha())),
+        below_stem(splat<V>(-clock.alpha() - 1)) {}
+  Lanes<V> zero, one, two, k, k_minus_2, neg_alpha, below_stem;
 };
 
 /// The guard pass of one lane group: construct from r_v, fold() every
 /// neighbour register r_u, then settle().  `isolated` is -1 in the lanes
 /// of degree-0 vertices, whose allCorrect holds vacuously.
-template <class L>
+template <class V>
 struct RuleFold {
-  RuleFold(L r, L isolated, const ClockLanes<L>& c)
+  [[gnu::always_inline]] RuleFold(const Lanes<V>& r, const Lanes<V>& isolated,
+                                  const ClockLanes<V>& c)
       : rv(r),
         stab_v(below(r, c.k)),
         na(stab_v),
-        ca(lane_mask(r > c.below_stem) & lane_mask(r < c.zero)),
+        ca((r > c.below_stem) & (r < c.zero)),
         ac(stab_v | isolated) {}
 
-  void fold(L ru, const ClockLanes<L>& c) {
-    const L stab_u = below(ru, c.k);
-    L d = wrap_sub(ru, rv);
-    d = wrap_add(d, c.k & lane_mask(d < c.zero));  // bar(r_u - r_v)
-    const L near = lane_mask(d < c.two);
+  [[gnu::always_inline]] void fold(const Lanes<V>& ru,
+                                   const ClockLanes<V>& c) {
+    const Lanes<V> stab_u = below(ru, c.k);
+    Lanes<V> d = wrap_sub(ru, rv);
+    d = wrap_add(d, c.k & (d < c.zero));  // bar(r_u - r_v)
+    const Lanes<V> near = d < c.two;
     na &= stab_u & near;
     // r_u in init and r_v <= r_u; r_u >= -alpha follows from r_v >=
     // -alpha wherever ca still holds.
-    ca &= lane_mask(ru < c.one) & ~lane_mask(rv > ru);
-    ac &= stab_u & (near | lane_mask(d > c.k_minus_2));
+    ca &= (ru < c.one) & ~(rv > ru);
+    ac &= stab_u & (near | (d > c.k_minus_2));
   }
 
-  L rv, stab_v;
-  L na, ca, ac;  // NA and CA guards, allCorrect_v
+  Lanes<V> rv, stab_v;
+  Lanes<V> na, ca, ac;  // NA and CA guards, allCorrect_v
 };
 
 /// What a lane group's rules decide.
-template <class L>
+template <class V>
 struct Settled {
-  L moves;      // NA | CA | RA
-  L next;       // phi(r_v) for NA / CA, -alpha for RA, r_v when disabled
-  L violation;  // not locally legitimate (the Gamma_1 score)
+  Lanes<V> moves;      // NA | CA | RA
+  Lanes<V> next;       // phi(r_v) for NA / CA, -alpha for RA, r_v when disabled
+  Lanes<V> violation;  // not locally legitimate (the Gamma_1 score)
 };
 
 /// The rule select of apply(): NA and CA (pairwise exclusive with RA)
@@ -246,19 +335,160 @@ struct Settled {
 /// init* values, so phi is r_v + 1 with K wrapping to 0.  The allCorrect
 /// fold doubles as the Gamma_1 vertex slice: for deg >= 1 it includes
 /// stab_v, and an isolated vertex is locally legitimate iff stab_v.
-template <class L>
-Settled<L> settle(const RuleFold<L>& f, const ClockLanes<L>& c) {
-  const L init_v = lane_mask(f.rv > c.below_stem) & lane_mask(f.rv < c.one);
-  const L ra = ~(f.ac | init_v);
-  const L inc = f.na | f.ca;
-  const L moves = inc | ra;
-  const L p = wrap_add(f.rv, c.one);
-  const L phi = p & ~lane_mask(p == c.k);
-  const L moved = (phi & inc) | (c.neg_alpha & ~inc);
+template <class V>
+[[gnu::always_inline]] inline Settled<V> settle(const RuleFold<V>& f,
+                                                const ClockLanes<V>& c) {
+  const Lanes<V> init_v = (f.rv > c.below_stem) & (f.rv < c.one);
+  const Lanes<V> ra = ~(f.ac | init_v);
+  const Lanes<V> inc = f.na | f.ca;
+  const Lanes<V> moves = inc | ra;
+  const Lanes<V> p = wrap_add(f.rv, c.one);
+  const Lanes<V> phi = p & ~(p == c.k);
+  const Lanes<V> moved = (phi & inc) | (c.neg_alpha & ~inc);
   return {moves, (moved & moves) | (f.rv & ~moves), ~(f.ac & f.stab_v)};
 }
 
+/// One group of Lanes<V>::kWidth stencil vertices from v: their verdicts
+/// and successors written, their Gamma_1 violations added to `violations`.
+template <class V>
+[[gnu::always_inline]] inline void stencil_group(
+    const ClockValue* c, const std::int32_t* stencil, std::size_t degree,
+    const ClockLanes<V>& lanes, VertexId v, std::uint8_t* out, ClockValue* next,
+    Lanes<V>& violations) {
+  RuleFold<V> f(load<V>(c + v), lanes.zero, lanes);
+  for (std::size_t j = 0; j < degree; ++j) {
+    f.fold(load<V>(c + (v + stencil[j])), lanes);
+  }
+  const Settled<V> s = settle(f, lanes);
+  std::memcpy(next + v, &s.next.v, sizeof s.next.v);
+  for (int i = 0; i < Lanes<V>::kWidth; ++i) {
+    out[v + i] = static_cast<std::uint8_t>(s.moves.v[i] & 1);
+  }
+  violations.v += (s.violation & lanes.one).v;
+}
+
+template <class V>
+[[gnu::always_inline]] inline std::int64_t lane_sum(const Lanes<V>& x) {
+  std::int64_t total = 0;
+  for (int i = 0; i < Lanes<V>::kWidth; ++i) total += x.v[i];
+  return total;
+}
+
+/// Vertices [from, to) one at a time through the flattened adjacency:
+/// their verdicts and successors written, their Gamma_1 violation count
+/// returned.
+[[gnu::always_inline]] inline std::int64_t adjacency_walk(
+    const FlatAdjacency& adj, const ClockLanes<std::int32_t>& c1,
+    const ClockValue* c, std::uint8_t* out, ClockValue* next, VertexId from,
+    VertexId to) {
+  const std::int32_t* off = adj.offsets.data();
+  const VertexId* tg = adj.targets.data();
+  std::int64_t total = 0;
+  for (VertexId v = from; v < to; ++v) {
+    RuleFold<std::int32_t> f({c[v]}, mask<std::int32_t>(off[v] == off[v + 1]),
+                             c1);
+    for (std::int32_t j = off[v]; j < off[v + 1]; ++j) f.fold({c[tg[j]]}, c1);
+    const Settled<std::int32_t> s = settle(f, c1);
+    out[v] = static_cast<std::uint8_t>(s.moves.v & 1);
+    next[v] = s.next.v;
+    total += s.violation.v & 1;
+  }
+  return total;
+}
+
+/// Bit-exact restatement of enabled() = NA || CA || RA and of apply(),
+/// plus the Gamma_1 violation count of make_gamma1_checker(), over
+/// [begin, end) in the lane arithmetic above.  Runs of stencil vertices
+/// go Lanes<V>::kWidth at a time, then, in a tier wider than four lanes,
+/// four at a time once more; the other vertices, and the tail of each
+/// run, one at a time through the flattened adjacency.  Ranges may start
+/// and stop anywhere.  Each tier inlines this template into its own
+/// entry point, in that entry point's instruction set.
+template <class V>
+[[gnu::always_inline]] inline std::int64_t lattice_scored(
+    const SimdEval<UnisonProtocol>::Context& ctx, const UnisonProtocol& proto,
+    const ClockValue* c, std::uint8_t* out, ClockValue* next, VertexId begin,
+    VertexId end) {
+  const ClockLanes<std::int32_t> c1(proto.clock());
+  const std::int32_t* stencil = ctx.lattice.offsets.data();
+  const std::size_t degree = ctx.lattice.offsets.size();
+  if (degree == 0) return adjacency_walk(ctx.adj, c1, c, out, next, begin, end);
+  constexpr int kWidth = Lanes<V>::kWidth;
+  const ClockLanes<V> lanes(proto.clock());
+  Lanes<V> violations = lanes.zero;
+  // The trailing four-lane group of a wider tier (unused at four lanes).
+  const ClockLanes<Vec4> lanes4(proto.clock());
+  Lanes<Vec4> violations4 = lanes4.zero;
+  std::int64_t total = 0;
+  const VertexId* irr = ctx.lattice.irregular.data();
+  const VertexId* irr_end = irr + ctx.lattice.irregular.size();
+  irr = std::lower_bound(irr, irr_end, begin);
+  VertexId v = begin;
+  while (v < end) {
+    // [v, stop) is a run of stencil vertices.
+    const VertexId stop = irr == irr_end ? end : std::min(*irr, end);
+    for (; stop - v >= kWidth; v += kWidth) {
+      stencil_group(c, stencil, degree, lanes, v, out, next, violations);
+    }
+    if constexpr (kWidth > 4) {
+      if (stop - v >= 4) {
+        stencil_group(c, stencil, degree, lanes4, v, out, next, violations4);
+        v += 4;
+      }
+    }
+    // The run's tail, then the irregular vertex that ends it.
+    const VertexId resume = stop < end ? stop + 1 : end;
+    total += adjacency_walk(ctx.adj, c1, c, out, next, v, resume);
+    if (stop < end) ++irr;
+    v = resume;
+  }
+  return total + lane_sum(violations) + lane_sum(violations4);
+}
+
+/// The tier this process runs: the widest the CPU supports, chosen on
+/// the first call.
+using ScoredTier = std::int64_t (*)(const SimdEval<UnisonProtocol>::Context&,
+                                    const UnisonProtocol&,
+                                    const ConfigView<ClockValue>&,
+                                    std::uint8_t*, ClockValue*, VertexId,
+                                    VertexId);
+ScoredTier dispatched_tier() {
+  static const ScoredTier tier = []() -> ScoredTier {
+#if SPECSTAB_LATTICE_AVX2
+    if (__builtin_cpu_supports("avx2")) {
+      return &unison_detail::enabled_bytes_scored_8lane;
+    }
+#endif
+    return &unison_detail::enabled_bytes_scored_4lane;
+  }();
+  return tier;
+}
+
 }  // namespace
+
+namespace unison_detail {
+
+std::int64_t enabled_bytes_scored_4lane(
+    const SimdEval<UnisonProtocol>::Context& ctx, const UnisonProtocol& proto,
+    const ConfigView<ClockValue>& cfg, std::uint8_t* out, ClockValue* next,
+    VertexId begin, VertexId end) {
+  return lattice_scored<Vec4>(ctx, proto, cfg.column(), out, next, begin, end);
+}
+
+#if SPECSTAB_LATTICE_AVX2
+__attribute__((target("avx2"))) std::int64_t enabled_bytes_scored_8lane(
+    const SimdEval<UnisonProtocol>::Context& ctx, const UnisonProtocol& proto,
+    const ConfigView<ClockValue>& cfg, std::uint8_t* out, ClockValue* next,
+    VertexId begin, VertexId end) {
+  return lattice_scored<Vec8>(ctx, proto, cfg.column(), out, next, begin, end);
+}
+#endif
+
+int lattice_lanes() {
+  return dispatched_tier() == &enabled_bytes_scored_4lane ? 4 : 8;
+}
+
+}  // namespace unison_detail
 
 SimdEval<UnisonProtocol>::Context SimdEval<UnisonProtocol>::make_context(
     const Graph& g, const UnisonProtocol&) {
@@ -278,61 +508,7 @@ std::int64_t SimdEval<UnisonProtocol>::enabled_bytes_scored(
     const Context& ctx, const UnisonProtocol& proto,
     const ConfigView<ClockValue>& cfg, std::uint8_t* out, ClockValue* next,
     VertexId begin, VertexId end) {
-  // Bit-exact restatement of enabled() = NA || CA || RA and of apply(),
-  // plus the Gamma_1 violation count of make_gamma1_checker(), in the
-  // lane arithmetic above.  Runs of stencil vertices go four at a time;
-  // the others, and the tail of each run, one at a time through the
-  // flattened adjacency.  Ranges may start and stop anywhere.
-  const ClockValue* c = cfg.column();
-  const std::int32_t* off = ctx.adj.offsets.data();
-  const VertexId* tg = ctx.adj.targets.data();
-  const ClockLanes<std::int32_t> c1(proto.clock());
-  std::int64_t total = 0;
-  const auto adjacency_walk = [&](VertexId from, VertexId to) {
-    for (VertexId v = from; v < to; ++v) {
-      RuleFold<std::int32_t> f(c[v], lane_mask(off[v] == off[v + 1]), c1);
-      for (std::int32_t j = off[v]; j < off[v + 1]; ++j) f.fold(c[tg[j]], c1);
-      const Settled<std::int32_t> s = settle(f, c1);
-      out[v] = static_cast<std::uint8_t>(s.moves & 1);
-      next[v] = s.next;
-      total += s.violation & 1;
-    }
-  };
-  const std::int32_t* stencil = ctx.lattice.offsets.data();
-  const std::size_t degree = ctx.lattice.offsets.size();
-  if (degree == 0) {
-    adjacency_walk(begin, end);
-    return total;
-  }
-  const ClockLanes<Lane4> c4(proto.clock());
-  Lane4 violations = c4.zero;
-  const VertexId* irr = ctx.lattice.irregular.data();
-  const VertexId* irr_end = irr + ctx.lattice.irregular.size();
-  irr = std::lower_bound(irr, irr_end, begin);
-  VertexId v = begin;
-  while (v < end) {
-    // [v, stop) is a run of stencil vertices.
-    const VertexId stop = irr == irr_end ? end : std::min(*irr, end);
-    for (; stop - v >= 4; v += 4) {
-      RuleFold<Lane4> f(load4(c + v), c4.zero, c4);
-      for (std::size_t j = 0; j < degree; ++j) {
-        f.fold(load4(c + (v + stencil[j])), c4);
-      }
-      const Settled<Lane4> s = settle(f, c4);
-      std::memcpy(next + v, &s.next, sizeof s.next);
-      for (int i = 0; i < 4; ++i) {
-        out[v + i] = static_cast<std::uint8_t>(s.moves[i] & 1);
-      }
-      violations += s.violation & c4.one;
-    }
-    // The run's tail, then the irregular vertex that ends it.
-    const VertexId resume = stop < end ? stop + 1 : end;
-    adjacency_walk(v, resume);
-    if (stop < end) ++irr;
-    v = resume;
-  }
-  for (int i = 0; i < 4; ++i) total += violations[i];
-  return total;
+  return dispatched_tier()(ctx, proto, cfg, out, next, begin, end);
 }
 
 }  // namespace specstab

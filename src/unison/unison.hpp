@@ -91,10 +91,11 @@ class UnisonProtocol {
 /// in one branch-free pass over the clock column in int32 mask
 /// arithmetic, with the cherry clock's ring projection reduced to one
 /// conditional +K.  Runs of vertices on the graph's lattice stencil
-/// (ring, path, grid and torus interiors) are evaluated four at a time,
-/// their neighbours loaded as shifted slices of the column; the other
-/// vertices walk the flattened adjacency one at a time through the same
-/// rule code.  The rule that
+/// (ring, path, grid and torus interiors) are evaluated in lane groups,
+/// their neighbours loaded as shifted slices of the column: eight at a
+/// time on an x86-64 CPU with AVX2, four at a time otherwise (see
+/// unison_detail below).  The other vertices walk the flattened
+/// adjacency one at a time through the same rule code.  The rule that
 /// fired selects the successor in the same pass: phi(r_v) for NA and CA,
 /// -alpha for RA.  The pass also yields the Gamma_1 violation count for
 /// free — the allCorrect fold is exactly local legitimacy — so the scored
@@ -118,6 +119,39 @@ struct SimdEval<UnisonProtocol> {
                                            std::uint8_t* out, ClockValue* next,
                                            VertexId begin, VertexId end);
 };
+
+// The lattice kernel's eight-lane tier is AVX2 code, built on x86-64 only.
+#if defined(__x86_64__)
+#define SPECSTAB_LATTICE_AVX2 1
+#else
+#define SPECSTAB_LATTICE_AVX2 0
+#endif
+
+/// The lattice kernel's tiers.  SimdEval<UnisonProtocol> runs one of
+/// them, chosen on its first call from the CPU's features: the
+/// eight-lane tier where __builtin_cpu_supports("avx2") holds, the
+/// four-lane one otherwise.  Both write the same bytes and return the
+/// same total; tests call each tier directly to hold it to the scalar
+/// code.
+namespace unison_detail {
+
+/// Lanes per lattice group of the tier this process runs: 8 or 4.
+[[nodiscard]] int lattice_lanes();
+
+std::int64_t enabled_bytes_scored_4lane(
+    const SimdEval<UnisonProtocol>::Context& ctx, const UnisonProtocol& proto,
+    const ConfigView<ClockValue>& cfg, std::uint8_t* out, ClockValue* next,
+    VertexId begin, VertexId end);
+
+#if SPECSTAB_LATTICE_AVX2
+/// AVX2 code: call it only where __builtin_cpu_supports("avx2") holds.
+__attribute__((target("avx2"))) std::int64_t enabled_bytes_scored_8lane(
+    const SimdEval<UnisonProtocol>::Context& ctx, const UnisonProtocol& proto,
+    const ConfigView<ClockValue>& cfg, std::uint8_t* out, ClockValue* next,
+    VertexId begin, VertexId end);
+#endif
+
+}  // namespace unison_detail
 
 }  // namespace specstab
 

@@ -50,6 +50,26 @@ TEST(BenchGateParseTest, ParsesModeCampaignAndMicroRows) {
   EXPECT_DOUBLE_EQ(file.micro[1].speedup, 6.0);
 }
 
+TEST(BenchGateParseTest, HostStampWithLatticeTierParses) {
+  // bench_engine stamps its host, the lattice kernel's tier included;
+  // the gate reads past the stamp to the rows.
+  const std::string host =
+      "\"host\": {\"nproc\": 4, \"cpu\": \"Intel(R) Xeon(R) Processor\", "
+      "\"compiler\": \"g++ 12.2.0\", \"build_type\": \"Release\", "
+      "\"lattice_lanes\": 8},\n";
+  const std::string row =
+      micro_row("ssme/gamma1/ring/synchronous", 4000, 11.37, 8.78);
+  std::string text = bench_json(900, 5.77, row);
+  text.insert(text.find("\"campaign\""), host);
+  const auto file = parse_bench_json(text, "stamped");
+  EXPECT_EQ(file.mode, "full");
+  EXPECT_EQ(file.campaign_scenarios, 900u);
+  EXPECT_DOUBLE_EQ(file.campaign_speedup, 5.77);
+  ASSERT_EQ(file.micro.size(), 1u);
+  EXPECT_EQ(file.micro[0].name, "ssme/gamma1/ring/synchronous");
+  EXPECT_DOUBLE_EQ(file.micro[0].speedup, 8.78);
+}
+
 TEST(BenchGateParseTest, MalformedSnapshotsThrow) {
   EXPECT_THROW((void)parse_bench_json("{}", "t"), std::invalid_argument);
   EXPECT_THROW(

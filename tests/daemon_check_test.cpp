@@ -35,6 +35,21 @@ TEST(DaemonCheckTest, SynchronousActivatesAllEnabled) {
   EXPECT_EQ(report.worst_bypass_streak, 0);
 }
 
+TEST(DaemonCheckTest, SynchronousAuditOnALargeRing) {
+  // Each action chooses about as many vertices as the ring has, so the
+  // audit must stay linear in the choice: 200 audited actions on 2000
+  // vertices.
+  SynchronousDaemon d;
+  const auto report = audit_run(d, make_ring(2000), 200, 8);
+  EXPECT_EQ(report.actions, 200);
+  EXPECT_TRUE(report.contract_holds());
+  EXPECT_TRUE(report.always_all_enabled);
+  EXPECT_FALSE(report.always_singleton);
+  EXPECT_TRUE(report.adjacent_coactivation);
+  EXPECT_GT(report.min_activation, 1u);
+  EXPECT_EQ(report.worst_bypass_streak, 0);
+}
+
 TEST(DaemonCheckTest, CentralDaemonsActivateExactlyOne) {
   CentralRoundRobinDaemon rr;
   CentralRandomDaemon random(3);

@@ -502,7 +502,8 @@ TEST(ParallelDifferential, SelectAllStepsEveryFallbackMatchesReference) {
   // dense install after a sparse fault epoch left the successor column
   // stale, a sparse step once the run has converged far enough, a
   // protocol without a guard kernel, and a checker without a per-vertex
-  // score.  Otherwise the step is a column swap-in plus one rescan.
+  // score.  Otherwise the step is a column swap-in plus one rescan, also
+  // in a run without a checker (AlwaysLegitimate scores 0 everywhere).
   // bernoulli-1 selects every enabled vertex through select_into(), the
   // path of a daemon that does not declare it.
   const Graph ring = make_ring(200);
@@ -546,7 +547,23 @@ TEST(ParallelDifferential, SelectAllStepsEveryFallbackMatchesReference) {
     if (::testing::Test::HasFatalFailure()) return;
 
     // A checker without a per-vertex score takes on_update() with the
-    // step's targets.
+    // step's targets, so a kernel protocol's steps list the set.  A run
+    // without a checker swaps the column in, as does one with a score.
+    const auto rescan = [&] {
+      return RescanChecker<ClockValue>(
+          [&ssme](const Graph& gg, const ConfigView<ClockValue>& cfg) {
+            return ssme.legitimate(gg, cfg);
+          });
+    };
+    const auto unchecked = [] { return AlwaysLegitimate{}; };
+    const Config<ClockValue> init = random_config(ring, ssme.clock(), 7);
+    expect_select_all_paths_agree(ring, ssme, daemon_name, init, rescan, "",
+                                  opt, "ssme rescan " + daemon_name);
+    if (::testing::Test::HasFatalFailure()) return;
+    expect_select_all_paths_agree(ring, ssme, daemon_name, init, unchecked,
+                                  "", opt, "ssme unchecked " + daemon_name);
+    if (::testing::Test::HasFatalFailure()) return;
+    // A radius-2 protocol without a kernel.
     const TwoHopMaxProtocol two_hop(2);
     expect_select_all_paths_agree(
         ring, two_hop, daemon_name,

@@ -15,7 +15,9 @@
 // torus, random, hypercube and single-vertex graphs, called over the
 // whole range and over the word-aligned shard splits the engine uses.
 // The lattice stencil that routes ring, path, grid and torus interiors
-// onto the unison kernel's four-lane path is pinned per graph as well.
+// onto the unison kernel's lane groups is pinned per graph as well, and
+// each of that kernel's tiers (four lanes, and eight on an AVX2 host) is
+// held to the scalar code over ranges cut at every offset near both ends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -258,6 +260,89 @@ TEST(KernelContract, Unison) {
         expect_contract(g, proto, cfg, gamma1_score(g, proto, cfg),
                         name + " " + clock.describe() + " " + cfg_name);
         if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+using LatticeTier = std::int64_t (*)(const SimdEval<UnisonProtocol>::Context&,
+                                     const UnisonProtocol&,
+                                     const ConfigView<ClockValue>&,
+                                     std::uint8_t*, ClockValue*, VertexId,
+                                     VertexId);
+
+/// The unison lattice kernel's tiers this host can run: four lanes
+/// always, eight where the CPU has AVX2.
+std::vector<std::pair<std::string, LatticeTier>> lattice_tiers() {
+  std::vector<std::pair<std::string, LatticeTier>> out = {
+      {"4-lane", &unison_detail::enabled_bytes_scored_4lane}};
+#if SPECSTAB_LATTICE_AVX2
+  if (__builtin_cpu_supports("avx2")) {
+    out.emplace_back("8-lane", &unison_detail::enabled_bytes_scored_8lane);
+  }
+#endif
+  return out;
+}
+
+TEST(KernelContract, UnisonRunsTheWidestTierTheCpuHas) {
+#if SPECSTAB_LATTICE_AVX2
+  EXPECT_EQ(unison_detail::lattice_lanes(),
+            __builtin_cpu_supports("avx2") ? 8 : 4);
+#else
+  EXPECT_EQ(unison_detail::lattice_lanes(), 4);
+#endif
+}
+
+TEST(KernelContract, UnisonLatticeTiersOnEveryCut) {
+  // Each tier, called directly, over [b, n - e) for every b and e in
+  // [0, 16): the lane groups, the eight-lane tier's trailing four-lane
+  // group and the scalar tail each start and stop at run starts, run
+  // ends and irregular vertices.  Entries outside the range must stay
+  // untouched.
+  const auto tiers = lattice_tiers();
+  for (const auto& [name, g] : topologies()) {
+    if (lattice_stencil(g).offsets.empty()) continue;
+    const auto n = static_cast<std::size_t>(g.n());
+    std::vector<CherryClock> clocks = {SsmeProtocol::for_graph(g).clock(),
+                                       CherryClock(3, 4), CherryClock(1, 2)};
+    for (const CherryClock& clock : clocks) {
+      const UnisonProtocol proto(clock);
+      const auto ctx = SimdEval<UnisonProtocol>::make_context(g, proto);
+      const auto checker = make_gamma1_checker(proto);
+      for (const auto& [cfg_name, init] : clock_configs(g, clock, 7)) {
+        const std::string at = name + " " + clock.describe() + " " + cfg_name;
+        const ConfigStore<ClockValue> store(init);
+        const ConfigView<ClockValue> cfg = store.view();
+        std::vector<std::uint8_t> enabled(n);
+        std::vector<ClockValue> successor(n);
+        for (VertexId v = 0; v < g.n(); ++v) {
+          const auto i = static_cast<std::size_t>(v);
+          enabled[i] = proto.enabled(g, cfg, v) ? 1 : 0;
+          successor[i] = enabled[i] != 0 ? proto.apply(g, cfg, v) : cfg[i];
+        }
+        for (const auto& [tier_name, tier] : tiers) {
+          for (VertexId b = 0; b < 16; ++b) {
+            for (VertexId e = 0; e < 16 && b <= g.n() - e; ++e) {
+              const VertexId end = g.n() - e;
+              const std::string where = tier_name + " " + at + " [" +
+                                        std::to_string(b) + ", " +
+                                        std::to_string(end) + ")";
+              std::vector<std::uint8_t> out(n, 0xAB);
+              std::vector<ClockValue> next(n, kI32Min + 5);
+              const std::int64_t total =
+                  tier(ctx, proto, cfg, out.data(), next.data(), b, end);
+              ASSERT_EQ(total, checker.score_range(g, cfg, b, end)) << where;
+              for (VertexId v = 0; v < g.n(); ++v) {
+                const auto i = static_cast<std::size_t>(v);
+                const bool inside = v >= b && v < end;
+                ASSERT_EQ(out[i], inside ? enabled[i] : 0xAB)
+                    << where << " v=" << v;
+                ASSERT_EQ(next[i], inside ? successor[i] : kI32Min + 5)
+                    << where << " v=" << v;
+              }
+            }
+          }
+        }
       }
     }
   }
