@@ -57,7 +57,7 @@ bool MinPlusOneProtocol::legitimate(const Graph& g,
 
 SimdEval<MinPlusOneProtocol>::Context SimdEval<MinPlusOneProtocol>::
     make_context(const Graph& g, const MinPlusOneProtocol&) {
-  return {flatten_adjacency(g)};
+  return {g.offsets(), g.targets()};
 }
 
 void SimdEval<MinPlusOneProtocol>::enabled_bytes(
@@ -65,13 +65,13 @@ void SimdEval<MinPlusOneProtocol>::enabled_bytes(
     const ConfigView<std::int32_t>& cfg, std::uint8_t* out,
     std::int32_t* next, VertexId begin, VertexId end) {
   const std::int32_t* c = cfg.column();
-  const std::int32_t* off = ctx.adj.offsets.data();
-  const VertexId* tg = ctx.adj.targets.data();
+  const std::int64_t* off = ctx.offsets.data();
+  const VertexId* tg = ctx.targets.data();
   const std::int32_t cap = proto.level_cap();
   const VertexId root = proto.root();
   for (VertexId v = begin; v < end; ++v) {
     std::int32_t best = cap;
-    for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
+    for (std::int64_t j = off[v]; j < off[v + 1]; ++j) {
       const std::int32_t lu = c[static_cast<std::size_t>(tg[j])];
       best = lu < best ? lu : best;
     }

@@ -14,6 +14,7 @@
 #define SPECSTAB_BASELINES_MIN_PLUS_ONE_HPP
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -73,13 +74,15 @@ class MinPlusOneProtocol {
 };
 
 /// Vectorized guard kernel: target(v) is a min-reduction over the
-/// neighbour levels streamed from the flat adjacency, enabledness one
-/// compare against the level column, and the successor the target
+/// neighbour levels streamed from the graph's CSR arrays, enabledness
+/// one compare against the level column, and the successor the target
 /// itself.
 template <>
 struct SimdEval<MinPlusOneProtocol> {
+  /// Views of the graph's CSR arrays, so it must not outlive the graph.
   struct Context {
-    FlatAdjacency adj;
+    std::span<const std::int64_t> offsets;  ///< g.offsets()
+    std::span<const VertexId> targets;      ///< g.targets()
   };
   static Context make_context(const Graph& g, const MinPlusOneProtocol&);
   static void enabled_bytes(const Context& ctx, const MinPlusOneProtocol& proto,

@@ -44,7 +44,7 @@ std::int64_t UnboundedUnisonProtocol::spread(const Config<State>& cfg) {
 
 SimdEval<UnboundedUnisonProtocol>::Context SimdEval<UnboundedUnisonProtocol>::
     make_context(const Graph& g, const UnboundedUnisonProtocol&) {
-  return {flatten_adjacency(g)};
+  return {g.offsets(), g.targets()};
 }
 
 void SimdEval<UnboundedUnisonProtocol>::enabled_bytes(
@@ -52,12 +52,12 @@ void SimdEval<UnboundedUnisonProtocol>::enabled_bytes(
     const ConfigView<std::int64_t>& cfg, std::uint8_t* out,
     std::int64_t* next, VertexId begin, VertexId end) {
   const std::int64_t* c = cfg.column();
-  const std::int32_t* off = ctx.adj.offsets.data();
-  const VertexId* tg = ctx.adj.targets.data();
+  const std::int64_t* off = ctx.offsets.data();
+  const VertexId* tg = ctx.targets.data();
   for (VertexId v = begin; v < end; ++v) {
     const std::int64_t cv = c[static_cast<std::size_t>(v)];
     unsigned minimal = 1;  // vacuously a local minimum when deg(v) = 0
-    for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
+    for (std::int64_t j = off[v]; j < off[v + 1]; ++j) {
       minimal &=
           static_cast<unsigned>(cv <= c[static_cast<std::size_t>(tg[j])]);
     }

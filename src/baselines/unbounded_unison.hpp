@@ -23,6 +23,7 @@
 #define SPECSTAB_BASELINES_UNBOUNDED_UNISON_HPP
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "graph/graph.hpp"
@@ -58,12 +59,14 @@ class UnboundedUnisonProtocol {
 };
 
 /// Vectorized guard kernel: the local-minimum test is an and-reduction
-/// of c_v <= c_u over the neighbour clocks streamed from the flat
-/// adjacency; the successor is c_v + 1.
+/// of c_v <= c_u over the neighbour clocks streamed from the graph's CSR
+/// arrays; the successor is c_v + 1.
 template <>
 struct SimdEval<UnboundedUnisonProtocol> {
+  /// Views of the graph's CSR arrays, so it must not outlive the graph.
   struct Context {
-    FlatAdjacency adj;
+    std::span<const std::int64_t> offsets;  ///< g.offsets()
+    std::span<const VertexId> targets;      ///< g.targets()
   };
   static Context make_context(const Graph& g, const UnboundedUnisonProtocol&);
   static void enabled_bytes(const Context& ctx, const UnboundedUnisonProtocol&,

@@ -99,23 +99,6 @@ ScenarioResult run_scenario_on(const Scenario& scenario,
 
 }  // namespace
 
-std::string_view work_order_name(WorkOrder order) {
-  switch (order) {
-    case WorkOrder::kHeavyFirst:
-      return "heavy";
-    case WorkOrder::kIndexOrder:
-      return "index";
-  }
-  throw std::invalid_argument("unknown WorkOrder");
-}
-
-WorkOrder work_order_by_name(const std::string& name) {
-  if (name == "heavy") return WorkOrder::kHeavyFirst;
-  if (name == "index") return WorkOrder::kIndexOrder;
-  throw std::invalid_argument("unknown work order '" + name +
-                              "' (heavy | index)");
-}
-
 ScenarioResult run_scenario(const Scenario& scenario, EngineKind engine) {
   return run_scenario_on(scenario, TopologyInstance(scenario.topology),
                          engine);
@@ -135,31 +118,29 @@ CampaignResult run_scenarios(const std::vector<Scenario>& items,
   result.rows.resize(items.size());
 
   // Instantiate each distinct topology exactly once, before the pool
-  // spins up; workers share the instances read-only.
+  // spins up; workers share the instances read-only (a Graph is
+  // immutable, so concurrent reads need no synchronization).
   std::unordered_map<std::string, TopologyInstance> topologies;
   for (const auto& item : items) {
     topologies.try_emplace(item.topology.label(), item.topology);
   }
 
-  // Deterministic schedule permutation the atomic cursor walks.  Under
-  // heavy-first, reps of the most expensive cells lead the queue, so they
+  // Deterministic heavy-first schedule permutation the atomic cursor
+  // walks: reps of the most expensive cells lead the queue, so they
   // overlap with the long tail of cheap items instead of straggling.
   // The permutation only affects wall clock: results land in slot
-  // rows[item.index] either way.
+  // rows[item.index] whatever the order.
+  std::vector<std::int64_t> cost(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    cost[i] = estimated_cost(items[i], topologies.at(items[i].topology.label()),
+                             opt.max_steps_override);
+  }
   std::vector<std::size_t> schedule(items.size());
   std::iota(schedule.begin(), schedule.end(), 0);
-  if (opt.order == WorkOrder::kHeavyFirst) {
-    std::vector<std::int64_t> cost(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      cost[i] =
-          estimated_cost(items[i], topologies.at(items[i].topology.label()),
-                         opt.max_steps_override);
-    }
-    std::stable_sort(schedule.begin(), schedule.end(),
-                     [&cost](std::size_t a, std::size_t b) {
-                       return cost[a] > cost[b];
-                     });
-  }
+  std::stable_sort(schedule.begin(), schedule.end(),
+                   [&cost](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
 
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> failed{false};

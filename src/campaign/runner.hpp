@@ -13,7 +13,7 @@
 // and under any schedule: each item's randomness comes only from its
 // coordinate-derived seed, never from which thread ran it or when.
 //
-// The default schedule is *heavy-first* (longest-processing-time): items
+// The schedule is *heavy-first* (longest-processing-time): items
 // are ordered by an a-priori cost estimate (the resolved step cap, a
 // function of the protocol bound on the instantiated topology) so the
 // dominating cells — ring-128 under central daemons in the thm3 preset —
@@ -29,20 +29,6 @@
 
 namespace specstab::campaign {
 
-/// Order in which the pool's atomic cursor hands out work items.  Purely
-/// a wall-clock concern: results are slot-indexed, so artifacts are
-/// byte-identical under either order.
-enum class WorkOrder {
-  kHeavyFirst,  ///< longest-processing-time-first (default)
-  kIndexOrder,  ///< grid-index order (legacy behaviour)
-};
-
-/// "heavy" | "index".
-[[nodiscard]] std::string_view work_order_name(WorkOrder order);
-/// Inverse of work_order_name; throws std::invalid_argument on unknown
-/// names.
-[[nodiscard]] WorkOrder work_order_by_name(const std::string& name);
-
 struct RunnerOptions {
   /// 0: use std::thread::hardware_concurrency().
   unsigned threads = 0;
@@ -57,10 +43,6 @@ struct RunnerOptions {
   /// `--engine reference`).  Results are bit-identical either way; only
   /// wall-clock differs.
   EngineKind engine = EngineKind::kIncremental;
-
-  /// Work-distribution schedule (CLI `--order heavy|index`).  Results
-  /// are bit-identical either way; only wall-clock differs.
-  WorkOrder order = WorkOrder::kHeavyFirst;
 
   /// Engine threads per scenario for the production engine's dense
   /// steps (CLI `--engine-threads`; the reference engine ignores it).

@@ -316,10 +316,6 @@ std::string campaign_usage() {
      << "                                 lowered to compensate — each\n"
      << "                                 worker keeps a persistent engine\n"
      << "                                 pool of this size)\n"
-     << "  --order heavy|index            work-stealing schedule: heavy\n"
-     << "                                 cells first (default) or grid\n"
-     << "                                 order; artifacts are identical\n"
-     << "                                 either way\n"
      << "artifacts:\n"
      << "  --json PATH                    write the full JSON document\n"
      << "  --csv PATH                     write the per-cell aggregate CSV\n"
@@ -357,8 +353,7 @@ CliResult cmd_campaign(const std::vector<std::string>& args) {
       "--preset",  "--protocols", "--families", "--sizes",
       "--daemons", "--inits",     "--reps",     "--seed",
       "--threads", "--steps",     "--json",     "--csv",
-      "--runs-csv", "--engine",   "--order",    "--perturb",
-      "--engine-threads"};
+      "--runs-csv", "--engine",   "--perturb",  "--engine-threads"};
   for (std::size_t pos = 0; pos < args.size();) {
     const std::string& flag = args[pos];
     if (flag == "--help") return {0, campaign_usage()};
@@ -421,8 +416,6 @@ CliResult cmd_campaign(const std::vector<std::string>& args) {
       run_opt.max_steps_override = parse_steps(value);
     } else if (flag == "--engine") {
       run_opt.engine = engine_by_name(value);
-    } else if (flag == "--order") {
-      run_opt.order = cmp::work_order_by_name(value);
     } else if (flag == "--json") {
       json_path = value;
     } else if (flag == "--csv") {

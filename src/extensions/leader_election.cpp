@@ -135,20 +135,20 @@ inline LeaderState lex_state(std::uint64_t key) {
 
 SimdEval<LeaderElectionProtocol>::Context SimdEval<LeaderElectionProtocol>::
     make_context(const Graph& g, const LeaderElectionProtocol&) {
-  return {flatten_adjacency(g)};
+  return {g.offsets(), g.targets()};
 }
 
 void SimdEval<LeaderElectionProtocol>::enabled_bytes(
     const Context& ctx, const LeaderElectionProtocol& proto,
     const ConfigView<LeaderState>& cfg, std::uint8_t* out, LeaderState* next,
     VertexId begin, VertexId end) {
-  const std::int32_t* off = ctx.adj.offsets.data();
-  const VertexId* tg = ctx.adj.targets.data();
+  const std::int64_t* off = ctx.offsets.data();
+  const VertexId* tg = ctx.targets.data();
   const auto bound = static_cast<std::int32_t>(cfg.size());
   const LeaderState* s = cfg.column();
   for (VertexId v = begin; v < end; ++v) {
     std::uint64_t best = lex_key(proto.id_of(v), 0);
-    for (std::int32_t j = off[v]; j < off[v + 1]; ++j) {
+    for (std::int64_t j = off[v]; j < off[v + 1]; ++j) {
       const LeaderState su = s[static_cast<std::size_t>(tg[j])];
       // Same discard as best_candidate(): corrupted or overflowing
       // distances never become candidates (the ghost-flushing bound).

@@ -26,6 +26,7 @@
 #define SPECSTAB_EXTENSIONS_LEADER_ELECTION_HPP
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -116,8 +117,10 @@ class LeaderElectionProtocol {
 /// states, and the successor is that key decoded.
 template <>
 struct SimdEval<LeaderElectionProtocol> {
+  /// Views of the graph's CSR arrays, so it must not outlive the graph.
   struct Context {
-    FlatAdjacency adj;
+    std::span<const std::int64_t> offsets;  ///< g.offsets()
+    std::span<const VertexId> targets;      ///< g.targets()
   };
   static Context make_context(const Graph& g, const LeaderElectionProtocol&);
   static void enabled_bytes(const Context& ctx,

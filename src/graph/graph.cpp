@@ -14,11 +14,12 @@ Graph::Graph(VertexId n) {
 }
 
 Graph::Graph(VertexId n,
-             const std::vector<std::pair<VertexId, VertexId>>& edges)
+             const std::vector<std::pair<VertexId, VertexId>>& edges,
+             VertexId known_diameter)
     : Graph(n) {
   // Two-pass CSR build: count degrees, prefix-sum into offsets, scatter
   // both directions, then sort each row and reject duplicates.  O(m log
-  // maxdeg) with two flat allocations — no per-edge staging.
+  // maxdeg) with two flat allocations.
   for (const auto& [u, v] : edges) {
     check_vertex(u);
     check_vertex(v);
@@ -55,90 +56,21 @@ Graph::Graph(VertexId n,
     }
   }
   m_ = static_cast<std::int64_t>(edges.size());
+  known_diameter_ = known_diameter;
 }
 
-void Graph::check_vertex(VertexId v) const {
-  if (v < 0 || v >= n_) {
-    throw std::out_of_range("Graph: vertex " + std::to_string(v) +
-                            " out of range [0, " + std::to_string(n_) + ")");
-  }
-}
-
-void Graph::add_edge(VertexId u, VertexId v) {
-  check_vertex(u);
-  check_vertex(v);
-  if (u == v) {
-    throw std::invalid_argument("Graph: self-loop on vertex " +
-                                std::to_string(u));
-  }
-  if (has_edge(u, v)) {
-    throw std::invalid_argument("Graph: duplicate edge {" + std::to_string(u) +
-                                ", " + std::to_string(v) + "}");
-  }
-  pending_.emplace_back(u, v);
-  pending_keys_.insert(edge_key(u, v));
-  ++m_;
-  known_diameter_ = -1;
+void Graph::throw_out_of_range(VertexId v) const {
+  throw std::out_of_range("Graph: vertex " + std::to_string(v) +
+                          " out of range [0, " + std::to_string(n_) + ")");
 }
 
 bool Graph::has_edge(VertexId u, VertexId v) const {
   check_vertex(u);
-  check_vertex(v);
-  if (u == v) return false;
-  if (!pending_keys_.empty() && pending_keys_.count(edge_key(u, v)) > 0) {
-    return true;
-  }
-  const auto* lo = targets_.data() + offsets_[static_cast<std::size_t>(u)];
-  const auto* hi = targets_.data() + offsets_[static_cast<std::size_t>(u) + 1];
-  return std::binary_search(lo, hi, v);
-}
-
-void Graph::flush() const {
-  // Fold the staged edges into fresh CSR arrays: grow each touched
-  // row, copy the old sorted prefix, append the staged endpoints, and
-  // re-sort only rows that grew.  Repeatable under interleaved
-  // add_edge()/read sequences.
-  std::vector<std::int64_t> grow(static_cast<std::size_t>(n_), 0);
-  for (const auto& [u, v] : pending_) {
-    ++grow[static_cast<std::size_t>(u)];
-    ++grow[static_cast<std::size_t>(v)];
-  }
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(n_) + 1, 0);
-  for (VertexId v = 0; v < n_; ++v) {
-    const auto old_sz = offsets_[static_cast<std::size_t>(v) + 1] -
-                        offsets_[static_cast<std::size_t>(v)];
-    offsets[static_cast<std::size_t>(v) + 1] =
-        offsets[static_cast<std::size_t>(v)] + old_sz +
-        grow[static_cast<std::size_t>(v)];
-  }
-  std::vector<VertexId> targets(static_cast<std::size_t>(offsets.back()));
-  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (VertexId v = 0; v < n_; ++v) {
-    const auto old_lo = offsets_[static_cast<std::size_t>(v)];
-    const auto old_hi = offsets_[static_cast<std::size_t>(v) + 1];
-    std::copy(targets_.data() + old_lo, targets_.data() + old_hi,
-              targets.data() + cursor[static_cast<std::size_t>(v)]);
-    cursor[static_cast<std::size_t>(v)] += old_hi - old_lo;
-  }
-  for (const auto& [u, v] : pending_) {
-    targets[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] =
-        v;
-    targets[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] =
-        u;
-  }
-  for (VertexId v = 0; v < n_; ++v) {
-    if (grow[static_cast<std::size_t>(v)] == 0) continue;
-    std::sort(targets.begin() + offsets[static_cast<std::size_t>(v)],
-              targets.begin() + offsets[static_cast<std::size_t>(v) + 1]);
-  }
-  offsets_ = std::move(offsets);
-  targets_ = std::move(targets);
-  pending_.clear();
-  pending_keys_.clear();
+  const auto row = neighbors(v);
+  return std::binary_search(row.begin(), row.end(), u);
 }
 
 std::vector<std::pair<VertexId, VertexId>> Graph::edges() const {
-  ensure_flushed();
   std::vector<std::pair<VertexId, VertexId>> out;
   out.reserve(static_cast<std::size_t>(m_));
   for (VertexId u = 0; u < n_; ++u) {
@@ -151,7 +83,6 @@ std::vector<std::pair<VertexId, VertexId>> Graph::edges() const {
 
 bool Graph::is_connected() const {
   if (n_ <= 1) return true;
-  ensure_flushed();
   std::vector<char> seen(static_cast<std::size_t>(n_), 0);
   std::queue<VertexId> q;
   q.push(0);

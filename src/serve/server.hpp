@@ -123,7 +123,8 @@ class SessionServer {
  private:
   struct Connection;
   /// The per-topology artifacts, built once and shared across sessions
-  /// (the campaign runner's caching pattern).  The diameter is computed
+  /// (the campaign runner's caching pattern); concurrent sessions read
+  /// the immutable graph without a lock.  The diameter is computed
   /// lazily, the first time a protocol that reads it runs on the
   /// topology: diameter() throws on disconnected graphs (only file-loaded
   /// ones can be), and protocols that never look at it should still run

@@ -45,32 +45,13 @@ EngineKind engine_by_name(const std::string& name) {
       "incremental)");
 }
 
-FlatAdjacency flatten_adjacency(const Graph& g) {
-  FlatAdjacency adj;
-  const auto n = static_cast<std::size_t>(g.n());
-  adj.offsets.resize(n + 1);
-  adj.offsets[0] = 0;
-  std::size_t total = 0;
-  for (VertexId v = 0; v < g.n(); ++v) {
-    total += g.neighbors(v).size();
-    adj.offsets[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::int32_t>(total);
-  }
-  adj.targets.reserve(total);
-  for (VertexId v = 0; v < g.n(); ++v) {
-    const auto& nbrs = g.neighbors(v);
-    adj.targets.insert(adj.targets.end(), nbrs.begin(), nbrs.end());
-  }
-  return adj;
-}
-
 namespace {
 
 // True iff a and b have the same neighbour offsets: equal degrees and
 // nbrs(a)[j] - a == nbrs(b)[j] - b for every j.
 bool same_offsets(const Graph& g, VertexId a, VertexId b) {
-  const NeighborSpan na = g.neighbors(a);
-  const NeighborSpan nb = g.neighbors(b);
+  const auto na = g.neighbors(a);
+  const auto nb = g.neighbors(b);
   if (na.size() != nb.size()) return false;
   for (std::size_t j = 0; j < na.size(); ++j) {
     if (na[j] - a != nb[j] - b) return false;

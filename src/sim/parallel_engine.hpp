@@ -260,8 +260,8 @@ RunResult<typename P::State> run_execution_parallel(
 
   EnabledSet enabled;
   enabled.reset(g.n());
-  // The initial full scan is sequential; it also performs the graph's
-  // lazy CSR flush before any worker reads adjacency.
+  // The initial full scan is sequential; the shards below share the
+  // immutable graph.
   enabled.assign(enabled_vertices(g, proto, live));
 
   // External pool (campaign / serve host threads) or a run-local one.

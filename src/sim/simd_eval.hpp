@@ -8,7 +8,10 @@
 //
 //   template <>
 //   struct SimdEval<MyProtocol> {
-//     struct Context { FlatAdjacency adj; };
+//     struct Context {
+//       std::span<const std::int64_t> offsets;  // g.offsets()
+//       std::span<const VertexId> targets;      // g.targets()
+//     };
 //     static Context make_context(const Graph& g, const MyProtocol&);
 //     static void enabled_bytes(const Context&, const MyProtocol&,
 //                               const ConfigView<MyProtocol::State>& cfg,
@@ -18,8 +21,11 @@
 //   };
 //
 // make_context() runs once per execution, at its first dense step, and
-// precomputes whatever the kernel streams (typically the flattened CSR
-// adjacency below).
+// holds whatever the kernel streams: typically views of the graph's own
+// CSR arrays (Graph::offsets() and Graph::targets()), which cost nothing
+// to take.  So a context must not outlive its graph: the engine builds
+// one per run and drops it when the run returns.  A Graph is immutable,
+// so the shards read those arrays concurrently without synchronization.
 // enabled_bytes() must, for every vertex v in [begin, end), write
 //   out[v]  = proto.enabled(g, cfg, v) ? 1 : 0, and
 //   next[v] = out[v] ? proto.apply(g, cfg, v) : cfg[v]
@@ -36,7 +42,7 @@
 // entries, so shards write concurrently without synchronization); one
 // shard passes [0, n).
 // Kernels are branch-light loops over the state column (cfg.column(),
-// the store's one vector) and the flattened CSR adjacency.  A CSR
+// the store's one vector) and the graph's CSR arrays.  A CSR
 // neighbour loop has a data-dependent trip count, so the compiler
 // evaluates one vertex at a time there rather than vectorizing across
 // vertices.  The unison kernel (which ssme forwards
@@ -90,18 +96,6 @@
 #include "sim/types.hpp"
 
 namespace specstab {
-
-/// Flattened CSR adjacency: the neighbours of v occupy
-/// targets[offsets[v] .. offsets[v+1]), in the Graph's (sorted) order.
-/// Guard kernels stream this instead of chasing the per-vertex
-/// std::vector pointers of Graph::neighbors().
-struct FlatAdjacency {
-  std::vector<std::int32_t> offsets;  ///< size n + 1
-  std::vector<VertexId> targets;      ///< size 2m
-};
-
-/// One-pass flattening of g's adjacency lists.
-[[nodiscard]] FlatAdjacency flatten_adjacency(const Graph& g);
 
 /// The neighbour offsets most vertices of g share.  A vertex v follows
 /// the stencil when its sorted neighbour list is exactly v + offsets[j]

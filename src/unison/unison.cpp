@@ -126,7 +126,7 @@ namespace {
 // --- Lane arithmetic of the guard kernel ----------------------------------
 //
 // The rules are written once over a lane type Lanes<V>: V is one
-// std::int32_t (a vertex read through the flattened adjacency) or a
+// std::int32_t (a vertex read through the CSR adjacency) or a
 // GCC/Clang vector of 4 or 8 int32 lanes (that many consecutive lattice
 // vertices).  Four lanes fill one SSE2 register on x86-64 and are lowered
 // by the compiler on other targets; eight fill one AVX2 register and are
@@ -374,20 +374,20 @@ template <class V>
   return total;
 }
 
-/// Vertices [from, to) one at a time through the flattened adjacency:
-/// their verdicts and successors written, their Gamma_1 violation count
+/// Vertices [from, to) one at a time through the CSR adjacency: their
+/// verdicts and successors written, their Gamma_1 violation count
 /// returned.
 [[gnu::always_inline]] inline std::int64_t adjacency_walk(
-    const FlatAdjacency& adj, const ClockLanes<std::int32_t>& c1,
-    const ClockValue* c, std::uint8_t* out, ClockValue* next, VertexId from,
-    VertexId to) {
-  const std::int32_t* off = adj.offsets.data();
-  const VertexId* tg = adj.targets.data();
+    const SimdEval<UnisonProtocol>::Context& ctx,
+    const ClockLanes<std::int32_t>& c1, const ClockValue* c,
+    std::uint8_t* out, ClockValue* next, VertexId from, VertexId to) {
+  const std::int64_t* off = ctx.offsets.data();
+  const VertexId* tg = ctx.targets.data();
   std::int64_t total = 0;
   for (VertexId v = from; v < to; ++v) {
     RuleFold<std::int32_t> f({c[v]}, mask<std::int32_t>(off[v] == off[v + 1]),
                              c1);
-    for (std::int32_t j = off[v]; j < off[v + 1]; ++j) f.fold({c[tg[j]]}, c1);
+    for (std::int64_t j = off[v]; j < off[v + 1]; ++j) f.fold({c[tg[j]]}, c1);
     const Settled<std::int32_t> s = settle(f, c1);
     out[v] = static_cast<std::uint8_t>(s.moves.v & 1);
     next[v] = s.next.v;
@@ -401,7 +401,7 @@ template <class V>
 /// [begin, end) in the lane arithmetic above.  Runs of stencil vertices
 /// go Lanes<V>::kWidth at a time, then, in a tier wider than four lanes,
 /// four at a time once more; the other vertices, and the tail of each
-/// run, one at a time through the flattened adjacency.  Ranges may start
+/// run, one at a time through the CSR adjacency.  Ranges may start
 /// and stop anywhere.  Each tier inlines this template into its own
 /// entry point, in that entry point's instruction set.
 template <class V>
@@ -412,7 +412,7 @@ template <class V>
   const ClockLanes<std::int32_t> c1(proto.clock());
   const std::int32_t* stencil = ctx.lattice.offsets.data();
   const std::size_t degree = ctx.lattice.offsets.size();
-  if (degree == 0) return adjacency_walk(ctx.adj, c1, c, out, next, begin, end);
+  if (degree == 0) return adjacency_walk(ctx, c1, c, out, next, begin, end);
   constexpr int kWidth = Lanes<V>::kWidth;
   const ClockLanes<V> lanes(proto.clock());
   Lanes<V> violations = lanes.zero;
@@ -438,7 +438,7 @@ template <class V>
     }
     // The run's tail, then the irregular vertex that ends it.
     const VertexId resume = stop < end ? stop + 1 : end;
-    total += adjacency_walk(ctx.adj, c1, c, out, next, v, resume);
+    total += adjacency_walk(ctx, c1, c, out, next, v, resume);
     if (stop < end) ++irr;
     v = resume;
   }
@@ -492,7 +492,7 @@ int lattice_lanes() {
 
 SimdEval<UnisonProtocol>::Context SimdEval<UnisonProtocol>::make_context(
     const Graph& g, const UnisonProtocol&) {
-  return {flatten_adjacency(g), lattice_stencil(g)};
+  return {g.offsets(), g.targets(), lattice_stencil(g)};
 }
 
 void SimdEval<UnisonProtocol>::enabled_bytes(const Context& ctx,

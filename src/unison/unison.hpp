@@ -15,6 +15,7 @@
 #define SPECSTAB_UNISON_UNISON_HPP
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "clock/cherry_clock.hpp"
@@ -94,8 +95,8 @@ class UnisonProtocol {
 /// (ring, path, grid and torus interiors) are evaluated in lane groups,
 /// their neighbours loaded as shifted slices of the column: eight at a
 /// time on an x86-64 CPU with AVX2, four at a time otherwise (see
-/// unison_detail below).  The other vertices walk the flattened
-/// adjacency one at a time through the same rule code.  The rule that
+/// unison_detail below).  The other vertices walk the graph's CSR
+/// arrays one at a time through the same rule code.  The rule that
 /// fired selects the successor in the same pass: phi(r_v) for NA and CA,
 /// -alpha for RA.  The pass also yields the Gamma_1 violation count for
 /// free — the allCorrect fold is exactly local legitimacy — so the scored
@@ -104,8 +105,10 @@ class UnisonProtocol {
 template <>
 struct SimdEval<UnisonProtocol> {
   using ScoreKind = Gamma1ScoreKind;
+  /// Views of the graph's CSR arrays, so it must not outlive the graph.
   struct Context {
-    FlatAdjacency adj;
+    std::span<const std::int64_t> offsets;  ///< g.offsets()
+    std::span<const VertexId> targets;      ///< g.targets()
     LatticeStencil lattice;
   };
   static Context make_context(const Graph& g, const UnisonProtocol&);

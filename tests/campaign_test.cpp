@@ -247,30 +247,15 @@ TEST(RunCampaignTest, RerunIsBitIdentical) {
 }
 
 TEST(RunCampaignTest, ScheduleOrderInvariance) {
-  // Rep-level work stealing hands items out heavy-first by default; the
-  // result table must be bit-identical to index-order execution at any
-  // thread count.
+  // Rep-level work stealing hands items out heavy-first; the result
+  // table must be bit-identical to running every scenario on its own, in
+  // grid order.
   const auto items = expand_grid(small_grid());
-  RunnerOptions heavy;
-  heavy.threads = 4;
-  heavy.order = WorkOrder::kHeavyFirst;
-  RunnerOptions index;
-  index.threads = 1;
-  index.order = WorkOrder::kIndexOrder;
-  const auto a = run_scenarios(items, heavy);
-  const auto b = run_scenarios(items, index);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i], b.rows[i]) << "row " << i;
+  const auto a = run_scenarios(items, {.threads = 4});
+  ASSERT_EQ(a.rows.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(a.rows[i], run_scenario(items[i])) << "row " << i;
   }
-}
-
-TEST(RunCampaignTest, WorkOrderNamesRoundTrip) {
-  EXPECT_EQ(work_order_by_name("heavy"), WorkOrder::kHeavyFirst);
-  EXPECT_EQ(work_order_by_name("index"), WorkOrder::kIndexOrder);
-  EXPECT_EQ(work_order_name(WorkOrder::kHeavyFirst), "heavy");
-  EXPECT_EQ(work_order_name(WorkOrder::kIndexOrder), "index");
-  EXPECT_THROW((void)work_order_by_name("fifo"), std::invalid_argument);
 }
 
 TEST(RunScenarioTest, MaxStepsOverrideKeepsEarlyStopForClosedPredicates) {

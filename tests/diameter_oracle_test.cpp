@@ -168,26 +168,30 @@ TEST(DiameterOracleTest, IfubIsExactOnItsWorstCaseFamilies) {
   check("random 400 0.01 3", make_random_connected(400, 0.01, 3));
 }
 
-TEST(DiameterOracleTest, AddEdgeClearsTheClosedForm) {
-  Graph chorded = make_ring(12);
-  ASSERT_EQ(chorded.known_diameter(), 6);
-  chorded.add_edge(0, 3);
+TEST(DiameterOracleTest, EdgeListGraphRecordsNoClosedForm) {
+  // A generator's edges plus one more: the family's closed form no
+  // longer holds, and a graph built from the edge list records none.
+  const Graph ring = make_ring(12);
+  ASSERT_EQ(ring.known_diameter(), 6);
+  auto edges = ring.edges();
+  edges.emplace_back(0, 3);
+  const Graph chorded(ring.n(), edges);
   EXPECT_EQ(chorded.known_diameter(), -1);
   expect_matches_oracle(chorded, "ring 12 + chord {0, 3}");
 
   // Closing a path into a ring: a stale closed form would still say 9.
-  Graph closed = make_path(10);
-  ASSERT_EQ(closed.known_diameter(), 9);
-  closed.add_edge(0, 9);
+  const Graph path = make_path(10);
+  ASSERT_EQ(path.known_diameter(), 9);
+  edges = path.edges();
+  edges.emplace_back(0, 9);
+  const Graph closed(path.n(), edges);
+  EXPECT_EQ(closed.known_diameter(), -1);
   EXPECT_EQ(diameter(closed), 5);
   expect_matches_oracle(closed, "path 10 closed into a ring");
 }
 
 TEST(DiameterOracleTest, DisconnectedGraphsThrow) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
+  const Graph g(5, {{0, 1}, {1, 2}, {3, 4}});
   EXPECT_THROW((void)diameter(g), std::invalid_argument);
   EXPECT_THROW((void)diameter_pair(g), std::invalid_argument);
   EXPECT_THROW((void)diameter(Graph(2)), std::invalid_argument);

@@ -235,7 +235,7 @@ TEST(ParallelDifferential, WordBoundaryShardMisalignment) {
   const UnboundedUnisonProtocol proto;
   for (const VertexId n : {63, 64, 65, 97, 129, 190}) {
     const Graph g = make_ring(n);
-    for (const std::string daemon_name :
+    for (const std::string& daemon_name :
          {std::string("synchronous"), std::string("bernoulli-0.5")}) {
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         RunOptions opt;
@@ -400,7 +400,7 @@ TEST(ParallelDifferential, ScoredKernelPartialSumsAcrossShards) {
   for (const auto& row : rows) {
     for (const Graph* g : {&ring, &torus}) {
       if (row.ring_only && g != &ring) continue;
-      for (const std::string daemon_name :
+      for (const std::string& daemon_name :
            {std::string("synchronous"), std::string("bernoulli-0.5")}) {
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
           row.run(*g, daemon_name, seed);
@@ -581,7 +581,7 @@ TEST(ParallelDifferential, ExternalPoolReuseIsInvisible) {
   const Graph g = make_ring(130);
   const UnboundedUnisonProtocol proto;
   ShardPool pool(7);  // 8 participants
-  for (const std::string daemon_name :
+  for (const std::string& daemon_name :
        {std::string("synchronous"), std::string("random-subset")}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       RunOptions opt;

@@ -17,8 +17,7 @@ TEST(PropertiesTest, BfsDistancesOnPath) {
 }
 
 TEST(PropertiesTest, UnreachableIsMinusOne) {
-  Graph g(3);
-  g.add_edge(0, 1);
+  const Graph g(3, {{0, 1}});
   const auto d = bfs_distances(g, 0);
   EXPECT_EQ(d[2], -1);
   EXPECT_THROW((void)distance(g, 0, 2), std::invalid_argument);

@@ -5,8 +5,9 @@
 // backpressure, abrupt disconnect mid-stream, drain-on-shutdown (by
 // request and by the stop fd), a bounded thread count whatever a
 // request's `threads` asks for or however many clients connect, bounded
-// VmSize as connections churn, and a server out of fds that keeps
-// serving instead of draining.
+// VmSize as connections churn, concurrent first sessions on one fresh
+// topology, and a server out of fds that keeps serving instead of
+// draining.
 #include <pthread.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
@@ -360,6 +362,39 @@ TEST(ServeProtocolTest, ImmediateRepeatOfEveryRunHitsTheCache) {
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->find("hits")->as_int(), kUnique);
   EXPECT_EQ(cache->find("misses")->as_int(), kUnique);
+}
+
+TEST(ServeProtocolTest, ConcurrentFirstRunsShareOneFreshTopology) {
+  // Four workers take the first sessions on a topology no request has
+  // used yet, so they make the first reads of the cached graph at once.
+  // Coloring never asks for the diameter (a wheel's is a closed form
+  // anyway), so nothing reads the graph before them.  Distinct seeds make
+  // every request a cache miss; each must get a result.
+  constexpr int kClients = 4;
+  ServeOptions options;
+  options.threads = kClients;
+  ServerHarness harness(options);
+  for (const int n : {20, 21, 22}) {
+    const std::string topology = "wheel " + std::to_string(n);
+    std::vector<LineClient> clients;
+    clients.reserve(kClients);
+    for (int i = 0; i < kClients; ++i) clients.push_back(harness.connect());
+    std::vector<std::string> replies(kClients);
+    std::latch start(kClients);
+    std::vector<std::thread> senders;
+    for (int i = 0; i < kClients; ++i) {
+      senders.emplace_back([&, i] {
+        const auto slot = static_cast<std::size_t>(i);
+        start.arrive_and_wait();
+        replies[slot] = clients[slot].roundtrip(run_request(
+            i, "coloring", topology, ",\"seed\":" + std::to_string(i + 1)));
+      });
+    }
+    for (auto& t : senders) t.join();
+    for (const std::string& reply : replies) {
+      EXPECT_TRUE(is_result(reply)) << topology << ": " << reply;
+    }
+  }
 }
 
 /// Threads of this process, counted from /proc/self/task.

@@ -243,7 +243,8 @@ TEST(SimdEvalTest, LatticeStencilFollowsTheGraph) {
       }
       const auto& irr = lattice.irregular;
       const bool listed = std::binary_search(irr.begin(), irr.end(), v);
-      EXPECT_EQ(!(g.neighbors(v) == shifted), listed) << name << " v=" << v;
+      EXPECT_EQ(!std::ranges::equal(g.neighbors(v), shifted), listed)
+          << name << " v=" << v;
     }
   }
 }
