@@ -652,7 +652,8 @@ CliResult cmd_run(const std::vector<std::string>& args,
     const auto join = [](const std::vector<StepIndex>& v) {
       std::string out;
       for (const auto s : v) {
-        out += (out.empty() ? "" : " ") + std::to_string(s);
+        if (!out.empty()) out += ' ';
+        out.append(std::to_string(s));
       }
       return out.empty() ? std::string("-") : out;
     };

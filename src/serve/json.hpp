@@ -18,6 +18,7 @@
 #ifndef SPECSTAB_SERVE_JSON_HPP
 #define SPECSTAB_SERVE_JSON_HPP
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +31,56 @@
 #include <vector>
 
 namespace specstab::serve {
+
+/// Appends `s` as a JSON string literal, escaped minimally: '"', '\\',
+/// '\n', '\r' and '\t' by name, every other byte below 0x20 as a
+/// lowercase \u00xx, and every other byte (UTF-8 included) raw, copied
+/// in runs.  The one escaper of the serve layer: JsonValue::dump_into()
+/// and the trace line renderers both call it.
+inline void append_json_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  std::size_t run = 0;  // start of the bytes not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+  out += '"';
+}
+
+/// Appends `i` in decimal, as std::to_string() spells it.
+inline void append_json_int(std::string& out, std::int64_t i) {
+  // 19 digits and a sign: INT64_MIN.
+  char digits[std::numeric_limits<std::int64_t>::digits10 + 2];
+  const std::to_chars_result end =
+      std::to_chars(digits, digits + sizeof(digits), i);
+  out.append(digits, end.ptr);
+}
 
 class JsonValue {
  public:
@@ -151,11 +202,59 @@ class JsonValue {
 
   /// Compact serialization (no whitespace), byte-stable for a given
   /// value: object members in insertion order, strings escaped
-  /// minimally (control characters as \uXXXX), integers in decimal.
+  /// minimally (append_json_string()), integers in decimal.
   [[nodiscard]] std::string dump() const {
     std::string out;
     dump_into(out);
     return out;
+  }
+
+  /// dump(), appended to `out`.
+  void dump_into(std::string& out) const {
+    switch (kind_) {
+      case Kind::kNull:
+        out += "null";
+        return;
+      case Kind::kBool:
+        out += bool_ ? "true" : "false";
+        return;
+      case Kind::kInt:
+        append_json_int(out, int_);
+        return;
+      case Kind::kDouble: {
+        if (!std::isfinite(double_)) {
+          out += "null";  // JSON has no Inf/NaN
+          return;
+        }
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", double_);
+        out += buf;
+        return;
+      }
+      case Kind::kString:
+        append_json_string(out, string_);
+        return;
+      case Kind::kArray: {
+        out += '[';
+        for (std::size_t i = 0; i < array_.size(); ++i) {
+          if (i > 0) out += ',';
+          array_[i].dump_into(out);
+        }
+        out += ']';
+        return;
+      }
+      case Kind::kObject: {
+        out += '{';
+        for (std::size_t i = 0; i < object_.size(); ++i) {
+          if (i > 0) out += ',';
+          append_json_string(out, object_[i].first);
+          out += ':';
+          object_[i].second.dump_into(out);
+        }
+        out += '}';
+        return;
+      }
+    }
   }
 
   /// Parses exactly one JSON document; trailing non-whitespace, bad
@@ -174,86 +273,6 @@ class JsonValue {
   void require(Kind kind, const char* what) const {
     if (kind_ != kind) {
       throw std::invalid_argument(std::string("JsonValue: not a ") + what);
-    }
-  }
-
-  static void dump_string(const std::string& s, std::string& out) {
-    out += '"';
-    for (const unsigned char c : s) {
-      switch (c) {
-        case '"':
-          out += "\\\"";
-          break;
-        case '\\':
-          out += "\\\\";
-          break;
-        case '\n':
-          out += "\\n";
-          break;
-        case '\r':
-          out += "\\r";
-          break;
-        case '\t':
-          out += "\\t";
-          break;
-        default:
-          if (c < 0x20) {
-            static const char* hex = "0123456789abcdef";
-            out += "\\u00";
-            out += hex[(c >> 4) & 0xf];
-            out += hex[c & 0xf];
-          } else {
-            out += static_cast<char>(c);
-          }
-      }
-    }
-    out += '"';
-  }
-
-  void dump_into(std::string& out) const {
-    switch (kind_) {
-      case Kind::kNull:
-        out += "null";
-        return;
-      case Kind::kBool:
-        out += bool_ ? "true" : "false";
-        return;
-      case Kind::kInt:
-        out += std::to_string(int_);
-        return;
-      case Kind::kDouble: {
-        if (!std::isfinite(double_)) {
-          out += "null";  // JSON has no Inf/NaN
-          return;
-        }
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", double_);
-        out += buf;
-        return;
-      }
-      case Kind::kString:
-        dump_string(string_, out);
-        return;
-      case Kind::kArray: {
-        out += '[';
-        for (std::size_t i = 0; i < array_.size(); ++i) {
-          if (i > 0) out += ',';
-          array_[i].dump_into(out);
-        }
-        out += ']';
-        return;
-      }
-      case Kind::kObject: {
-        out += '{';
-        for (std::size_t i = 0; i < object_.size(); ++i) {
-          if (i > 0) out += ',';
-          dump_string(object_[i].first, out);
-          out += ':';
-          object_[i].second.dump_into(out);
-        }
-        out += '}';
-        return;
-      }
     }
   }
 

@@ -30,6 +30,11 @@ thread_local ShardPool* tl_engine_pool = nullptr;
 /// enough that the client is served soon after an fd frees up.
 constexpr std::chrono::milliseconds kAcceptRetry{100};
 
+/// A trace stream leaves in writes of at least this many bytes (the
+/// last one excepted), each of whole lines: one send() per batch instead
+/// of one per line.
+constexpr std::size_t kTraceBatchBytes = 16u << 10;
+
 /// One byte on the event loop's wake pipe.  The pipe never holds more
 /// than the two wakes, so the write neither blocks nor is interrupted.
 void wake(const Fd& pipe_write) {
@@ -66,7 +71,8 @@ VertexId SessionServer::instance_diameter(const TopologyInstance& topo) {
 
 /// Per-connection state shared between the event loop and the workers
 /// serving its queued requests.  Only the loop touches `reader`.
-/// Replies from the loop and concurrent workers interleave at line
+/// Every write is of whole lines (one reply, or a batch of trace lines),
+/// so replies from the loop and concurrent workers interleave at line
 /// granularity only (write_mutex); `alive` flips false on the first
 /// failed write or read, after which every further write is a cheap
 /// no-op — a half-streamed trace to a vanished client stops without
@@ -80,10 +86,10 @@ struct SessionServer::Connection {
   Connection(Fd fd_in, std::size_t max_line_bytes)
       : fd(std::move(fd_in)), reader(fd.get(), max_line_bytes) {}
 
-  bool write_line(const std::string& line) {
+  bool write_lines(const std::string& lines) {
     const std::lock_guard<std::mutex> lock(write_mutex);
     if (!alive.load(std::memory_order_relaxed)) return false;
-    if (!write_all(fd.get(), line)) {
+    if (!write_all(fd.get(), lines)) {
       alive.store(false, std::memory_order_relaxed);
       return false;
     }
@@ -266,7 +272,7 @@ bool SessionServer::read_connection(const ConnectionPtr& conn) {
     if (status == LineReader::Status::kPartial) return true;
     if (status == LineReader::Status::kOversized) {
       protocol_errors_.fetch_add(1);
-      conn->write_line(render_error_line(
+      conn->write_lines(render_error_line(
           JsonValue(), kErrOversized,
           "request line exceeds " + std::to_string(options_.max_line_bytes) +
               " bytes"));
@@ -275,7 +281,7 @@ bool SessionServer::read_connection(const ConnectionPtr& conn) {
     }
   }
   // A write failed: the peer is gone.  Writes to a vanished client fail
-  // in write_line (MSG_NOSIGNAL -> EPIPE), which flips `alive`.
+  // in write_lines (MSG_NOSIGNAL -> EPIPE), which flips `alive`.
   return false;
 }
 
@@ -312,13 +318,13 @@ void SessionServer::handle_line(const ConnectionPtr& conn,
   if (req.method == "run" || req.method == "trace") {
     handle_session_method(conn, req);
   } else if (req.method == "list") {
-    conn->write_line(render_result_line(req.id, list_payload()));
+    conn->write_lines(render_result_line(req.id, list_payload()));
   } else if (req.method == "stats") {
-    conn->write_line(render_result_line(req.id, stats_payload()));
+    conn->write_lines(render_result_line(req.id, stats_payload()));
   } else if (req.method == "shutdown") {
     JsonValue result = JsonValue::object();
     result.as_object().emplace_back("draining", true);
-    conn->write_line(render_result_line(req.id, result));
+    conn->write_lines(render_result_line(req.id, result));
     initiate_shutdown();
   } else {
     reply_error(conn, req.id, kErrInvalid,
@@ -383,7 +389,7 @@ void SessionServer::execute_run(const ConnectionPtr& conn, const JsonValue& id,
     // Count before the write: a client holding its reply must never
     // observe a stats snapshot that has not seen its session.
     sessions_completed_.fetch_add(1);
-    conn->write_line(render_result_line_raw(id, *payload));
+    conn->write_lines(render_result_line_raw(id, *payload));
     return;
   }
   try {
@@ -403,7 +409,7 @@ void SessionServer::execute_run(const ConnectionPtr& conn, const JsonValue& id,
     // as it holds this reply must hit the cache.
     cache_.insert(key, std::move(payload));
     sessions_completed_.fetch_add(1);
-    conn->write_line(line);
+    conn->write_lines(line);
   } catch (const std::invalid_argument& e) {
     reply_error(conn, id, kErrInvalid, e.what());
   } catch (const std::exception& e) {
@@ -430,24 +436,24 @@ void SessionServer::execute_trace(const ConnectionPtr& conn,
       return;
     }
     // Header carries the full result (so `trace` subsumes `run`), then
-    // the stream: gamma_0, one delta per action, a terminator.  Stop at
-    // the first failed write — the client is gone.
-    if (!conn->write_line(render_result_line(
-            id, session_result_to_json(sreq, result, true)))) {
-      return;
-    }
-    if (!conn->write_line(render_trace_init_line(id, result.trace_config(0)))) {
-      return;
-    }
+    // the stream: gamma_0, one delta per action, a terminator.  The lines
+    // collect in `batch`, written whenever it reaches kTraceBatchBytes;
+    // stop at the first failed write — the client is gone.
+    std::string batch =
+        render_result_line(id, session_result_to_json(sreq, result, true));
+    append_trace_init_line(batch, id, result.trace_config(0));
     const StepIndex records = result.trace_length - 1;
     for (StepIndex a = 0; a < records; ++a) {
-      if (!conn->write_line(
-              render_trace_delta_line(id, a, result.trace_delta(a)))) {
-        return;
+      if (batch.size() >= kTraceBatchBytes) {
+        if (!conn->write_lines(batch)) return;
+        batch.clear();
       }
+      append_trace_delta_line(batch, id, a, result.trace_delta(a));
     }
+    append_trace_end_line(batch, id, records);
+    // Count before the write that carries the end line (see execute_run).
     sessions_completed_.fetch_add(1);
-    (void)conn->write_line(render_trace_end_line(id, records));
+    (void)conn->write_lines(batch);
   } catch (const std::invalid_argument& e) {
     reply_error(conn, id, kErrInvalid, e.what());
   } catch (const std::exception& e) {
@@ -459,7 +465,7 @@ void SessionServer::reply_error(const ConnectionPtr& conn, const JsonValue& id,
                                 std::string_view code,
                                 const std::string& message) {
   protocol_errors_.fetch_add(1);
-  conn->write_line(render_error_line(id, code, message));
+  conn->write_lines(render_error_line(id, code, message));
 }
 
 JsonValue SessionServer::list_payload() const {

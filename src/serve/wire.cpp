@@ -215,52 +215,82 @@ std::string render_error_line(const JsonValue& id, std::string_view code,
 
 namespace {
 
-[[nodiscard]] std::string render_trace_line(const JsonValue& id,
-                                            JsonValue trace) {
-  return "{\"id\":" + id.dump() + ",\"trace\":" + trace.dump() + "}\n";
+/// A trace line up to its type: {"id":<id>,"trace":{"type":"<type>"
+void open_trace_line(std::string& out, const JsonValue& id,
+                     std::string_view type) {
+  out += "{\"id\":";
+  id.dump_into(out);
+  out += ",\"trace\":{\"type\":\"";
+  out += type;
+  out += '"';
 }
 
 }  // namespace
 
+void append_trace_init_line(std::string& out, const JsonValue& id,
+                            const std::vector<std::string>& config) {
+  open_trace_line(out, id, "init");
+  out += ",\"config\":[";
+  for (std::size_t i = 0; i < config.size(); ++i) {
+    if (i > 0) out += ',';
+    append_json_string(out, config[i]);
+  }
+  out += "]}}\n";
+}
+
+void append_trace_delta_line(std::string& out, const JsonValue& id,
+                             StepIndex index,
+                             const SessionResult::TraceDeltaRecord& rec) {
+  open_trace_line(out, id, "delta");
+  out += ",\"index\":";
+  append_json_int(out, index);
+  out += rec.perturbation ? ",\"perturbation\":true"
+                          : ",\"perturbation\":false";
+  out += ",\"activated\":[";
+  for (std::size_t i = 0; i < rec.activated.size(); ++i) {
+    if (i > 0) out += ',';
+    append_json_int(out, rec.activated[i]);
+  }
+  out += "],\"changes\":[";
+  for (std::size_t i = 0; i < rec.changes.size(); ++i) {
+    const SessionResult::TraceDeltaRecord::Change& change = rec.changes[i];
+    out += i > 0 ? ",{\"v\":" : "{\"v\":";
+    append_json_int(out, change.v);
+    out += ",\"before\":";
+    append_json_string(out, change.before);
+    out += ",\"after\":";
+    append_json_string(out, change.after);
+    out += '}';
+  }
+  out += "]}}\n";
+}
+
+void append_trace_end_line(std::string& out, const JsonValue& id,
+                           StepIndex records) {
+  open_trace_line(out, id, "end");
+  out += ",\"records\":";
+  append_json_int(out, records);
+  out += "}}\n";
+}
+
 std::string render_trace_init_line(const JsonValue& id,
                                    const std::vector<std::string>& config) {
-  JsonValue trace = JsonValue::object();
-  trace.as_object().emplace_back("type", "init");
-  JsonValue arr = JsonValue::array();
-  for (const auto& s : config) arr.as_array().push_back(s);
-  trace.as_object().emplace_back("config", std::move(arr));
-  return render_trace_line(id, std::move(trace));
+  std::string out;
+  append_trace_init_line(out, id, config);
+  return out;
 }
 
 std::string render_trace_delta_line(const JsonValue& id, StepIndex index,
                                     const SessionResult::TraceDeltaRecord& rec) {
-  JsonValue trace = JsonValue::object();
-  auto& fields = trace.as_object();
-  fields.emplace_back("type", "delta");
-  fields.emplace_back("index", static_cast<std::int64_t>(index));
-  fields.emplace_back("perturbation", rec.perturbation);
-  JsonValue activated = JsonValue::array();
-  for (const VertexId v : rec.activated) {
-    activated.as_array().push_back(static_cast<std::int64_t>(v));
-  }
-  fields.emplace_back("activated", std::move(activated));
-  JsonValue changes = JsonValue::array();
-  for (const auto& change : rec.changes) {
-    JsonValue c = JsonValue::object();
-    c.as_object().emplace_back("v", static_cast<std::int64_t>(change.v));
-    c.as_object().emplace_back("before", change.before);
-    c.as_object().emplace_back("after", change.after);
-    changes.as_array().push_back(std::move(c));
-  }
-  fields.emplace_back("changes", std::move(changes));
-  return render_trace_line(id, std::move(trace));
+  std::string out;
+  append_trace_delta_line(out, id, index, rec);
+  return out;
 }
 
 std::string render_trace_end_line(const JsonValue& id, StepIndex records) {
-  JsonValue trace = JsonValue::object();
-  trace.as_object().emplace_back("type", "end");
-  trace.as_object().emplace_back("records", static_cast<std::int64_t>(records));
-  return render_trace_line(id, std::move(trace));
+  std::string out;
+  append_trace_end_line(out, id, records);
+  return out;
 }
 
 }  // namespace specstab::serve

@@ -133,6 +133,18 @@ struct SessionRequest {
 [[nodiscard]] std::string render_trace_end_line(const JsonValue& id,
                                                 StepIndex records);
 
+/// The three trace lines above, appended to `out` byte for byte as the
+/// render_* functions return them; the server batches a stream's lines
+/// this way.  Each writes its bytes straight from the record, through
+/// append_json_string() and append_json_int(), without a JsonValue tree.
+void append_trace_init_line(std::string& out, const JsonValue& id,
+                            const std::vector<std::string>& config);
+void append_trace_delta_line(std::string& out, const JsonValue& id,
+                             StepIndex index,
+                             const SessionResult::TraceDeltaRecord& rec);
+void append_trace_end_line(std::string& out, const JsonValue& id,
+                           StepIndex records);
+
 }  // namespace specstab::serve
 
 #endif  // SPECSTAB_SERVE_WIRE_HPP

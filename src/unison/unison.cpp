@@ -1,5 +1,9 @@
 #include "unison/unison.hpp"
 
+#if SPECSTAB_LATTICE_AVX2
+#include <cpuid.h>
+#endif
+
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
@@ -445,6 +449,28 @@ template <class V>
   return total + lane_sum(violations) + lane_sum(violations4);
 }
 
+#if SPECSTAB_LATTICE_AVX2
+/// Whether this CPU runs AVX2 code: CPUID.1:ECX has OSXSAVE (bit 27) and
+/// AVX (bit 28), XCR0 shows the OS saving XMM and YMM state (bits 1-2),
+/// and CPUID.(7,0):EBX has AVX2 (bit 5).  A direct probe rather than
+/// __builtin_cpu_supports(), which links in libgcc's start-up
+/// constructor and so runs its own CPUID sequence in every process.
+bool cpu_runs_avx2() {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_OSXSAVE) == 0 || (ecx & bit_AVX) == 0) return false;
+  unsigned xcr0 = 0;
+  unsigned xcr0_high = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  if ((xcr0 & 0x6u) != 0x6u) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_AVX2) != 0;
+}
+#endif
+
 /// The tier this process runs: the widest the CPU supports, chosen on
 /// the first call.
 using ScoredTier = std::int64_t (*)(const SimdEval<UnisonProtocol>::Context&,
@@ -455,7 +481,7 @@ using ScoredTier = std::int64_t (*)(const SimdEval<UnisonProtocol>::Context&,
 ScoredTier dispatched_tier() {
   static const ScoredTier tier = []() -> ScoredTier {
 #if SPECSTAB_LATTICE_AVX2
-    if (__builtin_cpu_supports("avx2")) {
+    if (cpu_runs_avx2()) {
       return &unison_detail::enabled_bytes_scored_8lane;
     }
 #endif

@@ -132,8 +132,8 @@ struct SimdEval<UnisonProtocol> {
 
 /// The lattice kernel's tiers.  SimdEval<UnisonProtocol> runs one of
 /// them, chosen on its first call from the CPU's features: the
-/// eight-lane tier where __builtin_cpu_supports("avx2") holds, the
-/// four-lane one otherwise.  Both write the same bytes and return the
+/// eight-lane tier where the CPU and the OS run AVX2 code (a CPUID and
+/// XGETBV probe in unison.cpp), the four-lane one otherwise.  Both write the same bytes and return the
 /// same total; tests call each tier directly to hold it to the scalar
 /// code.
 namespace unison_detail {
@@ -147,7 +147,7 @@ std::int64_t enabled_bytes_scored_4lane(
     VertexId begin, VertexId end);
 
 #if SPECSTAB_LATTICE_AVX2
-/// AVX2 code: call it only where __builtin_cpu_supports("avx2") holds.
+/// AVX2 code: call it only where the CPU runs AVX2.
 __attribute__((target("avx2"))) std::int64_t enabled_bytes_scored_8lane(
     const SimdEval<UnisonProtocol>::Context& ctx, const UnisonProtocol& proto,
     const ConfigView<ClockValue>& cfg, std::uint8_t* out, ClockValue* next,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -66,6 +67,49 @@ std::string next_socket_path() {
     if (!entry.info.ring_only) pairs.emplace_back(entry.info.name, "torus 3 4");
   }
   return pairs;
+}
+
+/// The reply lines of a `trace` request for `sreq` as the direct traced
+/// session renders them with the wire codec: the header, gamma_0, every
+/// delta and the end line.
+[[nodiscard]] std::vector<std::string> direct_trace_lines(
+    const JsonValue& id, SessionRequest sreq) {
+  sreq.spec.record_trace = true;
+  const Graph g = graph_for(sreq.topology);
+  const SessionResult direct =
+      ProtocolRegistry::instance().at(sreq.protocol).run(g, sreq.spec);
+  std::vector<std::string> lines;
+  if (!direct.trace_config || direct.trace_length == 0) return lines;
+  lines.push_back(render_result_line_raw(
+      id, session_result_to_json(sreq, direct, true).dump()));
+  lines.push_back(render_trace_init_line(id, direct.trace_config(0)));
+  const StepIndex records = direct.trace_length - 1;
+  for (StepIndex i = 0; i < records; ++i) {
+    lines.push_back(render_trace_delta_line(id, i, direct.trace_delta(i)));
+  }
+  lines.push_back(render_trace_end_line(id, records));
+  return lines;
+}
+
+/// Sends `request` and holds the streamed reply to `expected`, line by
+/// line through the end line.
+void expect_trace_stream(LineClient& client, const std::string& request,
+                         const std::vector<std::string>& expected,
+                         const std::string& what) {
+  ASSERT_GE(expected.size(), 3u) << what << ": the direct session has no trace";
+  ASSERT_TRUE(client.send_line(request)) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::optional<std::string> line = client.read_line();
+    ASSERT_TRUE(line.has_value()) << what << " line " << i;
+    ASSERT_EQ(*line + "\n", expected[i]) << what << " line " << i;
+  }
+}
+
+/// The longest line of a stream, '\n' included.
+[[nodiscard]] std::size_t longest(const std::vector<std::string>& lines) {
+  std::size_t out = 0;
+  for (const std::string& line : lines) out = std::max(out, line.size());
+  return out;
 }
 
 class ServeEquivalenceTest : public ::testing::Test {
@@ -143,48 +187,52 @@ TEST_F(ServeEquivalenceTest, StreamedTracesMatchDirectTraceByteForByte) {
   int id = 100;
   for (const ProtocolEntry& entry : ProtocolRegistry::instance().entries()) {
     ++id;
-    const std::string protocol = entry.info.name;
-    const std::string topology = "ring 8";
-
-    // Direct traced session.
     SessionRequest sreq;
-    sreq.protocol = protocol;
-    sreq.topology = topology;
+    sreq.protocol = entry.info.name;
+    sreq.topology = "ring 8";
     sreq.spec = sweep_spec();
-    sreq.spec.record_trace = true;
-    const Graph g = graph_for(topology);
-    const SessionResult direct = entry.run(g, sreq.spec);
-    ASSERT_TRUE(static_cast<bool>(direct.trace_config)) << protocol;
-    ASSERT_GE(direct.trace_length, 1u) << protocol;
-    const StepIndex records = direct.trace_length - 1;
-
-    // Socket stream, compared line by line against the local renderer.
-    ASSERT_TRUE(
-        client.send_line(sweep_request(id, "trace", protocol, topology)));
-    const JsonValue rid(id);
-    std::optional<std::string> line = client.read_line();
-    ASSERT_TRUE(line.has_value()) << protocol;
-    EXPECT_EQ(*line + "\n",
-              render_result_line_raw(
-                  rid, session_result_to_json(sreq, direct, true).dump()))
-        << protocol << " header";
-    line = client.read_line();
-    ASSERT_TRUE(line.has_value()) << protocol;
-    EXPECT_EQ(*line + "\n",
-              render_trace_init_line(rid, direct.trace_config(0)))
-        << protocol << " gamma_0";
-    for (StepIndex i = 0; i < records; ++i) {
-      line = client.read_line();
-      ASSERT_TRUE(line.has_value()) << protocol << " delta " << i;
-      EXPECT_EQ(*line + "\n",
-                render_trace_delta_line(rid, i, direct.trace_delta(i)))
-          << protocol << " delta " << i;
-    }
-    line = client.read_line();
-    ASSERT_TRUE(line.has_value()) << protocol;
-    EXPECT_EQ(*line + "\n", render_trace_end_line(rid, records))
-        << protocol << " end";
+    expect_trace_stream(
+        client, sweep_request(id, "trace", sreq.protocol, sreq.topology),
+        direct_trace_lines(JsonValue(id), sreq), sreq.protocol);
   }
+}
+
+// The server writes a stream in batches of whole lines of at least
+// 16 KiB.  The next two streams hold it to the direct session where one
+// delta line alone outgrows a batch, and where a batch carries hundreds
+// of short lines.
+
+TEST_F(ServeEquivalenceTest, DeltaLinesLongerThanABatchStreamWhole) {
+  LineClient client(server_->endpoint());
+  SessionRequest sreq;
+  sreq.protocol = "ssme";
+  sreq.topology = "ring 600";
+  sreq.spec.daemon = "synchronous";
+  sreq.spec.seed = 5;
+  sreq.spec.max_steps = 6;
+  const std::vector<std::string> expected =
+      direct_trace_lines(JsonValue(21), sreq);
+  EXPECT_GT(longest(expected), std::size_t{16} << 10);
+  expect_trace_stream(
+      client,
+      "{\"id\":21,\"method\":\"trace\",\"params\":{\"protocol\":\"ssme\","
+      "\"topology\":\"ring 600\",\"daemon\":\"synchronous\",\"seed\":5,"
+      "\"steps\":6}}",
+      expected, "ssme synchronous on ring 600");
+}
+
+TEST_F(ServeEquivalenceTest, ThousandsOfShortLinesStreamInBatches) {
+  LineClient client(server_->endpoint());
+  SessionRequest sreq;
+  sreq.protocol = "ssme";
+  sreq.topology = "ring 64";
+  sreq.spec = sweep_spec();
+  const std::vector<std::string> expected =
+      direct_trace_lines(JsonValue(22), sreq);
+  EXPECT_GT(expected.size(), 1000u);
+  EXPECT_LT(longest(expected), std::size_t{1} << 10);
+  expect_trace_stream(client, sweep_request(22, "trace", "ssme", "ring 64"),
+                      expected, "ssme central-rr on ring 64");
 }
 
 TEST_F(ServeEquivalenceTest, StreamedDeltasRematerializeTheFullTrace) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -274,6 +276,193 @@ TEST(ServeWireTest, ReplyRenderingIsLineFramedAndIdEchoing) {
   EXPECT_EQ(err,
             "{\"id\":null,\"error\":{\"code\":\"busy\",\"message\":\"queue "
             "full\"}}\n");
+}
+
+// --------------------------------------------------------- trace lines
+
+/// The tree renderers the direct trace renderers replaced, kept as their
+/// oracle: each line is a JsonValue built member by member, then dumped.
+std::string tree_trace_line(const JsonValue& id, const JsonValue& trace) {
+  return "{\"id\":" + id.dump() + ",\"trace\":" + trace.dump() + "}\n";
+}
+
+std::string tree_init_line(const JsonValue& id,
+                           const std::vector<std::string>& config) {
+  JsonValue trace = JsonValue::object();
+  trace.as_object().emplace_back("type", "init");
+  JsonValue arr = JsonValue::array();
+  for (const auto& s : config) arr.as_array().push_back(s);
+  trace.as_object().emplace_back("config", std::move(arr));
+  return tree_trace_line(id, trace);
+}
+
+std::string tree_delta_line(const JsonValue& id, StepIndex index,
+                            const SessionResult::TraceDeltaRecord& rec) {
+  JsonValue trace = JsonValue::object();
+  auto& fields = trace.as_object();
+  fields.emplace_back("type", "delta");
+  fields.emplace_back("index", static_cast<std::int64_t>(index));
+  fields.emplace_back("perturbation", rec.perturbation);
+  JsonValue activated = JsonValue::array();
+  for (const VertexId v : rec.activated) {
+    activated.as_array().push_back(static_cast<std::int64_t>(v));
+  }
+  fields.emplace_back("activated", std::move(activated));
+  JsonValue changes = JsonValue::array();
+  for (const auto& change : rec.changes) {
+    JsonValue c = JsonValue::object();
+    c.as_object().emplace_back("v", static_cast<std::int64_t>(change.v));
+    c.as_object().emplace_back("before", change.before);
+    c.as_object().emplace_back("after", change.after);
+    changes.as_array().push_back(std::move(c));
+  }
+  fields.emplace_back("changes", std::move(changes));
+  return tree_trace_line(id, trace);
+}
+
+std::string tree_end_line(const JsonValue& id, StepIndex records) {
+  JsonValue trace = JsonValue::object();
+  trace.as_object().emplace_back("type", "end");
+  trace.as_object().emplace_back("records", static_cast<std::int64_t>(records));
+  return tree_trace_line(id, trace);
+}
+
+/// Every byte value, 0x00 through 0xff, in order.
+std::string all_bytes() {
+  std::string out;
+  for (int c = 0; c < 256; ++c) out += static_cast<char>(c);
+  return out;
+}
+
+/// One id of every JSON kind, the int64 extremes and strings that need
+/// every kind of escape among them.
+std::vector<JsonValue> ids_of_every_kind() {
+  JsonValue object = JsonValue::object();
+  object.as_object().emplace_back("k", JsonValue::array());
+  object.as_object()[0].second.push_back(std::int64_t{-3});
+  object.as_object()[0].second.push_back("x\"y");
+  return {JsonValue(),
+          JsonValue(true),
+          JsonValue(false),
+          JsonValue(std::numeric_limits<std::int64_t>::min()),
+          JsonValue(std::numeric_limits<std::int64_t>::max()),
+          JsonValue(0),
+          JsonValue(-0.1),
+          JsonValue(std::string("q\"b\\s\x01\x1f\n\r\t\x7f")),
+          JsonValue(std::string("\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80")),
+          JsonValue(all_bytes()),
+          std::move(object)};
+}
+
+TEST(ServeJsonTest, AppendIntSpellsLikeToString) {
+  for (const std::int64_t i :
+       {std::numeric_limits<std::int64_t>::min(), std::int64_t{-10},
+        std::int64_t{-1}, std::int64_t{0}, std::int64_t{9},
+        std::int64_t{10}, std::numeric_limits<std::int64_t>::max()}) {
+    std::string out = "x";
+    append_json_int(out, i);
+    std::string expected = "x";
+    expected += std::to_string(i);
+    EXPECT_EQ(out, expected);
+  }
+}
+
+TEST(ServeJsonTest, DumpOfEveryByteIsPinned) {
+  // Round trips cannot tell the minimal spelling from another valid
+  // one; this literal can.  Named escapes for '"', '\\', \n, \r and
+  // \t, lowercase \u00xx for the other bytes below 0x20, every other
+  // byte raw (0x7f and the non-ASCII bytes included).
+  EXPECT_EQ(
+      JsonValue(all_bytes()).dump(),
+      "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n"
+      "\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014"
+      "\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e"
+      "\\u001f !\\\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ["
+      "\\\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\x7f\x80\x81\x82\x83\x84\x85\x86"
+      "\x87\x88\x89\x8a\x8b\x8c\x8d\x8e\x8f\x90\x91\x92\x93\x94\x95\x96\x97\x98"
+      "\x99\x9a\x9b\x9c\x9d\x9e\x9f\xa0\xa1\xa2\xa3\xa4\xa5\xa6\xa7\xa8\xa9\xaa"
+      "\xab\xac\xad\xae\xaf\xb0\xb1\xb2\xb3\xb4\xb5\xb6\xb7\xb8\xb9\xba\xbb\xbc"
+      "\xbd\xbe\xbf\xc0\xc1\xc2\xc3\xc4\xc5\xc6\xc7\xc8\xc9\xca\xcb\xcc\xcd\xce"
+      "\xcf\xd0\xd1\xd2\xd3\xd4\xd5\xd6\xd7\xd8\xd9\xda\xdb\xdc\xdd\xde\xdf\xe0"
+      "\xe1\xe2\xe3\xe4\xe5\xe6\xe7\xe8\xe9\xea\xeb\xec\xed\xee\xef\xf0\xf1\xf2"
+      "\xf3\xf4\xf5\xf6\xf7\xf8\xf9\xfa\xfb\xfc\xfd\xfe\xff\"");
+  EXPECT_EQ(JsonValue::parse(JsonValue(all_bytes()).dump()).as_string(),
+            all_bytes());
+}
+
+TEST(ServeWireTest, DeltaLineIsPinned) {
+  SessionResult::TraceDeltaRecord rec;
+  rec.perturbation = true;
+  rec.activated = {0, 2};
+  rec.changes = {{0, "1", "2"}, {2, "a\"b", "c\\"}};
+  EXPECT_EQ(render_trace_delta_line(JsonValue(7), 3, rec),
+            "{\"id\":7,\"trace\":{\"type\":\"delta\",\"index\":3,"
+            "\"perturbation\":true,\"activated\":[0,2],\"changes\":[{\"v\":0,"
+            "\"before\":\"1\",\"after\":\"2\"},{\"v\":2,\"before\":"
+            "\"a\\\"b\",\"after\":\"c\\\\\"}]}}\n");
+}
+
+TEST(ServeWireTest, TraceLinesMatchTheTreeRenderers) {
+  const std::string bytes = all_bytes();
+  // Eight changes whose before/after strings hold every byte value once,
+  // plus one with empty strings.
+  std::vector<SessionResult::TraceDeltaRecord::Change> changes;
+  for (std::size_t k = 0; k < 8; ++k) {
+    changes.push_back({static_cast<VertexId>(k * 1000),
+                       bytes.substr(32 * k, 16),
+                       bytes.substr(32 * k + 16, 16)});
+  }
+  changes.push_back({std::numeric_limits<VertexId>::max(), "", ""});
+  std::vector<std::string> config;
+  for (const auto& change : changes) config.push_back(change.before);
+
+  std::vector<SessionResult::TraceDeltaRecord> records;
+  for (const bool perturbation : {false, true}) {
+    for (const bool with_activated : {false, true}) {
+      for (const bool with_changes : {false, true}) {
+        SessionResult::TraceDeltaRecord rec;
+        rec.perturbation = perturbation;
+        if (with_activated) {
+          rec.activated = {0, 7, std::numeric_limits<VertexId>::max()};
+        }
+        if (with_changes) rec.changes = changes;
+        records.push_back(std::move(rec));
+      }
+    }
+  }
+  const StepIndex extremes[] = {0, 5, std::numeric_limits<StepIndex>::max()};
+
+  for (const JsonValue& id : ids_of_every_kind()) {
+    const std::string at = "id " + id.dump();
+    EXPECT_EQ(render_trace_init_line(id, config), tree_init_line(id, config))
+        << at;
+    EXPECT_EQ(render_trace_init_line(id, {}), tree_init_line(id, {})) << at;
+    for (const StepIndex index : extremes) {
+      for (const auto& rec : records) {
+        EXPECT_EQ(render_trace_delta_line(id, index, rec),
+                  tree_delta_line(id, index, rec))
+            << at << " index " << index;
+      }
+      EXPECT_EQ(render_trace_end_line(id, index), tree_end_line(id, index))
+          << at << " records " << index;
+    }
+  }
+}
+
+TEST(ServeWireTest, TraceAppendersAppendTheRenderedLines) {
+  // The server batches a stream by appending lines to one buffer: each
+  // appender adds exactly its render_* bytes after what is there.
+  const JsonValue id("s");
+  SessionResult::TraceDeltaRecord rec;
+  rec.activated = {1};
+  rec.changes = {{1, "x", "y"}};
+  std::string batch = "head\n";
+  append_trace_init_line(batch, id, {"a", "b"});
+  append_trace_delta_line(batch, id, 0, rec);
+  append_trace_end_line(batch, id, 1);
+  EXPECT_EQ(batch, "head\n" + render_trace_init_line(id, {"a", "b"}) +
+                       render_trace_delta_line(id, 0, rec) +
+                       render_trace_end_line(id, 1));
 }
 
 }  // namespace
