@@ -51,6 +51,7 @@
 #include "extensions/leader_election.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "serve/json.hpp"
 #include "sim/daemon.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_engine.hpp"
@@ -656,19 +657,22 @@ std::string host_json() {
     }
   }
 #if defined(__clang__)
-  std::string compiler = std::string("clang ") + __clang_version__;
+  const std::string compiler = std::string("clang ") + __clang_version__;
 #else
-  std::string compiler = std::string("g++ ") + __VERSION__;
+  const std::string compiler = std::string("g++ ") + __VERSION__;
 #endif
-  for (std::string* text : {&cpu, &compiler}) {
-    std::erase_if(*text, [](char ch) { return ch == '"' || ch == '\\'; });
-  }
-  std::ostringstream os;
-  os << "{\"nproc\": " << std::max(1u, std::thread::hardware_concurrency());
-  os << ", \"cpu\": \"" << cpu << "\", \"compiler\": \"" << compiler;
-  os << "\", \"build_type\": \"" << SPECSTAB_BUILD_TYPE;
-  os << "\", \"lattice_lanes\": " << unison_detail::lattice_lanes() << "}";
-  return os.str();
+  std::string out =
+      "{\"nproc\": " +
+      std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  out += ", \"cpu\": ";
+  serve::append_json_string(out, cpu);
+  out += ", \"compiler\": ";
+  serve::append_json_string(out, compiler);
+  out += ", \"build_type\": ";
+  serve::append_json_string(out, SPECSTAB_BUILD_TYPE);
+  out += ", \"lattice_lanes\": " +
+         std::to_string(unison_detail::lattice_lanes()) + "}";
+  return out;
 }
 
 std::string to_json(bool smoke, unsigned threads, int repeats,

@@ -3,9 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+
+#include "serve/json.hpp"
 
 namespace specstab::campaign {
 
@@ -26,36 +27,6 @@ std::string format_double(double value) {
     if (std::strtod(buf, nullptr) == value) break;
   }
   return buf;
-}
-
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Strict full-consumption numeric parses: corrupted fields ("8junk",
@@ -100,220 +71,6 @@ const std::string& csv_field(const std::string& s) {
   return s;
 }
 
-// --- a minimal JSON reader for the artifact subset ---------------------
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_space();
-    if (pos_ != text_.size()) fail("trailing JSON content");
-    return v;
-  }
-
- private:
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_space();
-    if (pos_ >= text_.size()) fail("unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "' at JSON offset " +
-           std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  Json value() {
-    switch (peek()) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string_value();
-      case 't':
-      case 'f':
-        return boolean();
-      case 'n':
-        literal("null");
-        return {};
-      default:
-        return number();
-    }
-  }
-
-  void literal(const std::string& word) {
-    skip_space();
-    if (text_.compare(pos_, word.size(), word) != 0) {
-      fail("bad JSON literal at offset " + std::to_string(pos_));
-    }
-    pos_ += word.size();
-  }
-
-  Json boolean() {
-    Json v;
-    v.type = Json::Type::kBool;
-    if (text_[pos_] == 't') {
-      literal("true");
-      v.boolean = true;
-    } else {
-      literal("false");
-    }
-    return v;
-  }
-
-  Json number() {
-    skip_space();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double d = std::strtod(start, &end);
-    if (end == start) fail("bad JSON number at offset " + std::to_string(pos_));
-    pos_ += static_cast<std::size_t>(end - start);
-    Json v;
-    v.type = Json::Type::kNumber;
-    v.number = d;
-    return v;
-  }
-
-  Json string_value() {
-    expect('"');
-    Json v;
-    v.type = Json::Type::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated JSON escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            c = esc;
-            break;
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
-            std::size_t used = 0;
-            long code = 0;
-            try {
-              code = std::stol(hex, &used, 16);
-            } catch (const std::exception&) {
-              fail("bad \\u escape: \\u" + hex);
-            }
-            if (used != 4) fail("bad \\u escape: \\u" + hex);
-            // The writer only emits \u00xx for control characters;
-            // higher code points would need UTF-8 encoding this parser
-            // deliberately does not implement.
-            if (code > 0x7f) fail("non-ASCII \\u escape: \\u" + hex);
-            c = static_cast<char>(code);
-            pos_ += 4;
-            break;
-          }
-          default:
-            fail(std::string("unsupported JSON escape \\") + esc);
-        }
-      }
-      v.str += c;
-    }
-    expect('"');
-    return v;
-  }
-
-  Json array() {
-    expect('[');
-    Json v;
-    v.type = Json::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json v;
-    v.type = Json::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      const Json key = string_value();
-      expect(':');
-      v.object.emplace(key.str, value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-const Json& member(const Json& obj, const std::string& key) {
-  const auto it = obj.object.find(key);
-  if (it == obj.object.end()) fail("missing JSON key '" + key + "'");
-  return it->second;
-}
-
-std::string get_string(const Json& obj, const std::string& key) {
-  const Json& v = member(obj, key);
-  if (v.type != Json::Type::kString) fail("'" + key + "' is not a string");
-  return v.str;
-}
-
-double get_number(const Json& obj, const std::string& key) {
-  const Json& v = member(obj, key);
-  if (v.type != Json::Type::kNumber) fail("'" + key + "' is not a number");
-  return v.number;
-}
-
-std::int64_t get_int(const Json& obj, const std::string& key) {
-  return static_cast<std::int64_t>(get_number(obj, key));
-}
-
 // --- writers -----------------------------------------------------------
 
 /// Per-epoch step lists as a ';'-joined CSV-safe scalar ("" when empty).
@@ -335,13 +92,27 @@ void steps_to_json(std::ostream& os, const std::vector<StepIndex>& v) {
   os << ']';
 }
 
+/// `"protocol":...,"perturb":...`: the five identity strings a cell and
+/// a run both carry, each through the one JSON string escaper.
+template <typename Identity>
+void identity_to_json(std::ostream& os, const Identity& x) {
+  std::string out = "\"protocol\":";
+  serve::append_json_string(out, x.protocol);
+  out += ",\"topology\":";
+  serve::append_json_string(out, x.topology);
+  out += ",\"daemon\":";
+  serve::append_json_string(out, x.daemon);
+  out += ",\"init\":";
+  serve::append_json_string(out, x.init);
+  out += ",\"perturb\":";
+  serve::append_json_string(out, x.perturb);
+  os << out;
+}
+
 void cell_to_json(std::ostream& os, const CellSummary& c) {
-  os << "{\"protocol\":\"" << escape_json(c.protocol) << "\""
-     << ",\"topology\":\"" << escape_json(c.topology) << "\""
-     << ",\"daemon\":\"" << escape_json(c.daemon) << "\""
-     << ",\"init\":\"" << escape_json(c.init) << "\""
-     << ",\"perturb\":\"" << escape_json(c.perturb) << "\""
-     << ",\"n\":" << c.n
+  os << '{';
+  identity_to_json(os, c);
+  os << ",\"n\":" << c.n
      << ",\"diam\":" << c.diam << ",\"runs\":" << c.runs
      << ",\"converged_runs\":" << c.converged_runs
      << ",\"step_cap_hits\":" << c.step_cap_hits
@@ -360,12 +131,9 @@ void cell_to_json(std::ostream& os, const CellSummary& c) {
 }
 
 void run_to_json(std::ostream& os, const ScenarioResult& r) {
-  os << "{\"index\":" << r.index << ",\"protocol\":\""
-     << escape_json(r.protocol) << "\"" << ",\"topology\":\""
-     << escape_json(r.topology) << "\"" << ",\"daemon\":\""
-     << escape_json(r.daemon) << "\"" << ",\"init\":\"" << escape_json(r.init)
-     << "\"" << ",\"perturb\":\"" << escape_json(r.perturb) << "\""
-     << ",\"rep\":" << r.rep << ",\"seed\":" << r.seed
+  os << "{\"index\":" << r.index << ',';
+  identity_to_json(os, r);
+  os << ",\"rep\":" << r.rep << ",\"seed\":" << r.seed
      << ",\"n\":" << r.n << ",\"diam\":" << r.diam << ",\"steps\":" << r.steps
      << ",\"moves\":" << r.moves << ",\"rounds\":" << r.rounds
      << ",\"converged\":" << (r.converged ? "true" : "false")
@@ -502,38 +270,43 @@ std::vector<CellSummary> cells_from_csv(const std::string& csv) {
 }
 
 std::vector<CellSummary> cells_from_json(const std::string& json) {
-  const Json doc = JsonReader(json).parse();
-  if (doc.type != Json::Type::kObject) fail("artifact JSON is not an object");
-  const Json& array = member(doc, "cells");
-  if (array.type != Json::Type::kArray) fail("'cells' is not an array");
+  const serve::JsonValue doc = serve::JsonValue::parse(json);
+  const serve::JsonValue* cells_json = doc.find("cells");
+  if (cells_json == nullptr) fail("missing JSON key 'cells'");
+  const serve::JsonValue::Array& entries = cells_json->as_array();
   std::vector<CellSummary> cells;
-  cells.reserve(array.array.size());
-  for (const Json& e : array.array) {
-    if (e.type != Json::Type::kObject) fail("cell entry is not an object");
+  cells.reserve(entries.size());
+  for (const serve::JsonValue& e : entries) {
+    if (!e.is_object()) fail("cell entry is not an object");
+    const auto at = [&e](const char* key) -> const serve::JsonValue& {
+      const serve::JsonValue* v = e.find(key);
+      if (v == nullptr) fail(std::string("missing JSON key '") + key + "'");
+      return *v;
+    };
     CellSummary c;
-    c.protocol = get_string(e, "protocol");
-    c.topology = get_string(e, "topology");
-    c.daemon = get_string(e, "daemon");
-    c.init = get_string(e, "init");
-    c.perturb = get_string(e, "perturb");
-    c.n = static_cast<VertexId>(get_int(e, "n"));
-    c.diam = static_cast<VertexId>(get_int(e, "diam"));
-    c.runs = static_cast<std::size_t>(get_int(e, "runs"));
-    c.converged_runs = static_cast<std::size_t>(get_int(e, "converged_runs"));
-    c.step_cap_hits = static_cast<std::size_t>(get_int(e, "step_cap_hits"));
-    c.min_steps = get_int(e, "min_steps");
-    c.max_steps = get_int(e, "max_steps");
-    c.mean_steps = get_number(e, "mean_steps");
-    c.p95_steps = get_int(e, "p95_steps");
-    c.worst_moves = get_int(e, "worst_moves");
-    c.worst_rounds = get_int(e, "worst_rounds");
-    c.closure_violations = get_int(e, "closure_violations");
-    c.perturb_epochs = get_int(e, "perturb_epochs");
-    c.perturb_unrecovered = get_int(e, "perturb_unrecovered");
-    c.recovery_min = get_int(e, "recovery_min");
-    c.recovery_max = get_int(e, "recovery_max");
-    c.recovery_mean = get_number(e, "recovery_mean");
-    c.recovery_p95 = get_int(e, "recovery_p95");
+    c.protocol = at("protocol").as_string();
+    c.topology = at("topology").as_string();
+    c.daemon = at("daemon").as_string();
+    c.init = at("init").as_string();
+    c.perturb = at("perturb").as_string();
+    c.n = static_cast<VertexId>(at("n").as_int());
+    c.diam = static_cast<VertexId>(at("diam").as_int());
+    c.runs = static_cast<std::size_t>(at("runs").as_int());
+    c.converged_runs = static_cast<std::size_t>(at("converged_runs").as_int());
+    c.step_cap_hits = static_cast<std::size_t>(at("step_cap_hits").as_int());
+    c.min_steps = at("min_steps").as_int();
+    c.max_steps = at("max_steps").as_int();
+    c.mean_steps = at("mean_steps").as_double();
+    c.p95_steps = at("p95_steps").as_int();
+    c.worst_moves = at("worst_moves").as_int();
+    c.worst_rounds = at("worst_rounds").as_int();
+    c.closure_violations = at("closure_violations").as_int();
+    c.perturb_epochs = at("perturb_epochs").as_int();
+    c.perturb_unrecovered = at("perturb_unrecovered").as_int();
+    c.recovery_min = at("recovery_min").as_int();
+    c.recovery_max = at("recovery_max").as_int();
+    c.recovery_mean = at("recovery_mean").as_double();
+    c.recovery_p95 = at("recovery_p95").as_int();
     cells.push_back(std::move(c));
   }
   return cells;

@@ -30,9 +30,11 @@ namespace specstab::campaign {
 /// input (wrong header, wrong column count).
 [[nodiscard]] std::vector<CellSummary> cells_from_csv(const std::string& csv);
 
-/// Parses the "cells" array of a to_json document.  The parser covers the
-/// JSON subset these artifacts use (flat objects of strings/numbers/bools
-/// inside arrays); throws std::invalid_argument on anything else.
+/// Parses the "cells" array of a to_json document with the repo's JSON
+/// codec (serve/json.hpp): integers read back exact over the whole int64
+/// range, strings with every escape to_json writes.  Throws
+/// std::invalid_argument on malformed JSON and on a missing or mistyped
+/// cell key.
 [[nodiscard]] std::vector<CellSummary> cells_from_json(
     const std::string& json);
 

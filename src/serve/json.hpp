@@ -1,12 +1,18 @@
-// Minimal JSON value model for the serve layer's line-delimited RPC.
+// The repo's JSON codec: a minimal value model, one recursive-descent
+// parser and one string escaper, no third-party dependency.
 //
-// One self-contained recursive-descent parser and serializer, no
-// third-party dependency: requests arrive as one JSON object per line,
-// replies leave the same way, and the framing-fuzz suite feeds this
-// parser truncated documents, bad literals and deep nesting — every
-// malformed input must throw std::invalid_argument (which the server
-// converts into a structured error reply), never crash or read past the
-// buffer.
+// Every JSON reader and string escaper outside perfbench/ goes through
+// this header: the serve layer's line-delimited RPC (requests arrive as
+// one JSON object per line, replies and trace lines leave the same
+// way), the campaign artifacts (campaign/artifacts.cpp writes its
+// strings with append_json_string() and reads cells back with parse()),
+// and the bench-regression gate (tools/bench_regression_lib.hpp parses
+// BENCH_engine.json and BENCH_serve.json here).  The framing-fuzz suite
+// feeds this parser truncated documents, bad literals and deep nesting
+// — every malformed input must throw std::invalid_argument (which the
+// server converts into a structured error reply), never crash or read
+// past the buffer.  The header stays under src/serve/ because perfbench
+// includes it by that path.
 //
 // The model is deliberately small: null, bool, 64-bit signed integers,
 // doubles, strings, arrays and objects.  Objects preserve insertion
@@ -35,8 +41,9 @@ namespace specstab::serve {
 /// Appends `s` as a JSON string literal, escaped minimally: '"', '\\',
 /// '\n', '\r' and '\t' by name, every other byte below 0x20 as a
 /// lowercase \u00xx, and every other byte (UTF-8 included) raw, copied
-/// in runs.  The one escaper of the serve layer: JsonValue::dump_into()
-/// and the trace line renderers both call it.
+/// in runs.  The repo's one escaper: JsonValue::dump_into(), the trace
+/// line renderers, the campaign artifact writers and bench_engine's host
+/// stamp all call it.
 inline void append_json_string(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
   out += '"';

@@ -1,12 +1,16 @@
 // Unit tests for the bench-regression gate (tools/bench_regression_lib.hpp):
-// snapshot parsing, tolerance arithmetic, and the stale-snapshot FAILs —
-// a baseline micro row missing from the fresh run, and a campaign
-// scenario-count change — that must never degrade into silent skips.
+// strict snapshot parsing, tolerance arithmetic, and the stale-snapshot
+// FAILs — a baseline micro row missing from the fresh run, and a campaign
+// scenario-count change — that must never degrade into silent skips.  The
+// committed BENCH_engine.json and BENCH_serve.json are read from the
+// source tree (SPECSTAB_SOURCE_DIR) and gated against themselves.
 #include "../tools/bench_regression_lib.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace specstab::benchgate {
@@ -84,6 +88,12 @@ TEST(BenchGateParseTest, MalformedSnapshotsThrow) {
   ASSERT_NE(at, std::string::npos);
   bad.replace(at, 13, "\"speedup\":oops");
   EXPECT_THROW((void)parse_bench_json(bad, "t"), std::invalid_argument);
+  // A row missing its comma is not JSON, whatever its keys say.
+  std::string no_comma = bench_json(1, 1.0, micro_row("a", 1000, 1.0, 2.0));
+  const auto comma = no_comma.find(",\"reference_ms\"");
+  ASSERT_NE(comma, std::string::npos);
+  no_comma.erase(comma, 1);
+  EXPECT_THROW((void)parse_bench_json(no_comma, "t"), std::invalid_argument);
 }
 
 TEST(BenchGateCompareTest, WithinToleranceIsOk) {
@@ -155,9 +165,10 @@ TEST(BenchGateCompareTest, ModeMismatchThrows) {
   const auto base = parse_bench_json(
       bench_json(10, 4.0, micro_row("a", 5000, 10.0, 8.0)), "base");
   auto smoke_text = bench_json(10, 4.0, micro_row("a", 5000, 10.0, 8.0));
-  const auto at = smoke_text.find("\"mode\":\"full\"");
+  const std::string full = "\"mode\":\"full\"";
+  const auto at = smoke_text.find(full);
   ASSERT_NE(at, std::string::npos);
-  smoke_text.replace(at, 14, "\"mode\":\"smoke\"");
+  smoke_text.replace(at, full.size(), "\"mode\":\"smoke\"");
   const auto cur = parse_bench_json(smoke_text, "cur");
   EXPECT_THROW((void)compare(base, cur, {}), std::invalid_argument);
 }
@@ -212,6 +223,39 @@ TEST(ServeGateParseTest, ParsesRowsAndRejectsForeignSnapshots) {
                std::invalid_argument);
 }
 
+TEST(ServeGateParseTest, MalformedSnapshotsThrow) {
+  // Each of these once passed a key-by-key text search; a snapshot must
+  // be one strict JSON document.
+  const std::string good =
+      serve_json(400, serve_row("serve/mixed/t1", 400, 4.4) + ",\n" +
+                          serve_row("serve/mixed/t8", 400, 3.1));
+  ASSERT_NO_THROW((void)parse_serve_bench_json(good, "t"));
+  // A row missing its comma.
+  std::string no_comma = good;
+  const auto comma = no_comma.find(", \"warm_speedup\"");
+  ASSERT_NE(comma, std::string::npos);
+  no_comma.erase(comma, 1);
+  EXPECT_THROW((void)parse_serve_bench_json(no_comma, "t"),
+               std::invalid_argument);
+  // Trailing bytes after the document.
+  EXPECT_THROW((void)parse_serve_bench_json(good + "}", "t"),
+               std::invalid_argument);
+  // A count that is not an integer.
+  std::string fractional = good;
+  fractional.replace(fractional.find("400"), 3, "400.5");
+  EXPECT_THROW((void)parse_serve_bench_json(fractional, "t"),
+               std::invalid_argument);
+  // Errors name the file.
+  try {
+    (void)parse_serve_bench_json(no_comma, "BENCH_serve.json");
+    FAIL() << "parsed a snapshot missing a comma";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("BENCH_serve.json"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServeGateCompareTest, WarmSpeedupWithinToleranceIsOk) {
   const auto base = parse_serve_bench_json(
       serve_json(400, serve_row("serve/mixed/t1", 400, 4.0)), "base");
@@ -254,9 +298,10 @@ TEST(ServeGateCompareTest, ModeMismatchThrows) {
   const auto base = parse_serve_bench_json(
       serve_json(400, serve_row("serve/mixed/t1", 400, 4.0)), "base");
   auto smoke_text = serve_json(48, serve_row("serve/mixed/t1", 48, 4.0));
-  const auto at = smoke_text.find("\"mode\": \"full\"");
+  const std::string full = "\"mode\": \"full\"";
+  const auto at = smoke_text.find(full);
   ASSERT_NE(at, std::string::npos);
-  smoke_text.replace(at, 15, "\"mode\": \"smoke\"");
+  smoke_text.replace(at, full.size(), "\"mode\": \"smoke\"");
   const auto cur = parse_serve_bench_json(smoke_text, "cur");
   EXPECT_THROW((void)compare_serve(base, cur, {}), std::invalid_argument);
 }
@@ -269,6 +314,36 @@ TEST(BenchGateCompareTest, TightTolerance) {
   const auto cur = parse_bench_json(
       bench_json(10, 4.0, micro_row("a", 5000, 10.0, 7.5)), "cur");
   EXPECT_TRUE(compare(base, cur, opt).regressed);  // 6.25% > 5%
+}
+
+// --- the committed snapshots ---------------------------------------------
+
+std::string read_snapshot(const std::string& name) {
+  const std::string path = std::string(SPECSTAB_SOURCE_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "cannot open " << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(CommittedSnapshotTest, BothSnapshotsParseAndPassAgainstThemselves) {
+  // The repo's BENCH_engine.json and BENCH_serve.json go through the
+  // gate's own parsers, so a snapshot that stops being strict JSON fails
+  // here and not only in the bench-regression job's full run.
+  const BenchFile engine =
+      parse_bench_json(read_snapshot("BENCH_engine.json"), "BENCH_engine.json");
+  EXPECT_FALSE(engine.micro.empty());
+  const GateOutcome engine_outcome = compare(engine, engine, {});
+  EXPECT_FALSE(engine_outcome.regressed);
+  EXPECT_FALSE(has_line_with(engine_outcome, "FAIL"));
+
+  const ServeBenchFile serve = parse_serve_bench_json(
+      read_snapshot("BENCH_serve.json"), "BENCH_serve.json");
+  EXPECT_FALSE(serve.rows.empty());
+  const GateOutcome serve_outcome = compare_serve(serve, serve, {});
+  EXPECT_FALSE(serve_outcome.regressed);
+  EXPECT_FALSE(has_line_with(serve_outcome, "FAIL"));
 }
 
 }  // namespace

@@ -3,20 +3,26 @@
 // spawning the tool.  The tool's main() is a thin wrapper: read the two
 // files, call compare(), print the report, map `regressed` to exit 2.
 //
-// Errors are thrown as std::invalid_argument (the tool converts them to
-// its exit-1 die()); the comparison itself never throws — every
-// comparable row contributes a report line and a verdict.
+// Each snapshot is parsed once, as strict JSON, with the repo's codec
+// (serve/json.hpp, header-only: the tool needs `src` on its include
+// path and links nothing); the gate then reads typed members of the
+// parsed document.  Errors are thrown as std::invalid_argument (the
+// tool converts them to its exit-1 die()); the comparison itself never
+// throws — every comparable row contributes a report line and a
+// verdict.
 #ifndef SPECSTAB_TOOLS_BENCH_REGRESSION_LIB_HPP
 #define SPECSTAB_TOOLS_BENCH_REGRESSION_LIB_HPP
 
-#include <cctype>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "serve/json.hpp"
 
 namespace specstab::benchgate {
 
@@ -36,49 +42,66 @@ struct BenchFile {
 
 namespace detail {
 
+using serve::JsonValue;
+
 [[noreturn]] inline void fail(const std::string& message) {
   throw std::invalid_argument(message);
 }
 
-/// Value of `"key": <token>` inside `text`, starting at `from`.  Returns
-/// the raw token (number) or the quoted content (string).
-inline std::string raw_value(const std::string& text, const std::string& key,
-                             std::size_t from, const std::string& where) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) fail("missing key '" + key + "' in " + where);
-  std::size_t pos = at + needle.size();
-  while (pos < text.size() && text[pos] == ' ') ++pos;
-  if (pos >= text.size()) fail("truncated value for '" + key + "'");
-  if (text[pos] == '"') {
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos) {
-      fail("unterminated string for '" + key + "'");
-    }
-    return text.substr(pos + 1, end - pos - 1);
+/// `text` parsed as one strict JSON object; a syntax error names `where`.
+inline JsonValue parse_object(const std::string& text,
+                              const std::string& where) {
+  JsonValue doc;
+  try {
+    doc = JsonValue::parse(text);
+  } catch (const std::invalid_argument& e) {
+    fail(where + ": " + e.what());
   }
-  std::size_t end = pos;
-  while (end < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[end])) ||
-          text[end] == '-' || text[end] == '+' || text[end] == '.' ||
-          text[end] == 'e' || text[end] == 'E')) {
-    ++end;
-  }
-  if (end == pos) fail("bad value for '" + key + "' in " + where);
-  return text.substr(pos, end - pos);
+  if (!doc.is_object()) fail("not a JSON object: " + where);
+  return doc;
 }
 
-inline double num_value(const std::string& text, const std::string& key,
-                        std::size_t from, const std::string& where) {
-  const std::string raw = raw_value(text, key, from, where);
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(raw, &used);
-    if (used != raw.size()) throw std::invalid_argument(raw);
-    return value;
-  } catch (const std::exception&) {
-    fail("non-numeric '" + key + "' in " + where + ": " + raw);
+inline const JsonValue& member(const JsonValue& obj, const std::string& key,
+                               const std::string& where) {
+  const JsonValue* value = obj.find(key);
+  if (value == nullptr) fail("missing key '" + key + "' in " + where);
+  return *value;
+}
+
+inline const std::string& string_member(const JsonValue& obj,
+                                        const std::string& key,
+                                        const std::string& where) {
+  const JsonValue& value = member(obj, key, where);
+  if (!value.is_string()) fail("non-string '" + key + "' in " + where);
+  return value.as_string();
+}
+
+inline double number_member(const JsonValue& obj, const std::string& key,
+                            const std::string& where) {
+  const JsonValue& value = member(obj, key, where);
+  if (!value.is_number()) fail("non-numeric '" + key + "' in " + where);
+  return value.as_double();
+}
+
+/// A count: a JSON integer, never negative.
+inline std::int64_t count_member(const JsonValue& obj, const std::string& key,
+                                 const std::string& where) {
+  const JsonValue& value = member(obj, key, where);
+  if (!value.is_int() || value.as_int() < 0) {
+    fail("'" + key + "' is not a count in " + where);
   }
+  return value.as_int();
+}
+
+/// A non-empty array of the rows the gate compares: an empty one would
+/// make the gate pass vacuously.
+inline const JsonValue::Array& rows_member(const JsonValue& obj,
+                                           const std::string& key,
+                                           const std::string& where) {
+  const JsonValue& value = member(obj, key, where);
+  if (!value.is_array()) fail("no " + key + " array in " + where);
+  if (value.as_array().empty()) fail("empty " + key + " array in " + where);
+  return value.as_array();
 }
 
 /// Speedup metrics are ratios of two wall-clock timings, so a true
@@ -95,53 +118,36 @@ inline void reject_zero_measurement(const std::string& key, double value,
 
 }  // namespace detail
 
-/// Parses the flat JSON bench_engine writes (one "campaign" object, one
-/// "micro" array of flat objects); anything else throws so format drift
+/// Parses the JSON bench_engine writes (a "campaign" object and a
+/// non-empty "micro" array of row objects) as strict JSON; a syntax
+/// error, a missing key or a mistyped value throws, so format drift
 /// cannot silently disable the gate.  `where` labels error messages
 /// (typically the file path).
 inline BenchFile parse_bench_json(const std::string& text,
                                   const std::string& where) {
-  using detail::fail;
+  using namespace detail;
+  const JsonValue doc = parse_object(text, where);
   BenchFile out;
-  out.mode = detail::raw_value(text, "mode", 0, where);
+  out.mode = string_member(doc, "mode", where);
 
-  // Every object is sliced out before key extraction so a key missing
-  // from one object fails loudly instead of silently matching the next
-  // object's value.
-  const std::size_t campaign_at = text.find("\"campaign\":");
-  if (campaign_at == std::string::npos) fail("no campaign object in " + where);
-  const std::size_t campaign_end = text.find('}', campaign_at);
-  if (campaign_end == std::string::npos) {
-    fail("unbalanced campaign object in " + where);
-  }
-  const std::string campaign =
-      text.substr(campaign_at, campaign_end - campaign_at + 1);
-  out.campaign_speedup = detail::num_value(campaign, "speedup", 0, where);
+  const JsonValue& campaign = member(doc, "campaign", where);
+  if (!campaign.is_object()) fail("no campaign object in " + where);
+  const std::string campaign_where = where + " campaign";
+  out.campaign_speedup = number_member(campaign, "speedup", campaign_where);
   out.campaign_scenarios = static_cast<std::size_t>(
-      detail::num_value(campaign, "scenarios", 0, where));
+      count_member(campaign, "scenarios", campaign_where));
 
-  const std::size_t micro_at = text.find("\"micro\":");
-  if (micro_at == std::string::npos) fail("no micro array in " + where);
-  std::size_t pos = micro_at;
-  for (;;) {
-    const std::size_t open = text.find('{', pos + 1);
-    if (open == std::string::npos) break;
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) fail("unbalanced micro object in " + where);
-    const std::string obj_where =
-        where + " micro[" + std::to_string(out.micro.size()) + "]";
-    const std::string obj = text.substr(open, close - open + 1);
+  const JsonValue::Array& micro = rows_member(doc, "micro", where);
+  for (std::size_t i = 0; i < micro.size(); ++i) {
+    const std::string row_where = where + " micro[" + std::to_string(i) + "]";
     Row row;
-    row.name = detail::raw_value(obj, "name", 0, obj_where);
-    row.steps =
-        static_cast<long long>(detail::num_value(obj, "steps", 0, obj_where));
-    row.reference_ms = detail::num_value(obj, "reference_ms", 0, obj_where);
-    row.speedup = detail::num_value(obj, "speedup", 0, obj_where);
-    detail::reject_zero_measurement("speedup", row.speedup, obj_where);
+    row.name = string_member(micro[i], "name", row_where);
+    row.steps = count_member(micro[i], "steps", row_where);
+    row.reference_ms = number_member(micro[i], "reference_ms", row_where);
+    row.speedup = number_member(micro[i], "speedup", row_where);
+    reject_zero_measurement("speedup", row.speedup, row_where);
     out.micro.push_back(std::move(row));
-    pos = close;
   }
-  if (out.micro.empty()) fail("empty micro array in " + where);
   return out;
 }
 
@@ -246,40 +252,32 @@ struct ServeBenchFile {
   std::vector<ServeRow> rows;
 };
 
-/// Parses the flat JSON bench_serve writes; rejects snapshots of any
-/// other bench (the "bench" tag) so the two gates cannot be cross-fed.
+/// Parses the JSON bench_serve writes (a non-empty "rows" array of row
+/// objects) as strict JSON; rejects snapshots of any other bench (the
+/// "bench" tag) so the two gates cannot be cross-fed.
 inline ServeBenchFile parse_serve_bench_json(const std::string& text,
                                              const std::string& where) {
-  using detail::fail;
-  const std::string bench = detail::raw_value(text, "bench", 0, where);
+  using namespace detail;
+  const JsonValue doc = parse_object(text, where);
+  const std::string& bench = string_member(doc, "bench", where);
   if (bench != "serve") {
     fail("not a serve snapshot (bench '" + bench + "') in " + where);
   }
   ServeBenchFile out;
-  out.mode = detail::raw_value(text, "mode", 0, where);
+  out.mode = string_member(doc, "mode", where);
   out.sessions_per_phase = static_cast<std::size_t>(
-      detail::num_value(text, "sessions_per_phase", 0, where));
+      count_member(doc, "sessions_per_phase", where));
 
-  const std::size_t rows_at = text.find("\"rows\":");
-  if (rows_at == std::string::npos) fail("no rows array in " + where);
-  std::size_t pos = rows_at;
-  for (;;) {
-    const std::size_t open = text.find('{', pos + 1);
-    if (open == std::string::npos) break;
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) fail("unbalanced row object in " + where);
-    const std::string obj_where =
-        where + " rows[" + std::to_string(out.rows.size()) + "]";
-    const std::string obj = text.substr(open, close - open + 1);
+  const JsonValue::Array& rows = rows_member(doc, "rows", where);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string row_where = where + " rows[" + std::to_string(i) + "]";
     ServeRow row;
-    row.name = detail::raw_value(obj, "name", 0, obj_where);
-    row.sessions = static_cast<std::size_t>(
-        detail::num_value(obj, "sessions", 0, obj_where));
-    row.warm_speedup = detail::num_value(obj, "warm_speedup", 0, obj_where);
+    row.name = string_member(rows[i], "name", row_where);
+    row.sessions =
+        static_cast<std::size_t>(count_member(rows[i], "sessions", row_where));
+    row.warm_speedup = number_member(rows[i], "warm_speedup", row_where);
     out.rows.push_back(std::move(row));
-    pos = close;
   }
-  if (out.rows.empty()) fail("empty rows array in " + where);
   return out;
 }
 

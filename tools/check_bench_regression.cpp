@@ -9,12 +9,17 @@
 //       [--serve]         gate a BENCH_serve.json pair instead: the
 //                         compared ratio is each row's warm_speedup
 //                         (warm-cache over cold-cache sessions/sec)
-//       [--tolerance T]   relative speedup drop allowed (default 0.30)
+//       [--tolerance T]   relative speedup drop allowed, in [0, 1)
+//                         (default 0.30, i.e. 30%)
 //       [--min-steps N]   skip micro rows whose baseline executed fewer
 //                         steps (default 500: sub-hundred-step rows are
 //                         setup-dominated and pure timer noise)
 //       [--min-ms MS]     skip micro rows whose baseline reference time
 //                         is below MS (default 0.25 ms, same reason)
+//
+// Each option value must be the whole token, finite and in range; a bad
+// one, like a malformed snapshot, exits 1 instead of gating at a
+// tolerance nobody meant.
 //
 // Only speedup *ratios* are compared, never absolute milliseconds — the
 // ratio of two timings from the same binary on the same host is the one
@@ -28,20 +33,47 @@
 // snapshot is stale and must be regenerated, not that the gate should
 // quietly narrow.  Parsing and comparison live in bench_regression_lib.hpp
 // (unit-tested by tests/bench_regression_test.cpp).
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_regression_lib.hpp"
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: check_bench_regression BASELINE.json CURRENT.json"
+    " [--serve] [--tolerance T] [--min-steps N] [--min-ms MS]\n";
+
 [[noreturn]] void die(const std::string& message) {
   std::cerr << "check_bench_regression: " << message << "\n";
   std::exit(1);
+}
+
+[[noreturn]] void usage(const std::string& message) {
+  std::cerr << "check_bench_regression: " << message << "\n" << kUsage;
+  std::exit(1);
+}
+
+/// `text` as a T when the whole token parses and `in_range` accepts it;
+/// usage() otherwise.
+template <typename T, typename InRange>
+T parse_option(const std::string& flag, const std::string& text,
+               InRange in_range, const char* range) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end || !in_range(value)) {
+    usage(flag + " needs " + range + ", got '" + text + "'");
+  }
+  return value;
 }
 
 std::string read_file(const std::string& path) {
@@ -62,19 +94,24 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--tolerance" && i + 1 < argc) {
-      opt.tolerance = std::atof(argv[++i]);
+      opt.tolerance = parse_option<double>(
+          arg, argv[++i], [](double t) { return t >= 0.0 && t < 1.0; },
+          "a fraction in [0, 1)");
     } else if (arg == "--min-steps" && i + 1 < argc) {
-      opt.min_steps = std::atoll(argv[++i]);
+      opt.min_steps = parse_option<long long>(
+          arg, argv[++i], [](long long n) { return n >= 0; },
+          "a non-negative integer");
     } else if (arg == "--min-ms" && i + 1 < argc) {
-      opt.min_ms = std::atof(argv[++i]);
+      opt.min_ms = parse_option<double>(
+          arg, argv[++i],
+          [](double ms) { return std::isfinite(ms) && ms >= 0.0; },
+          "a finite non-negative number");
     } else if (arg == "--serve") {
       serve = true;
     } else if (!arg.empty() && arg[0] != '-') {
       paths.push_back(arg);
     } else {
-      std::cerr << "usage: check_bench_regression BASELINE.json CURRENT.json"
-                   " [--serve] [--tolerance T] [--min-steps N] [--min-ms MS]\n";
-      return 1;
+      usage("unknown option or missing value: '" + arg + "'");
     }
   }
   if (paths.size() != 2) die("need exactly BASELINE.json and CURRENT.json");
