@@ -1,10 +1,12 @@
 #include "campaign/artifacts.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "serve/json.hpp"
 
@@ -29,36 +31,18 @@ std::string format_double(double value) {
   return buf;
 }
 
-/// Strict full-consumption numeric parses: corrupted fields ("8junk",
-/// overflow) fail as the documented std::invalid_argument instead of
-/// parsing partially or leaking std::out_of_range.
-std::int64_t parse_i64(const std::string& field) {
-  std::int64_t value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stoll(field, &used);
-  } catch (const std::exception&) {
-    fail("bad integer field: '" + field + "'");
-  }
-  if (used != field.size()) fail("bad integer field: '" + field + "'");
-  return value;
-}
-
-std::uint64_t parse_u64(const std::string& field) {
-  const std::int64_t value = parse_i64(field);
-  if (value < 0) fail("negative count field: '" + field + "'");
-  return static_cast<std::uint64_t>(value);
-}
-
-double parse_f64(const std::string& field) {
-  double value = 0.0;
-  std::size_t used = 0;
-  try {
-    value = std::stod(field, &used);
-  } catch (const std::exception&) {
+/// `field` as a T, strictly: the whole field ("8junk" fails), in T's
+/// range (overflow fails, and so does a sign on a count), throwing the
+/// documented std::invalid_argument otherwise.
+template <typename T>
+T parse_field(const std::string& field) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const std::from_chars_result parsed =
+      std::from_chars(field.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
     fail("bad number field: '" + field + "'");
   }
-  if (used != field.size()) fail("bad number field: '" + field + "'");
   return value;
 }
 
@@ -246,24 +230,24 @@ std::vector<CellSummary> cells_from_csv(const std::string& csv) {
     c.daemon = fields[2];
     c.init = fields[3];
     c.perturb = fields[4];
-    c.n = static_cast<VertexId>(parse_i64(fields[5]));
-    c.diam = static_cast<VertexId>(parse_i64(fields[6]));
-    c.runs = static_cast<std::size_t>(parse_u64(fields[7]));
-    c.converged_runs = static_cast<std::size_t>(parse_u64(fields[8]));
-    c.step_cap_hits = static_cast<std::size_t>(parse_u64(fields[9]));
-    c.min_steps = parse_i64(fields[10]);
-    c.max_steps = parse_i64(fields[11]);
-    c.mean_steps = parse_f64(fields[12]);
-    c.p95_steps = parse_i64(fields[13]);
-    c.worst_moves = parse_i64(fields[14]);
-    c.worst_rounds = parse_i64(fields[15]);
-    c.closure_violations = parse_i64(fields[16]);
-    c.perturb_epochs = parse_i64(fields[17]);
-    c.perturb_unrecovered = parse_i64(fields[18]);
-    c.recovery_min = parse_i64(fields[19]);
-    c.recovery_max = parse_i64(fields[20]);
-    c.recovery_mean = parse_f64(fields[21]);
-    c.recovery_p95 = parse_i64(fields[22]);
+    c.n = static_cast<VertexId>(parse_field<std::int64_t>(fields[5]));
+    c.diam = static_cast<VertexId>(parse_field<std::int64_t>(fields[6]));
+    c.runs = parse_field<std::size_t>(fields[7]);
+    c.converged_runs = parse_field<std::size_t>(fields[8]);
+    c.step_cap_hits = parse_field<std::size_t>(fields[9]);
+    c.min_steps = parse_field<std::int64_t>(fields[10]);
+    c.max_steps = parse_field<std::int64_t>(fields[11]);
+    c.mean_steps = parse_field<double>(fields[12]);
+    c.p95_steps = parse_field<std::int64_t>(fields[13]);
+    c.worst_moves = parse_field<std::int64_t>(fields[14]);
+    c.worst_rounds = parse_field<std::int64_t>(fields[15]);
+    c.closure_violations = parse_field<std::int64_t>(fields[16]);
+    c.perturb_epochs = parse_field<std::int64_t>(fields[17]);
+    c.perturb_unrecovered = parse_field<std::int64_t>(fields[18]);
+    c.recovery_min = parse_field<std::int64_t>(fields[19]);
+    c.recovery_max = parse_field<std::int64_t>(fields[20]);
+    c.recovery_mean = parse_field<double>(fields[21]);
+    c.recovery_p95 = parse_field<std::int64_t>(fields[22]);
     cells.push_back(std::move(c));
   }
   return cells;
@@ -283,6 +267,11 @@ std::vector<CellSummary> cells_from_json(const std::string& json) {
       if (v == nullptr) fail(std::string("missing JSON key '") + key + "'");
       return *v;
     };
+    const auto count = [&at](const char* key) {
+      const std::int64_t v = at(key).as_int();
+      if (v < 0) fail(std::string("negative count field '") + key + "'");
+      return static_cast<std::size_t>(v);
+    };
     CellSummary c;
     c.protocol = at("protocol").as_string();
     c.topology = at("topology").as_string();
@@ -291,9 +280,9 @@ std::vector<CellSummary> cells_from_json(const std::string& json) {
     c.perturb = at("perturb").as_string();
     c.n = static_cast<VertexId>(at("n").as_int());
     c.diam = static_cast<VertexId>(at("diam").as_int());
-    c.runs = static_cast<std::size_t>(at("runs").as_int());
-    c.converged_runs = static_cast<std::size_t>(at("converged_runs").as_int());
-    c.step_cap_hits = static_cast<std::size_t>(at("step_cap_hits").as_int());
+    c.runs = count("runs");
+    c.converged_runs = count("converged_runs");
+    c.step_cap_hits = count("step_cap_hits");
     c.min_steps = at("min_steps").as_int();
     c.max_steps = at("max_steps").as_int();
     c.mean_steps = at("mean_steps").as_double();

@@ -32,9 +32,10 @@ namespace specstab::campaign {
 
 /// Parses the "cells" array of a to_json document with the repo's JSON
 /// codec (serve/json.hpp): integers read back exact over the whole int64
-/// range, strings with every escape to_json writes.  Throws
-/// std::invalid_argument on malformed JSON and on a missing or mistyped
-/// cell key.
+/// range, strings with every escape to_json writes; the runs array is
+/// parsed (its uint64 seeds read as doubles) but not read.  Throws
+/// std::invalid_argument on malformed JSON, on a missing or mistyped
+/// cell key and on a negative count.
 [[nodiscard]] std::vector<CellSummary> cells_from_json(
     const std::string& json);
 

@@ -20,7 +20,8 @@
 // the property the result cache and the byte-identity tests lean on.
 // Numbers without '.', 'e' or 'E' parse as integers (seeds and vertex
 // ids survive beyond 2^53 in either direction up to the int64 range);
-// everything else parses as double.
+// everything else, an integer beyond that range included, parses as
+// double.
 #ifndef SPECSTAB_SERVE_JSON_HPP
 #define SPECSTAB_SERVE_JSON_HPP
 
@@ -33,6 +34,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -488,9 +490,17 @@ class JsonValue {
         if (!exp) fail("digits required in exponent");
       }
       if (!digits) fail("malformed number");
+      if (integral) {
+        std::int64_t i = 0;
+        if (std::from_chars(text.data() + start, text.data() + pos, i).ec ==
+            std::errc()) {
+          return JsonValue(i);
+        }
+        // Beyond int64 (a campaign run's uint64 seed, say): a double, as
+        // ordinary JSON readers give; as_int() still refuses it.
+      }
       const std::string token(text.substr(start, pos - start));
       try {
-        if (integral) return JsonValue(std::int64_t(std::stoll(token)));
         return JsonValue(std::stod(token));
       } catch (const std::out_of_range&) {
         fail("number out of range: " + token);

@@ -4,10 +4,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "serve/server.hpp"
 
@@ -47,27 +49,24 @@ constexpr const char* kUsage =
     "Runs until SIGTERM/SIGINT or a `shutdown` request, then drains: every\n"
     "accepted session still gets its reply before the process exits 0.\n";
 
-[[nodiscard]] std::uint64_t parse_u64(const std::string& flag,
-                                      const std::string& value,
-                                      std::uint64_t max) {
-  std::uint64_t parsed = 0;
-  try {
-    std::size_t used = 0;
-    if (value.empty() || value[0] == '-') throw std::invalid_argument(value);
-    parsed = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("serve: " + flag +
-                                " needs a non-negative integer, got '" +
-                                value + "'");
-  }
-  if (parsed > max) {
-    throw std::invalid_argument("serve: " + flag + " out of range: " + value);
-  }
-  return parsed;
-}
-
 }  // namespace
+
+std::uint64_t parse_u64(std::string_view tool, std::string_view flag,
+                        std::string_view text, std::uint64_t max) {
+  const std::string where = std::string(tool) + ": " + std::string(flag);
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  if (parsed.ec == std::errc::invalid_argument || parsed.ptr != end) {
+    throw std::invalid_argument(where + " needs a non-negative integer, got '" +
+                                std::string(text) + "'");
+  }
+  if (parsed.ec != std::errc() || value > max) {
+    throw std::invalid_argument(where + " out of range: " + std::string(text));
+  }
+  return value;
+}
 
 int serve_main(const std::vector<std::string>& args) {
   ServeOptions options;
@@ -81,12 +80,15 @@ int serve_main(const std::vector<std::string>& args) {
         }
         return args[++i];
       };
+      const auto number = [&](std::uint64_t max) {
+        return parse_u64("serve", arg, value(), max);
+      };
       if (arg == "--port") {
         if (have_endpoint) {
           throw std::invalid_argument("serve: --port and --unix are exclusive");
         }
-        options.endpoint = Endpoint::tcp(
-            static_cast<std::uint16_t>(parse_u64(arg, value(), 65535)));
+        options.endpoint =
+            Endpoint::tcp(static_cast<std::uint16_t>(number(65535)));
         have_endpoint = true;
       } else if (arg == "--unix") {
         if (have_endpoint) {
@@ -95,22 +97,19 @@ int serve_main(const std::vector<std::string>& args) {
         options.endpoint = Endpoint::unix_path(value());
         have_endpoint = true;
       } else if (arg == "--threads") {
-        options.threads = static_cast<unsigned>(parse_u64(arg, value(), 4096));
+        options.threads = static_cast<unsigned>(number(4096));
       } else if (arg == "--engine-threads") {
-        options.engine_threads =
-            static_cast<unsigned>(parse_u64(arg, value(), 4096));
+        options.engine_threads = static_cast<unsigned>(number(4096));
       } else if (arg == "--cache-mb") {
-        options.cache_bytes =
-            static_cast<std::size_t>(parse_u64(arg, value(), 1u << 20)) << 20;
+        options.cache_bytes = static_cast<std::size_t>(number(1u << 20)) << 20;
       } else if (arg == "--queue") {
-        options.queue_capacity =
-            static_cast<std::size_t>(parse_u64(arg, value(), 1u << 20));
+        options.queue_capacity = static_cast<std::size_t>(number(1u << 20));
         if (options.queue_capacity == 0) {
           throw std::invalid_argument("serve: --queue must be at least 1");
         }
       } else if (arg == "--max-line-kb") {
         options.max_line_bytes =
-            static_cast<std::size_t>(parse_u64(arg, value(), 1u << 20)) << 10;
+            static_cast<std::size_t>(number(1u << 20)) << 10;
         if (options.max_line_bytes == 0) {
           throw std::invalid_argument("serve: --max-line-kb must be at least 1");
         }

@@ -1,9 +1,10 @@
 // Unit tests for the bench-regression gate (tools/bench_regression_lib.hpp):
-// strict snapshot parsing, tolerance arithmetic, and the stale-snapshot
+// strict snapshot parsing, tolerance arithmetic, the stale-snapshot
 // FAILs — a baseline micro row missing from the fresh run, and a campaign
-// scenario-count change — that must never degrade into silent skips.  The
-// committed BENCH_engine.json and BENCH_serve.json are read from the
-// source tree (SPECSTAB_SOURCE_DIR) and gated against themselves.
+// scenario-count change — that must never degrade into silent skips, and
+// the tool's strict option values.  The committed BENCH_engine.json and
+// BENCH_serve.json are read from the source tree (SPECSTAB_SOURCE_DIR)
+// and gated against themselves.
 #include "../tools/bench_regression_lib.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace specstab::benchgate {
 namespace {
@@ -344,6 +347,86 @@ TEST(CommittedSnapshotTest, BothSnapshotsParseAndPassAgainstThemselves) {
   const GateOutcome serve_outcome = compare_serve(serve, serve, {});
   EXPECT_FALSE(serve_outcome.regressed);
   EXPECT_FALSE(has_line_with(serve_outcome, "FAIL"));
+}
+
+TEST(CommittedSnapshotTest, DegradedEngineSnapshotRegresses) {
+  // Every speedup of the committed snapshot at 0.01: the campaign and at
+  // least one micro row are gated, not all skipped as noise.
+  const BenchFile engine =
+      parse_bench_json(read_snapshot("BENCH_engine.json"), "BENCH_engine.json");
+  BenchFile degraded = engine;
+  degraded.campaign_speedup = 0.01;
+  for (Row& row : degraded.micro) row.speedup = 0.01;
+  const GateOutcome outcome = compare(engine, degraded, {});
+  EXPECT_TRUE(outcome.regressed);
+  EXPECT_TRUE(has_line_with(outcome, "FAIL campaign/thm3-preset"));
+  EXPECT_GE(std::count_if(outcome.lines.begin(), outcome.lines.end(),
+                          [](const std::string& line) {
+                            return line.rfind("FAIL ", 0) == 0;
+                          }),
+            2);
+}
+
+// --- command line -------------------------------------------------------
+
+TEST(GateArgsTest, ParsesPathsAndOptions) {
+  const GateArgs defaults = parse_gate_args({"base.json", "cur.json"});
+  EXPECT_EQ(defaults.baseline, "base.json");
+  EXPECT_EQ(defaults.current, "cur.json");
+  EXPECT_FALSE(defaults.serve);
+  EXPECT_EQ(defaults.options.tolerance, 0.30);
+  EXPECT_EQ(defaults.options.min_steps, 500);
+  EXPECT_EQ(defaults.options.min_ms, 0.25);
+
+  const GateArgs args =
+      parse_gate_args({"--serve", "base.json", "--tolerance", "0", "cur.json",
+                       "--min-steps", "0", "--min-ms", "1.5"});
+  EXPECT_EQ(args.baseline, "base.json");
+  EXPECT_EQ(args.current, "cur.json");
+  EXPECT_TRUE(args.serve);
+  EXPECT_EQ(args.options.tolerance, 0.0);
+  EXPECT_EQ(args.options.min_steps, 0);
+  EXPECT_EQ(args.options.min_ms, 1.5);
+  EXPECT_EQ(parse_gate_args({"a", "b", "--tolerance", "0.999"})
+                .options.tolerance,
+            0.999);
+}
+
+TEST(GateArgsTest, BadValuesThrowInsteadOfGating) {
+  // Read loosely, "30" gated at 3000% and "abc" at 0%.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--tolerance", "30"},  {"--tolerance", "abc"}, {"--tolerance", "1"},
+      {"--tolerance", "-0.1"}, {"--tolerance", "nan"}, {"--tolerance", "0.3x"},
+      {"--tolerance", ""},    {"--tolerance", " 0.3"}, {"--min-steps", "-1"},
+      {"--min-steps", "5.5"}, {"--min-steps", "1e3"}, {"--min-ms", "-0.25"},
+      {"--min-ms", "inf"},    {"--min-ms", "nan"},    {"--min-ms", "0.25ms"},
+  };
+  for (const auto& [flag, value] : cases) {
+    EXPECT_THROW((void)parse_gate_args({"a.json", "b.json", flag, value}),
+                 std::invalid_argument)
+        << flag << " '" << value << "'";
+  }
+  try {
+    (void)parse_gate_args({"a.json", "b.json", "--tolerance", "30"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--tolerance needs a fraction in [0, 1), got '30'");
+  }
+}
+
+TEST(GateArgsTest, WrongShapeThrows) {
+  const std::vector<std::string> cases[] = {
+      {},
+      {"a.json"},
+      {"a.json", "b.json", "c.json"},
+      {"a.json", "b.json", "--tolerance"},  // value missing
+      {"a.json", "b.json", "--bogus"},
+      {"a.json", "b.json", ""},
+  };
+  for (const auto& args : cases) {
+    EXPECT_THROW((void)parse_gate_args(args), std::invalid_argument)
+        << args.size() << " args";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -91,9 +92,13 @@ TEST(ArtifactsTest, CellsCsvRoundTrips) {
 }
 
 TEST(ArtifactsTest, CellsJsonRoundTrips) {
-  const auto result = handmade();
+  auto result = handmade();
+  // A run's seed is a full 64-bit value: the runs array may hold an
+  // integer past INT64_MAX, and the cells must still read back.
+  result.rows[0].seed = std::numeric_limits<std::uint64_t>::max();
   const auto cells = aggregate(result);
   const auto json = to_json(result, cells);
+  ASSERT_NE(json.find("\"seed\":18446744073709551615"), std::string::npos);
   const auto parsed = cells_from_json(json);
   ASSERT_EQ(parsed.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -232,6 +237,49 @@ TEST(ArtifactsTest, JsonUnicodeEscapesReadBackAsUtf8) {
   EXPECT_EQ(parsed[0].protocol, "\xc5\x81");
   c.protocol = "\xc5\x81";
   EXPECT_EQ(parsed[0], c);
+}
+
+TEST(ArtifactsTest, NegativeCountsThrow) {
+  // runs, converged_runs and step_cap_hits are counts: -1 must not read
+  // back as 2^64 - 1 from either format.
+  std::string csv = cells_to_csv({full_cell()});
+  const std::string counts = ",8,4,3,2,1,";
+  ASSERT_NE(csv.find(counts), std::string::npos) << csv;
+  csv.replace(csv.find(counts), counts.size(), ",8,4,-1,2,1,");
+  EXPECT_THROW((void)cells_from_csv(csv), std::invalid_argument) << csv;
+
+  const std::string json = to_json(CampaignResult{}, {full_cell()});
+  for (const std::string written :
+       {"\"runs\":3", "\"converged_runs\":2", "\"step_cap_hits\":1"}) {
+    std::string copy = json;
+    const auto at = copy.find(written);
+    ASSERT_NE(at, std::string::npos) << written;
+    copy.replace(at, written.size(),
+                 written.substr(0, written.find(':') + 1) + "-1");
+    EXPECT_THROW((void)cells_from_json(copy), std::invalid_argument)
+        << copy;
+  }
+}
+
+TEST(ArtifactsTest, RealCampaignJsonReadsBack) {
+  // scenario_seed() is splitmix64, so about half of a real campaign's
+  // seeds are past INT64_MAX: the document `specstab campaign` writes
+  // must read back to the cells it was written from.
+  CampaignGrid g;
+  g.protocols = {"ssme"};
+  g.topologies = {{"ring", 5}, {"path", 4}};
+  g.daemons = {"synchronous", "central-random"};
+  g.inits = {"random"};
+  g.reps = 4;
+  g.base_seed = 99;
+  const auto result = run_campaign(g, {.threads = 1});
+  ASSERT_TRUE(std::any_of(
+      result.rows.begin(), result.rows.end(), [](const ScenarioResult& r) {
+        return r.seed > static_cast<std::uint64_t>(
+                            std::numeric_limits<std::int64_t>::max());
+      }));
+  const auto cells = aggregate(result);
+  EXPECT_EQ(cells_from_json(to_json(result, cells)), cells);
 }
 
 TEST(ArtifactsTest, RunsCsvHasOneLinePerRow) {

@@ -1,7 +1,8 @@
 // Unit tests for the serve building blocks that need no sockets: the
 // JSON value/codec, the bounded work queue's backpressure and drain
-// contracts, the byte-LRU result cache, and the wire codec's
-// request/reply rendering.
+// contracts, the byte-LRU result cache, the wire codec's request/reply
+// rendering, and the integer option parser `specstab serve` shares with
+// specstab_load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
 #include "serve/queue.hpp"
+#include "serve/serve_cli.hpp"
 #include "serve/wire.hpp"
 
 namespace specstab::serve {
@@ -63,6 +65,27 @@ TEST(ServeJsonTest, RejectsMalformedInput) {
     EXPECT_THROW((void)JsonValue::parse(bad), std::invalid_argument)
         << "input: " << bad;
   }
+}
+
+TEST(ServeJsonTest, IntegersBeyondInt64ParseAsDouble) {
+  // The int64 bounds stay exact integers; one past either bound reads as
+  // a double (a campaign run's uint64 seed does), which as_int() refuses.
+  EXPECT_EQ(JsonValue::parse("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(JsonValue::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  for (const char* wide : {"9223372036854775808", "18446744073709551615",
+                           "-9223372036854775809"}) {
+    const JsonValue value = JsonValue::parse(wide);
+    EXPECT_EQ(value.kind(), JsonValue::Kind::kDouble) << wide;
+    EXPECT_THROW((void)value.as_int(), std::invalid_argument) << wide;
+  }
+  EXPECT_EQ(JsonValue::parse("[18446744073709551615]").as_array()[0]
+                .as_double(),
+            18446744073709551615.0);
+  // A double's own range still bounds a number.
+  EXPECT_THROW((void)JsonValue::parse(std::string(400, '9')),
+               std::invalid_argument);
 }
 
 TEST(ServeJsonTest, DepthLimitStopsRecursion) {
@@ -246,6 +269,9 @@ TEST(ServeWireTest, DecodeSessionParamsValidatesTypesAndKeys) {
            "{\"protocol\":\"ssme\",\"topology\":\"ring 8\",\"bogus\":1}",
            "{\"protocol\":\"ssme\",\"topology\":\"  \"}",  // empty topology
            "{\"protocol\":\"ssme\",\"topology\":\"ring 8\",\"seed\":-1}",
+           // Beyond int64: valid JSON, but not an integer param.
+           "{\"protocol\":\"ssme\",\"topology\":\"ring 8\","
+           "\"seed\":18446744073709551615}",
        }) {
     EXPECT_THROW((void)decode_session_params(JsonValue::parse(bad)), RpcError)
         << "params: " << bad;
@@ -463,6 +489,40 @@ TEST(ServeWireTest, TraceAppendersAppendTheRenderedLines) {
   EXPECT_EQ(batch, "head\n" + render_trace_init_line(id, {"a", "b"}) +
                        render_trace_delta_line(id, 0, rec) +
                        render_trace_end_line(id, 1));
+}
+
+// ----------------------------------------------------------------- argv
+
+TEST(ServeCliTest, ParseU64TakesDigitsOnlyUpToMax) {
+  // `specstab serve` and specstab_load read every integer option here.
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_u64("serve", "--port", "0", 65535), 0u);
+  EXPECT_EQ(parse_u64("serve", "--port", "65535", 65535), 65535u);
+  EXPECT_EQ(parse_u64("specstab_load", "--seed", "18446744073709551615",
+                      kU64Max),
+            kU64Max);
+  const auto message = [](const char* text, std::uint64_t max) {
+    try {
+      (void)parse_u64("specstab_load", "--connections", text, max);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  // A sign, whitespace or any trailing byte is not an unsigned integer:
+  // "-1" must not wrap around to four billion client threads.
+  for (const char* bad : {"", "-1", "+5", " 5", "5 ", "4x", "0x10", "1e3",
+                          "5.0"}) {
+    EXPECT_EQ(message(bad, 4096),
+              std::string("specstab_load: --connections needs a "
+                          "non-negative integer, got '") +
+                  bad + "'");
+  }
+  for (const char* wide : {"4097", "18446744073709551616"}) {
+    EXPECT_EQ(message(wide, 4096),
+              std::string("specstab_load: --connections out of range: ") +
+                  wide);
+  }
 }
 
 }  // namespace

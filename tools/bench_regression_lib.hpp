@@ -1,7 +1,8 @@
-// Parsing and comparison logic of check_bench_regression, factored out
-// so tests/bench_regression_test.cpp can unit-test the gate without
-// spawning the tool.  The tool's main() is a thin wrapper: read the two
-// files, call compare(), print the report, map `regressed` to exit 2.
+// Argument parsing, snapshot parsing and comparison logic of
+// check_bench_regression, factored out so tests/bench_regression_test.cpp
+// can unit-test the gate without spawning the tool.  The tool's main()
+// is a thin wrapper: parse its arguments, read the two files, call
+// compare(), print the report, map `regressed` to exit 2.
 //
 // Each snapshot is parsed once, as strict JSON, with the repo's codec
 // (serve/json.hpp, header-only: the tool needs `src` on its include
@@ -13,12 +14,15 @@
 #ifndef SPECSTAB_TOOLS_BENCH_REGRESSION_LIB_HPP
 #define SPECSTAB_TOOLS_BENCH_REGRESSION_LIB_HPP
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -171,6 +175,74 @@ struct GateOutcome {
   bool regressed = false;
   std::vector<std::string> lines;  ///< one report line per decision
 };
+
+/// check_bench_regression's command line.
+struct GateArgs {
+  std::string baseline;  ///< BASELINE.json path
+  std::string current;   ///< CURRENT.json path
+  bool serve = false;    ///< gate a BENCH_serve.json pair
+  GateOptions options;
+};
+
+namespace detail {
+
+/// `text` as a T when the whole token parses and `in_range` accepts it.
+template <typename T, typename InRange>
+T parse_option(const std::string& flag, const std::string& text,
+               InRange in_range, const char* range) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end || !in_range(value)) {
+    fail(flag + " needs " + range + ", got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace detail
+
+/// Parses check_bench_regression's arguments (argv without the program
+/// name).  Each option value must be the whole token, finite and in
+/// range: a tolerance in [0, 1), non-negative floors.  A bad value, an
+/// unknown option or a path count other than two throws
+/// std::invalid_argument (the tool prints it with its usage line and
+/// exits 1) instead of gating at a tolerance nobody meant.
+inline GateArgs parse_gate_args(const std::vector<std::string>& args) {
+  using detail::parse_option;
+  GateArgs out;
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const bool has_value = i + 1 < args.size();
+    if (arg == "--tolerance" && has_value) {
+      out.options.tolerance = parse_option<double>(
+          arg, args[++i], [](double t) { return t >= 0.0 && t < 1.0; },
+          "a fraction in [0, 1)");
+    } else if (arg == "--min-steps" && has_value) {
+      out.options.min_steps = parse_option<long long>(
+          arg, args[++i], [](long long n) { return n >= 0; },
+          "a non-negative integer");
+    } else if (arg == "--min-ms" && has_value) {
+      out.options.min_ms = parse_option<double>(
+          arg, args[++i],
+          [](double ms) { return std::isfinite(ms) && ms >= 0.0; },
+          "a finite non-negative number");
+    } else if (arg == "--serve") {
+      out.serve = true;
+    } else if (!arg.empty() && arg[0] != '-') {
+      paths.push_back(arg);
+    } else {
+      detail::fail("unknown option or missing value: '" + arg + "'");
+    }
+  }
+  if (paths.size() != 2) {
+    detail::fail("need exactly BASELINE.json and CURRENT.json");
+  }
+  out.baseline = paths[0];
+  out.current = paths[1];
+  return out;
+}
 
 /// The gate itself.  Throws std::invalid_argument on a mode mismatch
 /// (smoke vs full snapshots are not comparable); otherwise every verdict

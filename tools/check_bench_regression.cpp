@@ -31,16 +31,15 @@
 // Rows present in the baseline but missing from the fresh run FAIL, and
 // so does a campaign scenario-count change: both mean the committed
 // snapshot is stale and must be regenerated, not that the gate should
-// quietly narrow.  Parsing and comparison live in bench_regression_lib.hpp
-// (unit-tested by tests/bench_regression_test.cpp).
-#include <charconv>
-#include <cmath>
+// quietly narrow.  Argument parsing, snapshot parsing and comparison live
+// in bench_regression_lib.hpp (unit-tested by
+// tests/bench_regression_test.cpp).
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "bench_regression_lib.hpp"
@@ -56,26 +55,6 @@ constexpr const char* kUsage =
   std::exit(1);
 }
 
-[[noreturn]] void usage(const std::string& message) {
-  std::cerr << "check_bench_regression: " << message << "\n" << kUsage;
-  std::exit(1);
-}
-
-/// `text` as a T when the whole token parses and `in_range` accepts it;
-/// usage() otherwise.
-template <typename T, typename InRange>
-T parse_option(const std::string& flag, const std::string& text,
-               InRange in_range, const char* range) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const std::from_chars_result parsed =
-      std::from_chars(text.data(), end, value);
-  if (parsed.ec != std::errc() || parsed.ptr != end || !in_range(value)) {
-    usage(flag + " needs " + range + ", got '" + text + "'");
-  }
-  return value;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) die("cannot open " + path);
@@ -88,48 +67,30 @@ std::string read_file(const std::string& path) {
 
 int main(int argc, char** argv) {
   namespace gate = specstab::benchgate;
-  std::vector<std::string> paths;
-  gate::GateOptions opt;
-  bool serve = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tolerance" && i + 1 < argc) {
-      opt.tolerance = parse_option<double>(
-          arg, argv[++i], [](double t) { return t >= 0.0 && t < 1.0; },
-          "a fraction in [0, 1)");
-    } else if (arg == "--min-steps" && i + 1 < argc) {
-      opt.min_steps = parse_option<long long>(
-          arg, argv[++i], [](long long n) { return n >= 0; },
-          "a non-negative integer");
-    } else if (arg == "--min-ms" && i + 1 < argc) {
-      opt.min_ms = parse_option<double>(
-          arg, argv[++i],
-          [](double ms) { return std::isfinite(ms) && ms >= 0.0; },
-          "a finite non-negative number");
-    } else if (arg == "--serve") {
-      serve = true;
-    } else if (!arg.empty() && arg[0] != '-') {
-      paths.push_back(arg);
-    } else {
-      usage("unknown option or missing value: '" + arg + "'");
-    }
+  gate::GateArgs args;
+  try {
+    args = gate::parse_gate_args(
+        std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "check_bench_regression: " << e.what() << "\n" << kUsage;
+    return 1;
   }
-  if (paths.size() != 2) die("need exactly BASELINE.json and CURRENT.json");
+  const gate::GateOptions& opt = args.options;
 
   try {
     gate::GateOutcome outcome;
-    if (serve) {
+    if (args.serve) {
       // BENCH_serve.json: gate the warm/cold throughput ratios.
       const gate::ServeBenchFile baseline =
-          gate::parse_serve_bench_json(read_file(paths[0]), paths[0]);
+          gate::parse_serve_bench_json(read_file(args.baseline), args.baseline);
       const gate::ServeBenchFile current =
-          gate::parse_serve_bench_json(read_file(paths[1]), paths[1]);
+          gate::parse_serve_bench_json(read_file(args.current), args.current);
       outcome = gate::compare_serve(baseline, current, opt);
     } else {
       const gate::BenchFile baseline =
-          gate::parse_bench_json(read_file(paths[0]), paths[0]);
+          gate::parse_bench_json(read_file(args.baseline), args.baseline);
       const gate::BenchFile current =
-          gate::parse_bench_json(read_file(paths[1]), paths[1]);
+          gate::parse_bench_json(read_file(args.current), args.current);
       outcome = gate::compare(baseline, current, opt);
     }
     for (const auto& line : outcome.lines) std::cout << line << "\n";

@@ -16,9 +16,10 @@
 //
 // Exit code: 0 when every request got a result reply, 1 otherwise —
 // the CI serve job uses it as a smoke gate — and 2, before any client
-// starts, on a bad option: numbers are parsed as `specstab serve` parses
-// its own (no sign, the whole token, in range), so `--connections -1`
-// cannot wrap around to four billion client threads.
+// starts, on a bad option: integers go through `specstab serve`'s own
+// parser (serve::parse_u64: digits only, the whole token, in range) and
+// the hit ratio must be a whole-token number in [0, 1], so
+// `--connections -1` cannot wrap around to four billion client threads.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -34,6 +35,7 @@
 
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "serve/serve_cli.hpp"
 #include "serve/transport.hpp"
 
 namespace {
@@ -55,27 +57,6 @@ constexpr const char* kUsage =
     "usage: specstab_load (--port P | --unix PATH) [--connections N]\n"
     "                     [--requests R] [--hit-ratio H] [--seed S]\n"
     "  P is at most 65535, N at most 4096, H a number in [0, 1]\n";
-
-/// `text` as an integer in [0, max], parsed as `specstab serve` parses
-/// its options: no sign, the whole token.
-[[nodiscard]] std::uint64_t parse_u64(const std::string& flag,
-                                      const std::string& text,
-                                      std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const std::from_chars_result parsed =
-      std::from_chars(text.data(), end, value);
-  if (parsed.ec != std::errc() || parsed.ptr != end) {
-    throw std::invalid_argument("specstab_load: " + flag +
-                                " needs a non-negative integer, got '" +
-                                text + "'");
-  }
-  if (value > max) {
-    throw std::invalid_argument("specstab_load: " + flag +
-                                " out of range: " + text);
-  }
-  return value;
-}
 
 // The hot pool: distinct canonical tuples re-requested verbatim.  Small
 // topologies keep per-session cost low enough that the generator
@@ -169,18 +150,20 @@ int main(int argc, char** argv) {
         }
         return args[++i];
       };
+      const auto number = [&](std::uint64_t max) {
+        return specstab::serve::parse_u64("specstab_load", arg, value(), max);
+      };
       if (arg == "--port") {
-        opt.endpoint = Endpoint::tcp(
-            static_cast<std::uint16_t>(parse_u64(arg, value(), 65535)));
+        opt.endpoint = Endpoint::tcp(static_cast<std::uint16_t>(number(65535)));
         opt.have_endpoint = true;
       } else if (arg == "--unix") {
         opt.endpoint = Endpoint::unix_path(value());
         opt.have_endpoint = true;
       } else if (arg == "--connections") {
-        opt.connections = static_cast<unsigned>(parse_u64(arg, value(), 4096));
+        opt.connections = static_cast<unsigned>(number(4096));
       } else if (arg == "--requests") {
-        opt.requests = static_cast<unsigned>(
-            parse_u64(arg, value(), std::numeric_limits<unsigned>::max()));
+        opt.requests =
+            static_cast<unsigned>(number(std::numeric_limits<unsigned>::max()));
       } else if (arg == "--hit-ratio") {
         const std::string& text = value();
         const char* end = text.data() + text.size();
@@ -194,8 +177,7 @@ int main(int argc, char** argv) {
               text + "'");
         }
       } else if (arg == "--seed") {
-        opt.seed = parse_u64(arg, value(),
-                             std::numeric_limits<std::uint64_t>::max());
+        opt.seed = number(std::numeric_limits<std::uint64_t>::max());
       } else if (arg == "--help" || arg == "-h") {
         std::fputs(kUsage, stdout);
         return 0;
