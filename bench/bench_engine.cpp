@@ -29,12 +29,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -56,6 +59,7 @@
 #include "sim/engine.hpp"
 #include "sim/parallel_engine.hpp"
 #include "unison/unison.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -706,11 +710,26 @@ std::string to_json(bool smoke, unsigned threads, int repeats,
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: bench_engine [--smoke] [--json PATH] [--threads T] "
+      "[--repeats R] [--scaling-check]\n";
   bool smoke = false;
   std::string json_path = "BENCH_engine.json";
   unsigned threads = 8;
   int repeats = 3;
   bool repeats_set = false;
+  // A flag's value: the whole token, an integer in [1, max]; anything
+  // else names the flag, prints the usage line and exits 1.
+  const auto count = [&](const std::string& flag, const char* text, int max) {
+    int value = 0;
+    if (parse_number(text, value) != std::errc() || value < 1 || value > max) {
+      std::cerr << "bench_engine: " << flag << " needs an integer in [1, "
+                << max << "], got '" << text << "'\n"
+                << kUsage;
+      std::exit(1);
+    }
+    return value;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -720,13 +739,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      threads = static_cast<unsigned>(count(arg, argv[++i], 4096));
     } else if (arg == "--repeats" && i + 1 < argc) {
-      repeats = std::stoi(argv[++i]);
+      repeats = count(arg, argv[++i], std::numeric_limits<int>::max());
       repeats_set = true;
     } else {
-      std::cerr << "usage: bench_engine [--smoke] [--json PATH] "
-                   "[--threads T] [--repeats R] [--scaling-check]\n";
+      std::cerr << kUsage;
       return 1;
     }
   }

@@ -23,12 +23,14 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "campaign/artifacts.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -178,6 +180,8 @@ Row measure(unsigned server_threads, std::size_t sessions,
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: bench_serve [--smoke] [--json PATH] [--connections C]\n";
   bool smoke = false;
   std::string json_path = "BENCH_serve.json";
   unsigned connections = 4;
@@ -188,10 +192,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--connections" && i + 1 < argc) {
-      connections = static_cast<unsigned>(std::stoul(argv[++i]));
+      // The whole token, an integer in [1, 4096]: one client thread each.
+      const char* text = argv[++i];
+      if (specstab::parse_number(text, connections) != std::errc() ||
+          connections < 1 || connections > 4096) {
+        std::cerr << "bench_serve: --connections needs an integer in "
+                     "[1, 4096], got '"
+                  << text << "'\n"
+                  << kUsage;
+        return 1;
+      }
     } else {
-      std::cerr << "usage: bench_serve [--smoke] [--json PATH] "
-                   "[--connections C]\n";
+      std::cerr << kUsage;
       return 1;
     }
   }

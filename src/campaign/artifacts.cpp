@@ -1,14 +1,14 @@
 #include "campaign/artifacts.hpp"
 
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
 
 #include "serve/json.hpp"
+#include "util/parse_number.hpp"
 
 namespace specstab::campaign {
 
@@ -26,7 +26,8 @@ std::string format_double(double value) {
   char buf[40];
   for (int precision = 6; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+    double back = 0.0;
+    if (parse_number(buf, back) == std::errc() && back == value) break;
   }
   return buf;
 }
@@ -37,10 +38,7 @@ std::string format_double(double value) {
 template <typename T>
 T parse_field(const std::string& field) {
   T value{};
-  const char* end = field.data() + field.size();
-  const std::from_chars_result parsed =
-      std::from_chars(field.data(), end, value);
-  if (parsed.ec != std::errc() || parsed.ptr != end) {
+  if (parse_number(field, value) != std::errc()) {
     fail("bad number field: '" + field + "'");
   }
   return value;
@@ -230,8 +228,8 @@ std::vector<CellSummary> cells_from_csv(const std::string& csv) {
     c.daemon = fields[2];
     c.init = fields[3];
     c.perturb = fields[4];
-    c.n = static_cast<VertexId>(parse_field<std::int64_t>(fields[5]));
-    c.diam = static_cast<VertexId>(parse_field<std::int64_t>(fields[6]));
+    c.n = parse_field<VertexId>(fields[5]);
+    c.diam = parse_field<VertexId>(fields[6]);
     c.runs = parse_field<std::size_t>(fields[7]);
     c.converged_runs = parse_field<std::size_t>(fields[8]);
     c.step_cap_hits = parse_field<std::size_t>(fields[9]);
@@ -272,14 +270,22 @@ std::vector<CellSummary> cells_from_json(const std::string& json) {
       if (v < 0) fail(std::string("negative count field '") + key + "'");
       return static_cast<std::size_t>(v);
     };
+    const auto vertex_id = [&at](const char* key) {
+      const std::int64_t v = at(key).as_int();
+      if (v < std::numeric_limits<VertexId>::min() ||
+          v > std::numeric_limits<VertexId>::max()) {
+        fail(std::string("out-of-range field '") + key + "'");
+      }
+      return static_cast<VertexId>(v);
+    };
     CellSummary c;
     c.protocol = at("protocol").as_string();
     c.topology = at("topology").as_string();
     c.daemon = at("daemon").as_string();
     c.init = at("init").as_string();
     c.perturb = at("perturb").as_string();
-    c.n = static_cast<VertexId>(at("n").as_int());
-    c.diam = static_cast<VertexId>(at("diam").as_int());
+    c.n = vertex_id("n");
+    c.diam = vertex_id("diam");
     c.runs = count("runs");
     c.converged_runs = count("converged_runs");
     c.step_cap_hits = count("step_cap_hits");

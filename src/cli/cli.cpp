@@ -4,11 +4,11 @@
 #include <fstream>
 #include <functional>
 #include <iomanip>
-#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "campaign/artifacts.hpp"
 #include "campaign/campaign.hpp"
@@ -33,6 +33,7 @@
 #include "sim/protocol_registry.hpp"
 #include "sim/visualize.hpp"
 #include "unison/parameters.hpp"
+#include "util/parse_number.hpp"
 
 namespace specstab::cli {
 
@@ -42,62 +43,28 @@ namespace {
   throw std::invalid_argument(message);
 }
 
-std::int64_t parse_int(const std::vector<std::string>& args, std::size_t& pos,
-                       const std::string& what) {
-  if (pos >= args.size()) fail("missing " + what);
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(args[pos], &used);
-    if (used != args[pos].size()) fail("bad " + what + ": " + args[pos]);
-    ++pos;
-    return value;
-  } catch (const std::invalid_argument&) {
-    fail("bad " + what + ": " + args[pos]);
-  } catch (const std::out_of_range&) {
-    fail("out-of-range " + what + ": " + args[pos]);
-  }
-}
-
-/// Strict non-negative integer parse (full consumption, no double
-/// round-trip, so 64-bit seeds survive intact and negatives fail cleanly
-/// instead of wrapping).
-std::uint64_t parse_uint(const std::string& token, const std::string& what) {
-  if (token.empty() || token[0] == '-') {
-    fail(what + " must be a non-negative integer: " + token);
-  }
-  std::uint64_t value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stoull(token, &used);
-  } catch (const std::out_of_range&) {
+/// `token` as a T: the whole token, decimal, in T's range (see
+/// util/parse_number.hpp), or a "bad"/"out-of-range" failure naming
+/// `what`.
+template <typename T>
+T parse_as(const std::string& token, const std::string& what) {
+  T value{};
+  const std::errc ec = parse_number(token, value);
+  if (ec == std::errc::result_out_of_range) {
     fail("out-of-range " + what + ": " + token);
-  } catch (const std::invalid_argument&) {
-    fail("bad " + what + ": " + token);
   }
-  if (used != token.size()) fail("bad " + what + ": " + token);
+  if (ec != std::errc()) fail("bad " + what + ": " + token);
   return value;
 }
 
-/// `--steps` for run and campaign: parse_uint capped to StepIndex.
-StepIndex parse_steps(const std::string& token) {
-  const std::uint64_t n = parse_uint(token, "--steps");
-  if (n > static_cast<std::uint64_t>(std::numeric_limits<StepIndex>::max())) {
-    fail("out-of-range --steps: " + token);
+/// A count, seed or step cap: parse_as() with any sign refused by name,
+/// so -1 neither wraps nor passes as a signed step cap.
+template <typename T>
+T parse_count(const std::string& token, const std::string& what) {
+  if (token.starts_with('-')) {
+    fail(what + " must be a non-negative integer: " + token);
   }
-  return static_cast<StepIndex>(n);
-}
-
-double parse_double(const std::string& token, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) fail("bad " + what + ": " + token);
-    return value;
-  } catch (const std::invalid_argument&) {
-    fail("bad " + what + ": " + token);
-  } catch (const std::out_of_range&) {
-    fail("out-of-range " + what + ": " + token);
-  }
+  return parse_as<T>(token, what);
 }
 
 /// Named options of the form --name value (protocol, init, seed, steps,
@@ -141,21 +108,22 @@ Options parse_options(const std::vector<std::string>& args, std::size_t pos) {
     } else if (flag == "--init") {
       opt.init = value;
     } else if (flag == "--seed") {
-      opt.seed = parse_uint(value, "--seed");
+      opt.seed = parse_count<std::uint64_t>(value, "--seed");
     } else if (flag == "--steps") {
-      opt.max_steps = parse_steps(value);
+      opt.max_steps = parse_count<StepIndex>(value, "--steps");
     } else if (flag == "--daemon") {
       opt.daemon = value;
     } else if (flag == "--engine") {
       opt.engine = engine_by_name(value);
     } else if (flag == "--threads") {
-      const std::uint64_t t = parse_uint(value, "--threads");
-      if (t < 1 || t > 4096) fail("--threads must be in [1, 4096]");
-      opt.threads = static_cast<unsigned>(t);
+      opt.threads = parse_count<unsigned>(value, "--threads");
+      if (opt.threads < 1 || opt.threads > 4096) {
+        fail("--threads must be in [1, 4096]");
+      }
     } else if (flag == "--perturb") {
       opt.perturb = value;
     } else if (flag == "--configs") {
-      opt.configs = static_cast<std::size_t>(parse_uint(value, "--configs"));
+      opt.configs = parse_count<std::size_t>(value, "--configs");
     } else {
       fail("unknown option " + flag);
     }
@@ -343,7 +311,7 @@ CliResult cmd_campaign(const std::vector<std::string>& args) {
   bool smoke = false;
   std::string preset;
   std::vector<std::string> protocols, families, daemons, inits, perturbs;
-  std::vector<std::int64_t> sizes;
+  std::vector<VertexId> sizes;
   std::size_t reps = 0;
   std::optional<std::uint64_t> seed;
   cmp::RunnerOptions run_opt;
@@ -375,14 +343,7 @@ CliResult cmd_campaign(const std::vector<std::string>& args) {
       families = split_list(value, "family");
     } else if (flag == "--sizes") {
       for (const auto& s : split_list(value, "size")) {
-        std::int64_t n = 0;
-        try {
-          std::size_t used = 0;
-          n = std::stoll(s, &used);
-          if (used != s.size()) fail("bad size: " + s);
-        } catch (const std::exception&) {
-          fail("bad size: " + s);
-        }
+        const auto n = parse_as<VertexId>(s, "size");
         if (n <= 0) fail("size must be positive: " + s);
         sizes.push_back(n);
       }
@@ -401,19 +362,19 @@ CliResult cmd_campaign(const std::vector<std::string>& args) {
       }
       if (perturbs.empty()) fail("empty perturb list");
     } else if (flag == "--reps") {
-      reps = static_cast<std::size_t>(parse_uint(value, "--reps"));
+      reps = parse_count<std::size_t>(value, "--reps");
     } else if (flag == "--seed") {
-      seed = parse_uint(value, "--seed");
+      seed = parse_count<std::uint64_t>(value, "--seed");
     } else if (flag == "--threads") {
-      const std::uint64_t t = parse_uint(value, "--threads");
-      if (t > 4096) fail("--threads must be <= 4096");
-      run_opt.threads = static_cast<unsigned>(t);
+      run_opt.threads = parse_count<unsigned>(value, "--threads");
+      if (run_opt.threads > 4096) fail("--threads must be <= 4096");
     } else if (flag == "--engine-threads") {
-      const std::uint64_t t = parse_uint(value, "--engine-threads");
-      if (t < 1 || t > 4096) fail("--engine-threads must be in [1, 4096]");
-      run_opt.engine_threads = static_cast<unsigned>(t);
+      run_opt.engine_threads = parse_count<unsigned>(value, "--engine-threads");
+      if (run_opt.engine_threads < 1 || run_opt.engine_threads > 4096) {
+        fail("--engine-threads must be in [1, 4096]");
+      }
     } else if (flag == "--steps") {
-      run_opt.max_steps_override = parse_steps(value);
+      run_opt.max_steps_override = parse_count<StepIndex>(value, "--steps");
     } else if (flag == "--engine") {
       run_opt.engine = engine_by_name(value);
     } else if (flag == "--json") {
@@ -626,9 +587,9 @@ CliResult cmd_run(const std::vector<std::string>& args,
      << (opt.init.empty() ? entry.info.inits.front() + " (default)"
                           : opt.init)
      << ", seed " << opt.seed << '\n'
-     // The canonical session identity — the same spelling
-     // SessionSpec::parse() round-trips and `specstab serve` keys its
-     // result cache on (docs/SERVE.md).
+     // The canonical session identity — the spelling `specstab serve`
+     // keys its result cache on, inside canonical_session_string()
+     // (docs/SERVE.md).
      << "session:    " << spec.to_canonical_string() << '\n'
      << "steps run:  " << res.steps << " (moves " << res.moves << ", rounds "
      << res.rounds << ")"
@@ -759,8 +720,12 @@ Graph graph_from_spec(const std::vector<std::string>& args,
                       std::size_t& pos) {
   if (pos >= args.size()) fail("missing graph family");
   const std::string family = args[pos++];
+  const auto next = [&](const std::string& what) -> const std::string& {
+    if (pos >= args.size()) fail("missing " + what);
+    return args[pos++];
+  };
   const auto next_int = [&](const std::string& what) {
-    return static_cast<VertexId>(parse_int(args, pos, what));
+    return parse_as<VertexId>(next(what), what);
   };
   if (family == "ring") return make_ring(next_int("ring size"));
   if (family == "path") return make_path(next_int("path size"));
@@ -775,23 +740,22 @@ Graph graph_from_spec(const std::vector<std::string>& args,
     return make_torus(r, next_int("torus cols"));
   }
   if (family == "hypercube") {
-    return make_hypercube(static_cast<int>(next_int("hypercube dim")));
+    return make_hypercube(next_int("hypercube dim"));
   }
   if (family == "btree") return make_binary_tree(next_int("tree size"));
   if (family == "wheel") return make_wheel(next_int("wheel size"));
   if (family == "petersen") return make_petersen();
   if (family == "random") {
     const VertexId n = next_int("random n");
-    if (pos >= args.size()) fail("missing random edge probability");
-    const double p = parse_double(args[pos++], "edge probability");
+    const double p = parse_as<double>(next("edge probability"),
+                                      "edge probability");
     return make_random_connected(
-        n, p, static_cast<std::uint64_t>(parse_int(args, pos, "seed")));
+        n, p, parse_count<std::uint64_t>(next("seed"), "seed"));
   }
   if (family == "file") {
-    if (pos >= args.size()) fail("missing file path");
-    std::ifstream in(args[pos]);
-    if (!in) fail("cannot open " + args[pos]);
-    ++pos;
+    const std::string& path = next("file path");
+    std::ifstream in(path);
+    if (!in) fail("cannot open " + path);
     return read_edge_list(in);
   }
   fail("unknown family '" + family + "' (see `specstab topologies`)");

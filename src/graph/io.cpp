@@ -1,8 +1,12 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+
+#include "util/parse_number.hpp"
 
 namespace specstab {
 
@@ -30,16 +34,21 @@ Graph read_edge_list(std::istream& is) {
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string first;
-    if (!(ls >> first)) continue;  // blank line
-    if (first == "n") {
+    std::istringstream ls(line.substr(0, line.find('#')));
+    const std::vector<std::string> tokens{
+        std::istream_iterator<std::string>(ls),
+        std::istream_iterator<std::string>()};
+    if (tokens.empty()) continue;  // blank line
+    if (tokens.size() > 2) {
+      throw std::invalid_argument("read_edge_list: trailing tokens at line " +
+                                  std::to_string(line_no));
+    }
+    if (tokens[0] == "n") {
       if (have_n) {
         throw std::invalid_argument("read_edge_list: duplicate 'n' header");
       }
-      if (!(ls >> n) || n < 0) {
+      if (tokens.size() != 2 || parse_number(tokens[1], n) != std::errc() ||
+          n < 0) {
         throw std::invalid_argument("read_edge_list: bad vertex count");
       }
       have_n = true;
@@ -50,15 +59,10 @@ Graph read_edge_list(std::istream& is) {
           "read_edge_list: edge before 'n' header (line " +
           std::to_string(line_no) + ")");
     }
-    VertexId u, v;
-    std::istringstream es(line);
-    if (!(es >> u >> v)) {
+    VertexId u = 0, v = 0;
+    if (tokens.size() != 2 || parse_number(tokens[0], u) != std::errc() ||
+        parse_number(tokens[1], v) != std::errc()) {
       throw std::invalid_argument("read_edge_list: bad edge at line " +
-                                  std::to_string(line_no));
-    }
-    std::string trailing;
-    if (es >> trailing) {
-      throw std::invalid_argument("read_edge_list: trailing tokens at line " +
                                   std::to_string(line_no));
     }
     edges.emplace_back(u, v);

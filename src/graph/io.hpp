@@ -1,7 +1,8 @@
 // Graph serialization: a tiny edge-list text format plus matrix/degree
 // utilities, so examples and external tools can exchange topologies.
 //
-// Format (whitespace- and comment-tolerant):
+// Format (whitespace- and comment-tolerant; each number one whole
+// decimal token, two tokens a line):
 //     # comment
 //     n <vertex-count>
 //     <u> <v>

@@ -8,10 +8,9 @@
 // suite still proves it end to end.  Caching rendered bytes also makes
 // the eviction accounting exact instead of estimated.
 //
-// Keys are the canonical session string (protocol + topology + the
-// SessionSpec canonical text, the same tuple session_cache_key() hashes)
-// — the full string, not the hash, so FNV collisions can never serve the
-// wrong session's bytes.
+// Keys are canonical_session_string() (protocol + topology + the
+// SessionSpec canonical text) — the full string, never a hash of it, so
+// no collision can serve the wrong session's bytes.
 //
 // Sessions here are deterministic functions of their canonical key (the
 // differential suites hold every engine and thread count to

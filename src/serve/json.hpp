@@ -21,7 +21,8 @@
 // Numbers without '.', 'e' or 'E' parse as integers (seeds and vertex
 // ids survive beyond 2^53 in either direction up to the int64 range);
 // everything else, an integer beyond that range included, parses as
-// double.
+// double.  Number tokens follow JSON's grammar (no leading zeros) and
+// are read by util/parse_number.hpp.
 #ifndef SPECSTAB_SERVE_JSON_HPP
 #define SPECSTAB_SERVE_JSON_HPP
 
@@ -37,6 +38,8 @@
 #include <system_error>
 #include <utility>
 #include <vector>
+
+#include "util/parse_number.hpp"
 
 namespace specstab::serve {
 
@@ -462,10 +465,11 @@ class JsonValue {
     JsonValue parse_number() {
       const std::size_t start = pos;
       if (pos < text.size() && text[pos] == '-') ++pos;
-      bool digits = false;
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-        ++pos;
-        digits = true;
+      const std::size_t int_start = pos;
+      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+      const bool digits = pos > int_start;
+      if (pos - int_start > 1 && text[int_start] == '0') {
+        fail("leading zero in number");
       }
       bool integral = true;
       if (pos < text.size() && text[pos] == '.') {
@@ -490,21 +494,20 @@ class JsonValue {
         if (!exp) fail("digits required in exponent");
       }
       if (!digits) fail("malformed number");
+      const std::string_view token = text.substr(start, pos - start);
       if (integral) {
         std::int64_t i = 0;
-        if (std::from_chars(text.data() + start, text.data() + pos, i).ec ==
-            std::errc()) {
+        if (specstab::parse_number(token, i) == std::errc()) {
           return JsonValue(i);
         }
         // Beyond int64 (a campaign run's uint64 seed, say): a double, as
         // ordinary JSON readers give; as_int() still refuses it.
       }
-      const std::string token(text.substr(start, pos - start));
-      try {
-        return JsonValue(std::stod(token));
-      } catch (const std::out_of_range&) {
-        fail("number out of range: " + token);
+      double d = 0.0;
+      if (specstab::parse_number(token, d) != std::errc()) {
+        fail("number out of range: " + std::string(token));
       }
+      return JsonValue(d);
     }
   };
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -12,6 +11,7 @@
 #include <system_error>
 
 #include "serve/server.hpp"
+#include "util/parse_number.hpp"
 
 namespace specstab::serve {
 
@@ -55,14 +55,12 @@ std::uint64_t parse_u64(std::string_view tool, std::string_view flag,
                         std::string_view text, std::uint64_t max) {
   const std::string where = std::string(tool) + ": " + std::string(flag);
   std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const std::from_chars_result parsed =
-      std::from_chars(text.data(), end, value);
-  if (parsed.ec == std::errc::invalid_argument || parsed.ptr != end) {
+  const std::errc ec = parse_number(text, value);
+  if (ec == std::errc::invalid_argument) {
     throw std::invalid_argument(where + " needs a non-negative integer, got '" +
                                 std::string(text) + "'");
   }
-  if (parsed.ec != std::errc() || value > max) {
+  if (ec != std::errc() || value > max) {
     throw std::invalid_argument(where + " out of range: " + std::string(text));
   }
   return value;

@@ -95,7 +95,8 @@ struct SessionRequest {
 [[nodiscard]] std::string canonical_topology(const std::string& text);
 
 /// The full canonical identity of a session request — the result cache's
-/// key text (see session_cache_key() for the FNV form).
+/// key text: protocol, topology and SessionSpec::to_canonical_string(),
+/// joined by the 0x1f unit separator.
 [[nodiscard]] std::string canonical_session_string(const SessionRequest& req);
 
 /// Renders a SessionResult as the reply's `result` object, byte-stable:

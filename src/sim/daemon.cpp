@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+
+#include "util/parse_number.hpp"
 
 namespace specstab {
 
@@ -88,9 +92,11 @@ void CentralMaxIdDaemon::select_into(const Graph&, const EnabledView& enabled,
 DistributedBernoulliDaemon::DistributedBernoulliDaemon(double p,
                                                        std::uint64_t seed)
     : p_(p), seed_(seed), rng_(seed) {
-  if (p <= 0.0 || p > 1.0) {
+  // NaN fails both comparisons.  A p at or below 2^-54 leaves 1 - p == 1,
+  // where the geometric skip draw divides by log(1) = 0.
+  if (!(p > 0.0 && p <= 1.0) || 1.0 - p == 1.0) {
     throw std::invalid_argument(
-        "DistributedBernoulliDaemon: need p in (0, 1]");
+        "bernoulli probability must be in (0, 1] with 1 - p < 1");
   }
 }
 
@@ -265,16 +271,9 @@ struct DaemonSpec {
 std::unique_ptr<Daemon> make_bernoulli(const std::string& name,
                                        std::uint64_t seed) {
   double p = 0.0;
-  try {
-    std::size_t used = 0;
-    p = std::stod(name.substr(10), &used);
-    if (used != name.size() - 10) throw std::invalid_argument(name);
-  } catch (const std::exception&) {
+  if (parse_number(std::string_view(name).substr(10), p) != std::errc()) {
     throw std::invalid_argument("bad bernoulli activation probability in '" +
                                 name + "'");
-  }
-  if (p <= 0.0 || p > 1.0) {
-    throw std::invalid_argument("bernoulli probability must be in (0, 1]");
   }
   return std::make_unique<DistributedBernoulliDaemon>(p, seed);
 }

@@ -182,6 +182,8 @@ class CentralMaxIdDaemon final : public Daemon {
 /// distribution with ~p draws per enabled vertex instead of one.
 class DistributedBernoulliDaemon final : public Daemon {
  public:
+  /// Throws std::invalid_argument unless p is in (0, 1] with 1 - p < 1
+  /// (p above 2^-54, so a skip length can be drawn).
   DistributedBernoulliDaemon(double p, std::uint64_t seed);
   void select_into(const Graph&, const EnabledView& e, StepIndex,
                    ActionBuffer& out) override;

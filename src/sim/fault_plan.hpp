@@ -29,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,7 @@
 #include "sim/config_store.hpp"
 #include "sim/enabled_set.hpp"
 #include "sim/types.hpp"
+#include "util/parse_number.hpp"
 
 namespace specstab {
 
@@ -135,11 +137,7 @@ inline FaultSpec FaultSpec::parse(const std::string& text) {
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
     std::int64_t parsed = 0;
-    try {
-      std::size_t used = 0;
-      parsed = std::stoll(value, &used);
-      if (used != value.size()) throw std::invalid_argument(value);
-    } catch (const std::exception&) {
+    if (parse_number(value, parsed) != std::errc()) {
       return fail("non-integer value '" + value + "' for '" + key + "'");
     }
     if (key == "period") {

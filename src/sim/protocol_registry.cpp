@@ -1,7 +1,6 @@
 #include "sim/protocol_registry.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "graph/properties.hpp"
@@ -20,85 +19,6 @@ std::string SessionSpec::to_canonical_string() const {
   out += ",seed=" + std::to_string(seed);
   out += ",threads=" + std::to_string(threads);
   return out;
-}
-
-SessionSpec SessionSpec::parse(const std::string& text) {
-  SessionSpec spec;
-  const auto fail = [&text](const std::string& why) -> SessionSpec {
-    throw std::invalid_argument("bad session spec '" + text + "': " + why);
-  };
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string field = text.substr(pos, end - pos);
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) return fail("field '" + field + "' has no =");
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    const auto as_int = [&](std::int64_t lo, std::int64_t hi) {
-      std::int64_t parsed = 0;
-      try {
-        std::size_t used = 0;
-        parsed = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        fail("non-integer value '" + value + "' for '" + key + "'");
-      }
-      if (parsed < lo || parsed > hi) {
-        fail("out-of-range value '" + value + "' for '" + key + "'");
-      }
-      return parsed;
-    };
-    if (key == "daemon") {
-      spec.daemon = value;
-    } else if (key == "engine") {
-      spec.engine = engine_by_name(value);
-    } else if (key == "init") {
-      spec.init = value;
-    } else if (key == "max_steps") {
-      spec.max_steps =
-          static_cast<StepIndex>(as_int(0, std::numeric_limits<StepIndex>::max()));
-    } else if (key == "perturb") {
-      // Canonicalizes and validates in one go; "none" stays "none".
-      spec.perturb = FaultSpec::parse(value).format();
-    } else if (key == "seed") {
-      if (value.empty() || value[0] == '-') {
-        return fail("seed must be non-negative: '" + value + "'");
-      }
-      try {
-        std::size_t used = 0;
-        spec.seed = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        return fail("non-integer value '" + value + "' for 'seed'");
-      }
-    } else if (key == "threads") {
-      spec.threads = static_cast<unsigned>(as_int(1, 4096));
-    } else {
-      return fail("unknown key '" + key + "'");
-    }
-    pos = end + 1;
-  }
-  return spec;
-}
-
-std::uint64_t session_cache_key(const std::string& protocol,
-                                const std::string& topology,
-                                const SessionSpec& spec) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto eat = [&h](const std::string& s) {
-    for (const unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    h ^= 0x1f;  // unit separator between components
-    h *= 1099511628211ull;
-  };
-  eat(protocol);
-  eat(topology);
-  eat(spec.to_canonical_string());
-  return h;
 }
 
 bool ProtocolInfo::supports_init(const std::string& init) const {

@@ -51,7 +51,7 @@ struct SessionSpec {
   /// RunOptions::pool): campaign workers and serve sessions thread their
   /// per-host-thread pool through here so back-to-back sessions skip
   /// thread spawning.  An execution resource, not part of the session's
-  /// identity — to_canonical_string() and session_cache_key() exclude it
+  /// identity — to_canonical_string() excludes it
   /// (the same spec runs byte-identically with or without a pool).
   ShardPool* pool = nullptr;
   bool record_trace = false;           ///< expose the delta trace below
@@ -76,21 +76,7 @@ struct SessionSpec {
   /// value — including the canonical fault text, which is comma-free by
   /// construction — excludes it.
   [[nodiscard]] std::string to_canonical_string() const;
-
-  /// Inverse of to_canonical_string(): accepts the fields in any order
-  /// and any subset (missing fields keep their defaults); throws
-  /// std::invalid_argument on unknown keys or malformed values.
-  [[nodiscard]] static SessionSpec parse(const std::string& text);
 };
-
-/// FNV-1a cache key over (protocol, topology, canonical spec text) with
-/// a separator byte between the three components, so the serve result
-/// cache keys on exactly the tuple that determines a session's bytes.
-/// `topology` is the canonical topology spelling (whitespace-normalized
-/// family spec, e.g. "ring 8").
-[[nodiscard]] std::uint64_t session_cache_key(const std::string& protocol,
-                                              const std::string& topology,
-                                              const SessionSpec& spec);
 
 /// Type-erased RunResult: the full metering surface plus the final
 /// configuration rendered per vertex by the protocol's state printer.

@@ -2,6 +2,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+
+#include "util/parse_number.hpp"
 
 namespace specstab {
 
@@ -29,11 +32,13 @@ Schedule schedule_from_text(const std::string& text) {
     }
     std::istringstream ls(line);
     std::vector<VertexId> action;
-    VertexId v = 0;
-    while (ls >> v) action.push_back(v);
-    if (!ls.eof()) {
-      throw std::invalid_argument("schedule: bad token in line '" + line +
-                                  "'");
+    for (std::string token; ls >> token;) {
+      VertexId v = 0;
+      if (parse_number(token, v) != std::errc()) {
+        throw std::invalid_argument("schedule: bad token in line '" + line +
+                                    "'");
+      }
+      action.push_back(v);
     }
     if (action.empty()) {
       throw std::invalid_argument("schedule: no vertices in line '" + line +

@@ -138,6 +138,15 @@ TEST(ArtifactsTest, MalformedInputsThrow) {
                                    "ring 8,synchronous,random,none,"
                                    "99999999999999999999")),
       std::invalid_argument);
+  // n beyond VertexId (2^32 + 8) is refused, not read as 8.
+  EXPECT_THROW(
+      (void)cells_from_csv(corrupt("ring 8,synchronous,random,none,8",
+                                   "ring 8,synchronous,random,none,"
+                                   "4294967304")),
+      std::invalid_argument);
+  std::string json = to_json(CampaignResult{}, cells);
+  json.replace(json.find("\"n\":8"), 5, "\"n\":4294967304");
+  EXPECT_THROW((void)cells_from_json(json), std::invalid_argument) << json;
   EXPECT_THROW((void)cells_from_json("[1, 2"), std::invalid_argument);
   EXPECT_THROW((void)cells_from_json("{\"cells\":[{\"protocol\":\"\\uzzzz\"}]}"),
                std::invalid_argument);

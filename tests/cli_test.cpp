@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/io.hpp"
 #include "graph/generators.hpp"
@@ -221,8 +224,13 @@ TEST(CliTest, RunUnknownDaemonFails) {
 }
 
 TEST(CliTest, RunBadBernoulliProbabilityFails) {
-  const auto res = run_cli({"run", "ring", "5", "--daemon", "bernoulli-1.5"});
-  EXPECT_EQ(res.exit_code, 1);
+  // Out of (0, 1], not a finite whole-token decimal, or too small to
+  // sample (1 - p == 1): each a clean exit 1, never a crash.
+  for (const std::string p : {"1.5", "nan", "1e-17", "+0.5", " 0.5", "0x.8"}) {
+    const auto res =
+        run_cli({"run", "ring", "5", "--daemon", "bernoulli-" + p});
+    EXPECT_EQ(res.exit_code, 1) << p << ": " << res.output;
+  }
 }
 
 TEST(CliTest, WitnessShowsDoublePrivilege) {
@@ -307,10 +315,14 @@ TEST(CliTest, RunRejectsNegativeAndFractionalNumericOptions) {
       EXPECT_EQ(neg.exit_code, 1) << cmd << " " << flag;
       EXPECT_NE(neg.output.find("non-negative"), std::string::npos)
           << cmd << " " << flag;
-      const auto frac = run_cli({cmd, "ring", "6", flag, "2.7"});
-      EXPECT_EQ(frac.exit_code, 1) << cmd << " " << flag;
-      EXPECT_NE(frac.output.find("bad " + flag + ": 2.7"), std::string::npos)
-          << cmd << " " << flag << ": " << frac.output;
+      // Digits only, the whole token: no sign, no blanks.
+      for (const std::string value : {"2.7", "+3", " 3", "3 "}) {
+        const auto res = run_cli({cmd, "ring", "6", flag, value});
+        EXPECT_EQ(res.exit_code, 1) << cmd << " " << flag << " '" << value;
+        EXPECT_NE(res.output.find("bad " + flag + ": " + value),
+                  std::string::npos)
+            << cmd << " " << flag << ": " << res.output;
+      }
     }
   }
   EXPECT_EQ(run_cli({"run", "ring", "6", "--threads", "0"}).exit_code, 1);
@@ -340,6 +352,24 @@ TEST(CliTest, GraphFromSpecAdvancesPosition) {
   const Graph g = graph_from_spec(args, pos);
   EXPECT_EQ(g.n(), 12);
   EXPECT_EQ(pos, 3u);
+}
+
+TEST(CliTest, GraphSpecNumbersAreWholeTokensOfTheirType) {
+  // A size beyond VertexId does not wrap (4294967304 = 2^32 + 8), a
+  // blank is not skipped, and a seed is unsigned: -1 is not 2^64 - 1.
+  for (const std::vector<std::string>& spec :
+       {std::vector<std::string>{"ring", "4294967304"},
+        {"ring", " 8"},
+        {"random", "12", "0.3", "-1"}}) {
+    std::size_t pos = 0;
+    EXPECT_THROW((void)graph_from_spec(spec, pos), std::invalid_argument)
+        << spec.back();
+  }
+  std::size_t pos = 0;
+  EXPECT_EQ(graph_from_spec({"random", "12", "0.3", "18446744073709551615"},
+                            pos)
+                .n(),
+            12);
 }
 
 TEST(CliTest, DaemonFactoryNamesMatchRegistry) {
@@ -425,6 +455,13 @@ TEST(CliTest, CampaignRejectsNegativeNumericOptions) {
     EXPECT_EQ(res.exit_code, 1) << flag;
     EXPECT_NE(res.output.find("non-negative"), std::string::npos) << flag;
   }
+  // A size beyond VertexId is refused, not run as its low 32 bits.
+  const auto wide =
+      run_cli({"campaign", "--families", "ring", "--sizes", "4294967304"});
+  EXPECT_EQ(wide.exit_code, 1);
+  EXPECT_NE(wide.output.find("out-of-range size: 4294967304"),
+            std::string::npos)
+      << wide.output;
 }
 
 TEST(CliTest, CampaignSeedSurvives64Bits) {

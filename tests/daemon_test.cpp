@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "graph/generators.hpp"
 
@@ -83,6 +86,16 @@ TEST(DaemonTest, MinAndMaxId) {
 TEST(DaemonTest, BernoulliValidation) {
   EXPECT_THROW(DistributedBernoulliDaemon(0.0, 1), std::invalid_argument);
   EXPECT_THROW(DistributedBernoulliDaemon(1.5, 1), std::invalid_argument);
+  // NaN, and every p with 1 - p == 1 (p <= 2^-54), would reach the
+  // geometric skip draw, which divides by log(1 - p) = 0.
+  for (const double p : {std::numeric_limits<double>::quiet_NaN(),
+                         std::ldexp(1.0, -54), 1e-17}) {
+    EXPECT_THROW(DistributedBernoulliDaemon(p, 1), std::invalid_argument)
+        << p;
+  }
+  // A p just above 2^-54 still samples: the one forced vertex.
+  DistributedBernoulliDaemon tiny(6e-17, 1);
+  EXPECT_EQ(tiny.select(ring6(), all6(), 0).size(), 1u);
   EXPECT_NO_THROW(DistributedBernoulliDaemon(1.0, 1));
 }
 

@@ -69,6 +69,11 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)FaultSpec::parse("periodic:start=-1"),
                std::invalid_argument);
+  // Digits only, the whole value.
+  EXPECT_THROW((void)FaultSpec::parse("periodic:period=+8"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultSpec::parse("periodic:k= 2"),
+               std::invalid_argument);
 }
 
 TEST(FaultSpecTest, ExtendedStepCapSaturates) {

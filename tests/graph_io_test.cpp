@@ -40,6 +40,10 @@ TEST(GraphIoTest, MalformedInputs) {
   EXPECT_THROW((void)from_edge_list("n 3\n0 1 2\n"), std::invalid_argument);
   EXPECT_THROW((void)from_edge_list("n 3\n0 5\n"), std::out_of_range);
   EXPECT_THROW((void)from_edge_list("n 3\n0 1\n0 1\n"), std::invalid_argument);
+  // Every number is a whole token, and the header line holds one.
+  EXPECT_THROW((void)from_edge_list("n 4junk\n"), std::invalid_argument);
+  EXPECT_THROW((void)from_edge_list("n 4 9\n"), std::invalid_argument);
+  EXPECT_THROW((void)from_edge_list("n 4\n0 +1\n"), std::invalid_argument);
 }
 
 TEST(GraphIoTest, AdjacencyMatrix) {

@@ -22,6 +22,7 @@ TEST(ScheduleTest, TextRoundTrip) {
 TEST(ScheduleTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(schedule_from_text("1 2\n\n3\n"), std::invalid_argument);
   EXPECT_THROW(schedule_from_text("1 x 2\n"), std::invalid_argument);
+  EXPECT_THROW(schedule_from_text("+1 2\n"), std::invalid_argument);
 }
 
 TEST(ScheduleTest, EmptyScheduleSerializesToEmptyText) {

@@ -102,6 +102,10 @@ TEST(ServeProtocolTest, MalformedLinesGetStructuredErrorsNeverCrash) {
       {"{\"id\":1,\"method\":\"run\",\"params\":[]}", "invalid"},
       {"{\"id\":1,\"method\":\"frobnicate\"}", "invalid"},  // unknown method
       {"{\"id\":1,\"method\":\"run\",\"params\":{}}", "invalid"},
+      // JSON forbids leading zeros.
+      {"{\"id\":1,\"method\":\"run\",\"params\":{\"protocol\":\"ssme\","
+       "\"topology\":\"ring 8\",\"steps\":0500}}",
+       "parse"},
   };
   for (const Case& c : cases) {
     const std::string reply = client.roundtrip(c.line);
@@ -123,10 +127,25 @@ TEST(ServeProtocolTest, MalformedLinesGetStructuredErrorsNeverCrash) {
             "invalid");  // unknown topology family (fails in the worker)
   EXPECT_EQ(error_code(client.roundtrip(run_request(7, "ssme", "ring"))),
             "invalid");  // family missing its size
+  // Numbers a session cannot use: a Bernoulli p the sampler cannot draw
+  // from (NaN, or 1 - p == 1) and a ring size beyond VertexId.
+  for (const char* daemon : {"bernoulli-nan", "bernoulli-1e-17"}) {
+    EXPECT_EQ(error_code(client.roundtrip(run_request(
+                  8, "ssme", "ring 8",
+                  std::string(",\"daemon\":\"") + daemon + "\""))),
+              "invalid")
+        << daemon;
+  }
+  EXPECT_EQ(error_code(
+                client.roundtrip(run_request(9, "ssme", "ring 4294967304"))),
+            "invalid");
 
   // After all that abuse, the same connection still serves sessions.
-  const std::string reply = client.roundtrip(run_request(8, "ssme", "ring 8"));
+  const std::string reply = client.roundtrip(run_request(10, "ssme", "ring 8"));
   EXPECT_TRUE(is_result(reply)) << reply;
+  const std::string list =
+      client.roundtrip("{\"id\":11,\"method\":\"list\"}");
+  EXPECT_TRUE(is_result(list)) << list;
   EXPECT_EQ(harness.server().stats().active_connections, 1u);
 }
 

@@ -29,6 +29,11 @@ TEST(ServeJsonTest, ParsesScalarsAndContainers) {
   EXPECT_TRUE(JsonValue::parse("true").as_bool());
   EXPECT_EQ(JsonValue::parse("-42").as_int(), -42);
   EXPECT_DOUBLE_EQ(JsonValue::parse("2.5").as_double(), 2.5);
+  // A lone zero may lead (JSON forbids only 0 followed by a digit).
+  EXPECT_EQ(JsonValue::parse("0").as_int(), 0);
+  EXPECT_EQ(JsonValue::parse("-0").as_int(), 0);
+  EXPECT_DOUBLE_EQ(JsonValue::parse("0.5").as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(JsonValue::parse("0e1").as_double(), 0.0);
   EXPECT_EQ(JsonValue::parse("\"hi\"").as_string(), "hi");
   const JsonValue arr = JsonValue::parse("[1, 2, 3]");
   ASSERT_EQ(arr.as_array().size(), 3u);
@@ -61,7 +66,8 @@ TEST(ServeJsonTest, StringEscapesRoundTrip) {
 TEST(ServeJsonTest, RejectsMalformedInput) {
   for (const char* bad :
        {"", "{", "[1,", "{\"a\"}", "{\"a\":}", "nul", "1 2", "\"unterminated",
-        "[1] trailing", "{\"a\":1,}", "+5"}) {
+        "[1] trailing", "{\"a\":1,}", "+5", "007", "-01",
+        "{\"steps\": 0500}"}) {
     EXPECT_THROW((void)JsonValue::parse(bad), std::invalid_argument)
         << "input: " << bad;
   }

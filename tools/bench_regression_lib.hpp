@@ -14,8 +14,6 @@
 #ifndef SPECSTAB_TOOLS_BENCH_REGRESSION_LIB_HPP
 #define SPECSTAB_TOOLS_BENCH_REGRESSION_LIB_HPP
 
-#include <charconv>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -27,6 +25,7 @@
 #include <vector>
 
 #include "serve/json.hpp"
+#include "util/parse_number.hpp"
 
 namespace specstab::benchgate {
 
@@ -191,10 +190,7 @@ template <typename T, typename InRange>
 T parse_option(const std::string& flag, const std::string& text,
                InRange in_range, const char* range) {
   T value{};
-  const char* end = text.data() + text.size();
-  const std::from_chars_result parsed =
-      std::from_chars(text.data(), end, value);
-  if (parsed.ec != std::errc() || parsed.ptr != end || !in_range(value)) {
+  if (parse_number(text, value) != std::errc() || !in_range(value)) {
     fail(flag + " needs " + range + ", got '" + text + "'");
   }
   return value;
@@ -226,7 +222,7 @@ inline GateArgs parse_gate_args(const std::vector<std::string>& args) {
     } else if (arg == "--min-ms" && has_value) {
       out.options.min_ms = parse_option<double>(
           arg, args[++i],
-          [](double ms) { return std::isfinite(ms) && ms >= 0.0; },
+          [](double ms) { return ms >= 0.0; },
           "a finite non-negative number");
     } else if (arg == "--serve") {
       out.serve = true;

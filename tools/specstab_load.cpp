@@ -16,12 +16,12 @@
 //
 // Exit code: 0 when every request got a result reply, 1 otherwise —
 // the CI serve job uses it as a smoke gate — and 2, before any client
-// starts, on a bad option: integers go through `specstab serve`'s own
-// parser (serve::parse_u64: digits only, the whole token, in range) and
-// the hit ratio must be a whole-token number in [0, 1], so
+// starts, on a bad option: every number goes through
+// util/parse_number.hpp (digits only, the whole token, in range), the
+// integers by way of `specstab serve`'s serve::parse_u64, and the hit
+// ratio must be a number in [0, 1], so
 // `--connections -1` cannot wrap around to four billion client threads.
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +37,7 @@
 #include "serve/json.hpp"
 #include "serve/serve_cli.hpp"
 #include "serve/transport.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -166,12 +167,8 @@ int main(int argc, char** argv) {
             static_cast<unsigned>(number(std::numeric_limits<unsigned>::max()));
       } else if (arg == "--hit-ratio") {
         const std::string& text = value();
-        const char* end = text.data() + text.size();
-        const std::from_chars_result parsed =
-            std::from_chars(text.data(), end, opt.hit_ratio);
-        // NaN fails both comparisons.
-        if (parsed.ec != std::errc() || parsed.ptr != end ||
-            !(opt.hit_ratio >= 0.0 && opt.hit_ratio <= 1.0)) {
+        if (specstab::parse_number(text, opt.hit_ratio) != std::errc() ||
+            opt.hit_ratio < 0.0 || opt.hit_ratio > 1.0) {
           throw std::invalid_argument(
               "specstab_load: --hit-ratio needs a number in [0, 1], got '" +
               text + "'");
